@@ -1,7 +1,8 @@
 """Command-line interface: `simulate` (replication studies), `fit` (PICSE on
 a data file), and `kcd` (Kronecker-core decomposition of a single matrix).
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input or configuration (rejected before any
+computation), 3 numerical failure (anything raised during computation).
 """
 
 import argparse
@@ -12,10 +13,8 @@ import sys
 import numpy as np
 
 from . import matops, picse, simulate
-from .errors import DefinitenessError, NoKroneckerMle, StructureError
+from .errors import NUMERICAL_ERRORS
 from .kcd import SquareRootKind, kcd as run_kcd
-
-_NUMERICAL = (NoKroneckerMle, DefinitenessError, StructureError, np.linalg.LinAlgError)
 
 
 def _kinds(token):
@@ -117,6 +116,8 @@ def _cmd_fit(args):
 
 def _cmd_kcd(args):
     sigma = np.loadtxt(args.input, delimiter=",", ndmin=2)
+    if not np.isfinite(sigma).all():
+        raise ValueError("matrix contains non-finite values")
     dims = matops.Dims(args.p1, args.p2)
     result = run_kcd(sigma, dims, SquareRootKind(args.sqrt))
     payload = {
@@ -136,14 +137,15 @@ def main(argv=None):
     handler = {"simulate": _cmd_simulate, "fit": _cmd_fit, "kcd": _cmd_kcd}[
         args.command
     ]
+    # The numerical errors subclass ValueError, so they are caught first.
     try:
         return handler(args)
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

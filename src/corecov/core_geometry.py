@@ -20,8 +20,8 @@ from .errors import CapacityError, DefinitenessError, StructureError
 # Dense J assembly is (p1^2+p2^2+1) x (p*r); refuse absurd shapes.
 _MAX_PR = 4096
 # Singular values below this relative threshold are truncated when forming
-# the pseudoinverse of J, keeping I - J^+ J an exact projection at the
-# operator's known rank.
+# the null-space basis and the pseudoinverse of J, keeping I - J^+ J an exact
+# projection at the operator's known rank.
 _J_RTOL = 1e-10
 
 
@@ -128,19 +128,26 @@ def j_rank(j, rtol=1e-8):
     return int(np.sum(s > rtol * s[0]))
 
 
+def j_factors(a, dims):
+    """J(A) factored by one full SVD: (J, N, J^+), with the columns of N an
+    orthonormal basis of N(J) (pr x m) and J^+ the pseudoinverse from the same
+    factors, both cut off at _J_RTOL * sigma_max."""
+    j = j_operator(a, dims)
+    u, s, vt = np.linalg.svd(j, full_matrices=True)
+    n_keep = int(np.sum(s > _J_RTOL * s[0]))
+    jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
+    return j, vt[n_keep:].T, jp
+
+
 def tangent_basis_rank(a, dims):
     """Orthonormal basis of the tangent space N(J(A)) as vec-columns (pr x m)."""
-    j = j_operator(a, dims)
-    _, s, vt = np.linalg.svd(j, full_matrices=True)
-    n_keep = int(np.sum(s > _J_RTOL * s[0]))
-    return vt[n_keep:].T
+    return j_factors(a, dims)[1]
 
 
 def tangent_project_rank(a, v, dims):
     """Orthogonal projection of V onto N(J(A)): vec -> (I - J^+ J) vec."""
-    j = j_operator(a, dims)
+    j, _, jp = j_factors(a, dims)
     vvec = np.asarray(v, dtype=float).reshape(-1, order="F")
-    jp = np.linalg.pinv(j, rcond=_J_RTOL)
     w = vvec - jp @ (j @ vvec)
     return w.reshape(a.shape, order="F")
 
@@ -153,8 +160,7 @@ def rgrad_hess_rank(a, egrad, ehess_v, v, dims):
       vec(Hess[V]) = (I - J^+ J) vec(ehess_v)
                      - (I - J^+ J) J(V)^T (J^+)^T J^+ J vec(egrad)
     """
-    j = j_operator(a, dims)
-    jp = np.linalg.pinv(j, rcond=_J_RTOL)
+    j, _, jp = j_factors(a, dims)
     g = np.asarray(egrad, dtype=float).reshape(-1, order="F")
     hv = np.asarray(ehess_v, dtype=float).reshape(-1, order="F")
 

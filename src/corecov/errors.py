@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class DefinitenessError(ValueError):
     """A matrix that must be positive definite is not (within tolerance)."""
@@ -17,3 +19,11 @@ class StructureError(ValueError):
 
 class CapacityError(ValueError):
     """Problem size exceeds a hard limit of a dense code path."""
+
+
+# Failures of a computation on valid input.  Fits treat them as a failed step
+# or sweep, studies record them per estimator, and the CLI exits 3 on them.
+NUMERICAL_ERRORS = (
+    np.linalg.LinAlgError, DefinitenessError, NoKroneckerMle, StructureError,
+    FloatingPointError,
+)

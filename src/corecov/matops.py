@@ -157,16 +157,6 @@ def lower(m):
     return np.tril(m)
 
 
-def is_spd(s, rtol=PD_RTOL):
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        return False
-    if not np.allclose(s, s.T, atol=1e-10 * max(1.0, np.abs(s).max())):
-        return False
-    w = np.linalg.eigvalsh(sym(s))
-    return w[0] > rtol * max(w[-1], 0.0)
-
-
 def check_spd(s, rtol=PD_RTOL, what="matrix"):
     """Validate symmetry and positive definiteness; return the symmetrized input."""
     s = np.asarray(s, dtype=float)

@@ -13,22 +13,15 @@ retraction).
 """
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import core_geometry, kcd, matops, spd_geometry
-from .errors import DefinitenessError, NoKroneckerMle, StructureError
+from .errors import NUMERICAL_ERRORS, DefinitenessError, StructureError
 from .kcd import SquareRootKind
-
-_NUMERICAL_ERRORS = (
-    np.linalg.LinAlgError,
-    DefinitenessError,
-    NoKroneckerMle,
-    StructureError,
-    FloatingPointError,
-)
 
 
 @dataclass(frozen=True)
@@ -278,62 +271,104 @@ class _ASideCalc:
         return out
 
 
-def euclid_calculus(theta, tau, data, v):
-    """Euclidean (egrad, ehess[V]) of the likelihood in one parameter block.
-
-    theta is one of "k1bar", "k2bar", "a".  For the K factors the result is
-    symmetric (SPD parameterization) or lower-triangular (Cholesky).
-    """
-    if theta == "k1bar":
-        calc = _KSideCalc(tau, data, side=1)
-    elif theta == "k2bar":
-        calc = _KSideCalc(tau, data, side=2)
-    elif theta == "a":
-        calc = _ASideCalc(tau, SampleCov.from_data(data, tau.dims))
-    else:
-        raise ValueError(f"unknown parameter {theta!r}")
-    return calc.grad(), calc.hess(v)
-
-
 # ---------------------------------------------------------------------------
-# Riemannian geometry adapters and the Newton step search
+# parameter blocks and the decrease-checked Riemannian Newton step
 # ---------------------------------------------------------------------------
 
-class _KGeometry:
-    def __init__(self, tau, side):
-        self.point = tau.k1bar if side == 1 else tau.k2bar
-        self.chol = tau.h_kind is SquareRootKind.CHOLESKY
-        if self.chol:
+class _KBlock:
+    """K1bar (side 1) or K2bar (side 2) as a parameter block: a unit-determinant
+    SPD point under the affine-invariant metric, or a unit-determinant Cholesky
+    point under the Cholesky metric, with a basis orthonormal in that metric."""
+
+    def __init__(self, tau, data, side):
+        self.tau = tau
+        self.name = "k1bar" if side == 1 else "k2bar"
+        self.point = getattr(tau, self.name)
+        if tau.h_kind is SquareRootKind.CHOLESKY:
             self.basis = spd_geometry.chol_unitdet_basis(self.point)
+            self._inner = spd_geometry.chol_inner
+            self._grad_hess = spd_geometry.chol_grad_hess
+            self._proj = spd_geometry.proj_unitdet_chol
+            self._exp = spd_geometry.chol_exp
         else:
             self.basis = spd_geometry.ai_unitdet_basis(self.point)
+            self._inner = spd_geometry.ai_inner
+            self._grad_hess = spd_geometry.ai_grad_hess
+            self._proj = spd_geometry.proj_unitdet_spd
+            self._exp = spd_geometry.ai_exp
+        self.calc = _KSideCalc(tau, data, side)
+        self.egrad = self.calc.grad()
 
     def inner(self, u, v):
-        if self.chol:
-            return spd_geometry.chol_inner(self.point, u, v)
-        return spd_geometry.ai_inner(self.point, u, v)
+        return self._inner(self.point, u, v)
 
-    def riemannian(self, egrad, ehess_v, v):
-        if self.chol:
-            g, h = spd_geometry.chol_grad_hess(self.point, egrad, ehess_v, v)
-            return (
-                spd_geometry.proj_unitdet_chol(self.point, g),
-                spd_geometry.proj_unitdet_chol(self.point, h),
-            )
-        g, h = spd_geometry.ai_grad_hess(self.point, egrad, ehess_v, v)
-        return (
-            spd_geometry.proj_unitdet_spd(self.point, g),
-            spd_geometry.proj_unitdet_spd(self.point, h),
-        )
+    def norm(self, v):
+        return float(np.sqrt(self.inner(v, v)))
 
-    def rgrad(self, egrad):
+    def _riemannian(self, ehess_v, v):
+        g, h = self._grad_hess(self.point, self.egrad, ehess_v, v)
+        return self._proj(self.point, g), self._proj(self.point, h)
+
+    def gradient(self):
+        """Riemannian gradient and its coordinates in the basis."""
         zero = np.zeros_like(self.point)
-        return self.riemannian(egrad, zero, zero)[0]
+        rgrad = self._riemannian(zero, zero)[0]
+        return rgrad, np.array([self.inner(rgrad, b) for b in self.basis])
+
+    def hessian(self):
+        """Riemannian Hessian in the basis, row i the image of basis[i]."""
+        cols = [self._riemannian(self.calc.hess(b), b)[1] for b in self.basis]
+        return np.array([[self.inner(c, b) for b in self.basis] for c in cols])
+
+    def tangent(self, coef):
+        return sum(c * b for c, b in zip(coef, self.basis))
 
     def retract(self, v):
-        if self.chol:
-            return spd_geometry.chol_exp(self.point, v, 1.0, unit_det=True)
-        return spd_geometry.ai_exp(self.point, v, 1.0, unit_det=True)
+        point = self._exp(self.point, v, 1.0, unit_det=True)
+        return dataclasses.replace(self.tau, **{self.name: point})
+
+
+class _ABlock:
+    """The core factor A as a parameter block: the fixed-rank core-factor
+    manifold under the Euclidean metric, coordinates in an orthonormal basis
+    of N(J(A)), and the eigen-truncated core retraction."""
+
+    def __init__(self, tau, sample_cov, max_halvings):
+        self.tau = tau
+        self.max_halvings = max_halvings
+        self.calc = _ASideCalc(tau, sample_cov)
+        self.j, self.basis, self.jp = core_geometry.j_factors(tau.a, tau.dims)
+        self.g_full = self.calc.grad().reshape(-1, order="F")
+
+    def _mat(self, x):
+        return x.reshape(self.tau.a.shape, order="F")
+
+    def norm(self, v):
+        return float(np.linalg.norm(v))
+
+    def gradient(self):
+        """Riemannian gradient and its coordinates B^T g in the basis B."""
+        coef = self.basis.T @ self.g_full
+        return self._mat(self.basis @ coef), coef
+
+    def hessian(self):
+        """Riemannian Hessian B^T (ehess[V] - J(V)^T (J^+)^T J^+ J g), V = B[:, i]."""
+        z = self.jp.T @ (self.jp @ (self.j @ self.g_full))
+        m = self.basis.shape[1]
+        h_mat = np.empty((m, m))
+        for i in range(m):
+            v = self._mat(self.basis[:, i])
+            hv = self.calc.hess(v).reshape(-1, order="F")
+            jv = core_geometry.j_operator(v, self.tau.dims)
+            h_mat[:, i] = self.basis.T @ (hv - jv.T @ z)
+        return h_mat
+
+    def tangent(self, coef):
+        return self._mat(self.basis @ coef)
+
+    def retract(self, v):
+        a_new = retract_core_factor(self.tau.a, v, self.tau.dims, self.max_halvings)
+        return None if a_new is None else dataclasses.replace(self.tau, a=a_new)
 
 
 def _newton_coeffs(h_mat, g_vec):
@@ -342,116 +377,32 @@ def _newton_coeffs(h_mat, g_vec):
     return coef
 
 
-def _k_direction_candidates(geom, calc, max_halvings):
-    """Newton direction first, then damped steepest descent with halvings."""
-    egrad = calc.grad()
-    basis = geom.basis
-    m = len(basis)
-    rgrad = geom.rgrad(egrad)
-    g_vec = np.array([geom.inner(rgrad, b) for b in basis])
-    grad_norm = np.sqrt(max(float(g_vec @ g_vec), 0.0))
-    if grad_norm < 1e-13:
-        return rgrad, iter(())
+def _block_step(block, sample_cov, max_halvings):
+    """One decrease-checked Riemannian Newton step in one parameter block.
 
-    rhess_cols = [geom.riemannian(egrad, calc.hess(b), b)[1] for b in basis]
-    h_mat = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            h_mat[i, j] = geom.inner(rhess_cols[i], basis[j])
-    coef = _newton_coeffs(h_mat, g_vec)
-    v_newton = sum(c * b for c, b in zip(coef, basis))
-
-    def gen():
-        if np.isfinite(v_newton).all():
-            yield v_newton
-        s = 1.0
-        for _ in range(max_halvings + 1):
-            yield -s * rgrad
-            s /= 2.0
-
-    return rgrad, gen()
-
-
-def newton_direction(theta, tau, data, config=None):
-    """Decrease-checked update direction for one parameter block.
-
-    Tries the Riemannian Newton direction -Hess^+[grad] first; if its
-    retraction does not lower the objective, falls back to damped steepest
-    descent with step halving.  Returns a zero tangent when nothing helps.
+    Tries the Newton direction -Hess^+[grad] first, then steepest descent
+    -2^-k grad for k = 0..max_halvings, and takes the first candidate whose
+    retraction does not raise the objective.  Returns (tau, nll, step_norm)
+    with the norm measured at the base point; when the gradient vanishes or
+    nothing helps, tau is unchanged and the norm is 0.
     """
-    config = config or FitConfig(h_kind=tau.h_kind)
-    sample_cov = SampleCov.from_data(np.asarray(data, dtype=float), tau.dims)
-    if theta in ("k1bar", "k2bar"):
-        side = 1 if theta == "k1bar" else 2
-        _, _, direction = _step_k(tau, data, sample_cov, config, side)
-        if direction is None:
-            return np.zeros_like(tau.k1bar if side == 1 else tau.k2bar)
-        return direction
-    if theta == "a":
-        _, _, direction = _step_a(tau, data, sample_cov, config)
-        return np.zeros_like(tau.a) if direction is None else direction
-    raise ValueError(f"unknown parameter {theta!r}")
-
-
-def _step_k(tau, data, sample_cov, config, side):
-    """One decrease-checked update of K1bar or K2bar.
-
-    Returns (new tau, new nll, accepted direction or None).
-    """
+    tau = block.tau
     current = nll(tau, sample_cov)
-    geom = _KGeometry(tau, side)
-    calc = _KSideCalc(tau, data, side)
-    _, candidates = _k_direction_candidates(geom, calc, config.max_halvings)
-    name = "k1bar" if side == 1 else "k2bar"
-    for v in candidates:
+    rgrad, g_coef = block.gradient()
+    if np.linalg.norm(g_coef) < 1e-13:
+        return tau, current, 0.0
+    v_newton = block.tangent(_newton_coeffs(block.hessian(), g_coef))
+    newton = [v_newton] if np.isfinite(v_newton).all() else []
+    descent = (-(0.5**k) * rgrad for k in range(max_halvings + 1))
+    for v in itertools.chain(newton, descent):
         try:
-            point = geom.retract(v)
-            cand = dataclasses.replace(tau, **{name: point})
-            value = nll(cand, sample_cov)
-        except _NUMERICAL_ERRORS:
+            cand = block.retract(v)
+            value = np.nan if cand is None else nll(cand, sample_cov)
+        except NUMERICAL_ERRORS:
             continue
         if np.isfinite(value) and value <= current:
-            return cand, value, v
-    return tau, current, None
-
-
-class _AGeometry:
-    def __init__(self, a, dims):
-        self.dims = dims
-        self.a = a
-        self.j = core_geometry.j_operator(a, dims)
-        u, s, vt = np.linalg.svd(self.j, full_matrices=True)
-        n_keep = int(np.sum(s > 1e-10 * s[0]))
-        self.basis = vt[n_keep:].T  # null-space basis, orthonormal columns
-        self.jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
-
-    def newton_direction(self, calc, max_halvings):
-        dims = self.dims
-        g_full = calc.grad().reshape(-1, order="F")
-        rgrad_coef = self.basis.T @ g_full
-        rgrad = (self.basis @ rgrad_coef).reshape(self.a.shape, order="F")
-        if np.linalg.norm(rgrad_coef) < 1e-13:
-            return rgrad, iter(())
-        z = self.jp.T @ (self.jp @ (self.j @ g_full))
-        m = self.basis.shape[1]
-        h_mat = np.empty((m, m))
-        for i in range(m):
-            v = self.basis[:, i].reshape(self.a.shape, order="F")
-            hv = calc.hess(v).reshape(-1, order="F")
-            jv = core_geometry.j_operator(v, dims)
-            h_mat[:, i] = self.basis.T @ (hv - jv.T @ z)
-        coef = _newton_coeffs(h_mat, rgrad_coef)
-        v_newton = (self.basis @ coef).reshape(self.a.shape, order="F")
-
-        def gen():
-            if np.isfinite(v_newton).all():
-                yield v_newton
-            s = 1.0
-            for _ in range(max_halvings + 1):
-                yield -s * rgrad
-                s /= 2.0
-
-        return rgrad, gen()
+            return cand, value, block.norm(v)
+    return tau, current, 0.0
 
 
 def retract_core_factor(a, v, dims, max_halvings=30):
@@ -477,50 +428,14 @@ def retract_core_factor(a, v, dims, max_halvings=30):
                 raise StructureError("top-r core spectrum not positive")
             cand = q_top * np.sqrt(w_top)
             return core_geometry.balance_core_factor(cand, dims, tol=1e-12)
-        except _NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS:
             vv = vv / 2.0
     return None
-
-
-def _step_a(tau, data, sample_cov, config):
-    """One decrease-checked update of the core factor A."""
-    current = nll(tau, sample_cov)
-    calc = _ASideCalc(tau, sample_cov)
-    geom = _AGeometry(tau.a, tau.dims)
-    _, candidates = geom.newton_direction(calc, config.max_halvings)
-    for v in candidates:
-        a_new = retract_core_factor(tau.a, v, tau.dims, config.max_halvings)
-        if a_new is None:
-            continue
-        cand = dataclasses.replace(tau, a=a_new)
-        try:
-            value = nll(cand, sample_cov)
-        except _NUMERICAL_ERRORS:
-            continue
-        if np.isfinite(value) and value <= current:
-            return cand, value, v
-    return tau, current, None
 
 
 # ---------------------------------------------------------------------------
 # coordinate updates with closed forms
 # ---------------------------------------------------------------------------
-
-def update_k(side, tau, data, config=None):
-    """Decrease-checked exponential-map update of K1bar (side 1) or K2bar."""
-    config = config or FitConfig(h_kind=tau.h_kind)
-    sample_cov = SampleCov.from_data(np.asarray(data, dtype=float), tau.dims)
-    new_tau, _, _ = _step_k(tau, data, sample_cov, config, side)
-    return new_tau.k1bar if side == 1 else new_tau.k2bar
-
-
-def update_a(tau, data, config=None):
-    """Decrease-checked eigen-truncated core update of the factor A."""
-    config = config or FitConfig(h_kind=tau.h_kind)
-    sample_cov = SampleCov.from_data(np.asarray(data, dtype=float), tau.dims)
-    new_tau, _, _ = _step_a(tau, data, sample_cov, config)
-    return new_tau.a
-
 
 def update_nu(tau, sample_cov):
     """Exact minimizer nu = sqrt(tr(Kbar^-1 S Kbar^-T Ctilde^-1) / p)."""
@@ -616,6 +531,8 @@ def fit(data, dims, config=None, initial=None):
         raise ValueError(f"expected (n, {dims.p1}, {dims.p2}) data, got {data.shape}")
     if data.shape[0] < 2:
         raise ValueError("need at least two observations")
+    if not np.isfinite(data).all():
+        raise ValueError("data contain non-finite values")
     if dims.r is None:
         raise ValueError("fit needs dims with a rank")
     sample_cov = SampleCov.from_data(data, dims)
@@ -624,30 +541,30 @@ def fit(data, dims, config=None, initial=None):
     else:
         tau = initial
 
+    halvings = config.max_halvings
     value = nll(tau, sample_cov)
     trace = FitTrace(objectives=[value], step_norms=[], termination="max_iter")
     for _ in range(config.max_iter):
         prev_value = value
         steps = {}
         try:
-            tau, value, v1 = _step_k(tau, data, sample_cov, config, side=1)
-            steps["k1bar"] = _k_norm(tau, v1, side=1)
-            tau, value, v2 = _step_k(tau, data, sample_cov, config, side=2)
-            steps["k2bar"] = _k_norm(tau, v2, side=2)
+            for side in (1, 2):
+                block = _KBlock(tau, data, side)
+                tau, value, steps[block.name] = _block_step(block, sample_cov, halvings)
 
             nu_new = update_nu(tau, sample_cov)
             steps["nu"] = abs(nu_new - tau.nu)
             tau = dataclasses.replace(tau, nu=nu_new)
             value = nll(tau, sample_cov)
 
-            tau, value, va = _step_a(tau, data, sample_cov, config)
-            steps["a"] = 0.0 if va is None else float(np.linalg.norm(va))
+            block = _ABlock(tau, sample_cov, halvings)
+            tau, value, steps["a"] = _block_step(block, sample_cov, halvings)
 
             lam_new = update_lambda(tau, sample_cov, config.lambda_bracket)
             steps["lambda"] = abs(lam_new - tau.lam)
             tau = dataclasses.replace(tau, lam=lam_new)
             value = nll(tau, sample_cov)
-        except _NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS:
             trace.termination = "numerical"
             break
         trace.objectives.append(value)
@@ -656,15 +573,6 @@ def fit(data, dims, config=None, initial=None):
             trace.termination = "converged"
             break
     return tau, sigma_from_params(tau), trace
-
-
-def _k_norm(tau, v, side):
-    if v is None:
-        return 0.0
-    point = tau.k1bar if side == 1 else tau.k2bar
-    if tau.h_kind is SquareRootKind.CHOLESKY:
-        return float(np.sqrt(spd_geometry.chol_inner(point, v, v)))
-    return float(np.sqrt(spd_geometry.ai_inner(point, v, v)))
 
 
 def kmle_estimator(data, dims):

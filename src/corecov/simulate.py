@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core_geometry, kcd, matops, picse
-from .errors import DefinitenessError, NoKroneckerMle, StructureError
+from .errors import NUMERICAL_ERRORS
 from .kcd import SquareRootKind
-
-_FIT_ERRORS = (
-    NoKroneckerMle,
-    DefinitenessError,
-    StructureError,
-    np.linalg.LinAlgError,
-)
 
 # spawn-key purpose codes
 _TRUTH = 0
@@ -235,7 +228,7 @@ def _run_one(name, kind, data, dims, config, truth, truth_cores, rep, n):
             termination=termination,
             failed=False,
         )
-    except _FIT_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         return ResultRecord(
             estimator=name,
             rep=rep,

@@ -190,7 +190,7 @@ def test_criterion_06_derivative_oracles():
 
             # Appendix-style Euclidean gradients and Hessian products of the
             # likelihood, plus Riemannian gradients, at a random parameter point
-            from test_picse import make_tau
+            from test_picse import calc_for, make_tau
 
             tau = make_tau(kind, 7000 + point, dims=dims)
             data = np.random.default_rng(7100 + point).standard_normal(
@@ -206,33 +206,31 @@ def test_criterion_06_derivative_oracles():
                     d = rand_lower(dims.p1 if theta == "k1bar" else dims.p2, rng)
                 else:
                     d = rand_sym(dims.p1 if theta == "k1bar" else dims.p2, rng)
-                eg, ehv = picse.euclid_calculus(theta, tau, data, d)
+                calc = calc_for(theta, tau, data)
+                eg, ehv = calc.grad(), calc.hess(d)
                 base = getattr(tau, theta)
                 taup = dataclasses.replace(tau, **{theta: base + eps * d})
                 taum = dataclasses.replace(tau, **{theta: base - eps * d})
                 fd1 = (picse.nll(taup, sc) - picse.nll(taum, sc)) / (2 * eps)
                 assert abs(fd1 - float(np.sum(eg * d))) < tol
-                egp, _ = picse.euclid_calculus(theta, taup, data, d)
-                egm, _ = picse.euclid_calculus(theta, taum, data, d)
+                egp = calc_for(theta, taup, data).grad()
+                egm = calc_for(theta, taum, data).grad()
                 assert np.abs((egp - egm) / (2 * eps) - ehv).max() < tol
 
             # Riemannian gradient pairings along exact geodesics / retraction
-            geo1 = picse._KGeometry(tau, 1)
-            calc1 = picse._KSideCalc(tau, data, 1)
-            tang = geo1.basis[point % len(geo1.basis)]
-            rg, _ = geo1.riemannian(calc1.grad(), calc1.hess(tang), tang)
-            taup = dataclasses.replace(tau, k1bar=geo1.retract(eps * tang))
-            taum = dataclasses.replace(tau, k1bar=geo1.retract(-eps * tang))
+            kblock = picse._KBlock(tau, data, 1)
+            tang = kblock.basis[point % len(kblock.basis)]
+            rg, _ = kblock.gradient()
+            taup = kblock.retract(eps * tang)
+            taum = kblock.retract(-eps * tang)
             fd_r = (picse.nll(taup, sc) - picse.nll(taum, sc)) / (2 * eps)
-            assert abs(geo1.inner(rg, tang) - fd_r) < tol
+            assert abs(kblock.inner(rg, tang) - fd_r) < tol
 
-            acalc = picse._ASideCalc(tau, sc)
-            ageom = picse._AGeometry(tau.a, dims)
-            avec = ageom.basis[:, point % ageom.basis.shape[1]].reshape(
+            ablock = picse._ABlock(tau, sc, FitConfig().max_halvings)
+            avec = ablock.basis[:, point % ablock.basis.shape[1]].reshape(
                 tau.a.shape, order="F"
             )
-            arg = (ageom.basis @ (ageom.basis.T @ acalc.grad().reshape(-1, order="F"))
-                   ).reshape(tau.a.shape, order="F")
+            arg, _ = ablock.gradient()
             ap = picse.retract_core_factor(tau.a, eps * avec, dims)
             am = picse.retract_core_factor(tau.a, -eps * avec, dims)
             fd_a = (

@@ -80,6 +80,30 @@ def test_fit_rejects_bad_width(tmp_path):
     assert rc == 2
 
 
+def test_fit_rejects_nonfinite_data(tmp_path, capsys):
+    data = np.random.default_rng(23).standard_normal((12, 3, 2))
+    data[4, 1, 1] = np.nan
+    src = tmp_path / "data.csv"
+    write_data_csv(src, data)
+    rc = cli.main([
+        "fit", "--input", str(src), "--p1", "3", "--p2", "2", "--rank", "3",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_fit_rank_deficient_sample_core_exit_code(tmp_path):
+    # two observations at (4, 3): the sample core has rank below r = 3
+    src = tmp_path / "data.csv"
+    write_data_csv(src, np.random.default_rng(24).standard_normal((2, 4, 3)))
+    rc = cli.main([
+        "fit", "--input", str(src), "--p1", "4", "--p2", "3", "--rank", "3",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 3
+
+
 def test_kcd_command(tmp_path):
     rng = np.random.default_rng(31)
     sigma = rand_spd(6, rng)
@@ -111,6 +135,19 @@ def test_kcd_numerical_failure_exit_code(tmp_path):
         "--out", str(tmp_path / "o.json"),
     ])
     assert rc == 3
+
+
+def test_kcd_rejects_nonfinite_matrix(tmp_path, capsys):
+    sigma = rand_spd(6, np.random.default_rng(32))
+    sigma[1, 2] = sigma[2, 1] = np.inf
+    src = tmp_path / "sigma.csv"
+    np.savetxt(src, sigma, delimiter=",")
+    rc = cli.main([
+        "kcd", "--input", str(src), "--p1", "3", "--p2", "2",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
 from corecov.errors import DefinitenessError
@@ -11,6 +12,7 @@ from corecov.picse import FitConfig, PicseParams, SampleCov
 from conftest import rand_lower, rand_spd, rand_sym
 
 DIMS = matops.Dims(3, 2, 3)
+HALVINGS = FitConfig().max_halvings
 
 
 def make_tau(kind, seed, lam=0.35, nu=1.3, dims=DIMS):
@@ -28,6 +30,12 @@ def make_tau(kind, seed, lam=0.35, nu=1.3, dims=DIMS):
 
 def make_data(seed, n=8, dims=DIMS):
     return np.random.default_rng(seed).standard_normal((n, dims.p1, dims.p2))
+
+
+def calc_for(theta, tau, data):
+    if theta == "a":
+        return picse._ASideCalc(tau, SampleCov.from_data(data, tau.dims))
+    return picse._KSideCalc(tau, data, 1 if theta == "k1bar" else 2)
 
 
 def tangent_for(theta, tau, seed):
@@ -92,7 +100,7 @@ class TestEuclidCalculus:
             v = np.random.default_rng(13).standard_normal((6, 3))
         else:
             v = tangent_for(theta, tau, 13)
-        eg, _ = picse.euclid_calculus(theta, tau, data, v)
+        eg = calc_for(theta, tau, data).grad()
         eps = 1e-5
         taup = dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) + eps * v})
         taum = dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) - eps * v})
@@ -107,14 +115,14 @@ class TestEuclidCalculus:
         v = tangent_for(theta, tau, 23)
         if theta == "a":
             v = np.random.default_rng(23).standard_normal((6, 3))
-        _, ehv = picse.euclid_calculus(theta, tau, data, v)
+        ehv = calc_for(theta, tau, data).hess(v)
         eps = 1e-5
-        egp, _ = picse.euclid_calculus(
-            theta, dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) + eps * v}), data, v
-        )
-        egm, _ = picse.euclid_calculus(
-            theta, dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) - eps * v}), data, v
-        )
+        egp = calc_for(
+            theta, dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) + eps * v}), data
+        ).grad()
+        egm = calc_for(
+            theta, dataclasses.replace(tau, **{theta_attr(theta): base_of(tau, theta) - eps * v}), data
+        ).grad()
         assert np.abs((egp - egm) / (2 * eps) - ehv).max() < 1e-4
 
     def test_a_gradient_stationary_at_truth(self):
@@ -124,11 +132,6 @@ class TestEuclidCalculus:
         sc = SampleCov(s=matops.sym(s), n=10, dims=DIMS)
         calc = picse._ASideCalc(tau, sc)
         assert np.abs(calc.grad()).max() < 1e-12
-
-    def test_unknown_theta(self):
-        tau = make_tau(SquareRootKind.SYMMETRIC, 32)
-        with pytest.raises(ValueError):
-            picse.euclid_calculus("nu", tau, make_data(33), 0.0)
 
 
 def theta_attr(theta):
@@ -142,16 +145,18 @@ def base_of(tau, theta):
 class TestNewtonDirection:
     def test_zero_gradient_gives_zero(self):
         # a stationary point in A (whitened sample equals Ctilde): gradient
-        # vanishes and no candidate directions are emitted
+        # vanishes, so no candidate is tried and the step is zero
         tau = make_tau(SquareRootKind.SYMMETRIC, 41)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=6, dims=DIMS)
-        geom = picse._AGeometry(tau.a, DIMS)
-        calc = picse._ASideCalc(tau, sc)
-        rgrad, cands = geom.newton_direction(calc, 30)
+        block = picse._ABlock(tau, sc, HALVINGS)
+        rgrad, coef = block.gradient()
         assert np.abs(rgrad).max() < 1e-10
-        assert list(cands) == []
+        assert np.linalg.norm(coef) < 1e-13
+        block.retract = None  # a tried candidate would fail here
+        new_tau, _, step = picse._block_step(block, sc, HALVINGS)
+        assert new_tau is tau and step == 0.0
 
     def test_quadratic_oracle(self):
         # Newton on f(x) = ||x - x*||^2 over a random subspace basis lands on
@@ -167,18 +172,25 @@ class TestNewtonDirection:
         assert np.abs(x1 - x_star).max() < 1e-8
 
     def test_decrease_or_zero(self):
-        tau = make_tau(SquareRootKind.SYMMETRIC, 43)
+        # every block under both square roots: the objective never rises, a
+        # zero step keeps the point, and the reported value is the objective
         data = make_data(44, n=12)
         sc = SampleCov.from_data(data, DIMS)
-        before = picse.nll(tau, sc)
-        for theta in ("k1bar", "k2bar", "a"):
-            v = picse.newton_direction(theta, tau, data)
-            assert np.isfinite(v).all()
-        cfg = FitConfig()
-        t1, val, _ = picse._step_k(tau, data, sc, cfg, 1)
-        assert val <= before
-        t2, val2, _ = picse._step_a(t1, data, sc, cfg)
-        assert val2 <= val
+        for kind in SquareRootKind:
+            tau = make_tau(kind, 43)
+            value = picse.nll(tau, sc)
+            for make_block in (
+                lambda t: picse._KBlock(t, data, 1),
+                lambda t: picse._KBlock(t, data, 2),
+                lambda t: picse._ABlock(t, sc, HALVINGS),
+            ):
+                new_tau, new_value, step = picse._block_step(make_block(tau), sc, HALVINGS)
+                assert np.isfinite(step) and step >= 0.0
+                assert new_value <= value
+                assert new_value == picse.nll(new_tau, sc)
+                if step == 0.0:
+                    assert new_tau is tau
+                tau, value = new_tau, new_value
 
 
 class TestRetraction:
@@ -219,8 +231,9 @@ class TestUpdateK:
         data = simulate.gen_data(truth.sigma, 20, seed=202, dims=DIMS)
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, 3, kind)
-        for side in (1, 2):
-            new_k = picse.update_k(side, tau, data)
+        for side, name in ((1, "k1bar"), (2, "k2bar")):
+            block = picse._KBlock(tau, data, side)
+            new_k = getattr(picse._block_step(block, sc, HALVINGS)[0], name)
             assert abs(np.linalg.det(new_k) - 1.0) <= 1e-8
 
     def test_stationary_point_unchanged(self):
@@ -232,9 +245,10 @@ class TestUpdateK:
         data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
         sc = SampleCov.from_data(data, DIMS)
         assert np.abs(sc.s - s).max() < 1e-10  # the columns tile S exactly
-        for side in (1, 2):
-            new_k = picse.update_k(side, tau, data)
-            base = tau.k1bar if side == 1 else tau.k2bar
+        for side, name in ((1, "k1bar"), (2, "k2bar")):
+            block = picse._KBlock(tau, data, side)
+            new_k = getattr(picse._block_step(block, sc, HALVINGS)[0], name)
+            base = getattr(tau, name)
             assert np.abs(new_k - base).max() < 1e-6
 
     def test_objective_nonincreasing_across_k_updates(self):
@@ -243,9 +257,9 @@ class TestUpdateK:
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, 3, SquareRootKind.SYMMETRIC)
         before = picse.nll(tau, sc)
-        tau = dataclasses.replace(tau, k1bar=picse.update_k(1, tau, data))
+        tau = picse._block_step(picse._KBlock(tau, data, 1), sc, HALVINGS)[0]
         mid = picse.nll(tau, sc)
-        tau = dataclasses.replace(tau, k2bar=picse.update_k(2, tau, data))
+        tau = picse._block_step(picse._KBlock(tau, data, 2), sc, HALVINGS)[0]
         after = picse.nll(tau, sc)
         assert mid <= before and after <= mid
 
@@ -257,7 +271,8 @@ class TestUpdateA:
         s = matops.sym(tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T)
         root = matops.sym_sqrt(s)
         data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
-        new_a = picse.update_a(tau, data)
+        sc = SampleCov.from_data(data, DIMS)
+        new_a = picse._block_step(picse._ABlock(tau, sc, HALVINGS), sc, HALVINGS)[0].a
         assert np.abs(new_a @ new_a.T - tau.a @ tau.a.T).max() < 1e-8
 
     def test_result_is_core_factor_and_monotone(self):
@@ -269,10 +284,11 @@ class TestUpdateA:
             sc = SampleCov.from_data(data, DIMS)
             tau = make_tau(SquareRootKind.SYMMETRIC, 900 + seed)
             before = picse.nll(tau, sc)
-            new_tau, after, direction = picse._step_a(tau, data, sc, FitConfig())
+            block = picse._ABlock(tau, sc, HALVINGS)
+            new_tau, after, step = picse._block_step(block, sc, HALVINGS)
             cg.check_core_factor(new_tau.a, DIMS, tol=1e-8)
             assert after <= before
-            rejected += direction is None
+            rejected += step == 0.0
         assert rejected < 50  # steps are accepted essentially always
 
 
@@ -408,11 +424,37 @@ class TestFit:
         _, s_b, _ = picse.fit(data, DIMS, FitConfig(), initial=tau0_rot)
         assert simulate.rel_spec_norm(s_b, s_a) < 1e-6
 
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_k_step_norms_at_base_point(self, kind):
+        # the norm of a K step at its base point is the geodesic distance the
+        # step travels, which the retraction leaves measurable afterwards
+        dims = matops.Dims(4, 3, 3)
+        truth = simulate.gen_truth("m2", dims, 0.2, seed=5)
+        data = simulate.gen_data(truth.sigma, 24, seed=5, dims=dims)
+        tau0 = picse.init(SampleCov.from_data(data, dims), 3, kind)
+        config = FitConfig(h_kind=kind, max_iter=1)
+        tau1, _, trace = picse.fit(data, dims, config, initial=tau0)
+        for name in ("k1bar", "k2bar"):
+            k0, k1 = getattr(tau0, name), getattr(tau1, name)
+            if kind is SquareRootKind.CHOLESKY:
+                dist = np.hypot(
+                    np.linalg.norm(np.tril(k1 - k0, -1)),
+                    np.linalg.norm(np.log(np.diag(k1) / np.diag(k0))),
+                )
+            else:
+                dist = np.linalg.norm(np.log(scipy.linalg.eigh(k1, k0, eigvals_only=True)))
+            assert dist > 1e-3
+            assert abs(trace.step_norms[0][name] - dist) <= 1e-8 * dist
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             picse.fit(np.zeros((1, 3, 2)), DIMS)
         with pytest.raises(ValueError):
             picse.fit(np.zeros((5, 2, 2)), DIMS)
+        data = make_data(1)
+        data[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            picse.fit(data, DIMS)
 
     def test_lambda_ordering_across_truths(self):
         # lam = 0.2 versus 0.8 at n = 2p: the fitted level tracks the truth
