@@ -19,6 +19,10 @@ from .errors import CapacityError, DefinitenessError, StructureError
 
 # Dense J assembly is (p1^2+p2^2+1) x (p*r); refuse absurd shapes.
 _MAX_PR = 4096
+# balance_core_factor stops at this Gram-constraint residual, or fails after
+# _BALANCE_MAX_ITER passes.
+_BALANCE_TOL = 1e-12
+_BALANCE_MAX_ITER = 200
 # Singular values below this relative threshold are truncated when forming
 # the null-space basis and the pseudoinverse of J, keeping I - J^+ J an exact
 # projection at the operator's known rank.
@@ -86,6 +90,12 @@ def check_core_matrix(c, dims, rank=None, tol=1e-8):
 # the J operator and fixed-rank tangent calculus
 # ---------------------------------------------------------------------------
 
+def check_dense_size(p, r):
+    """Raise CapacityError when the dense J of a p x r factor exceeds the limit."""
+    if p * r > _MAX_PR:
+        raise CapacityError(f"dense J needs p*r <= {_MAX_PR}, got {p * r}")
+
+
 def j_operator(a, dims):
     """Dense constraint differential J(A), shape (p1^2 + p2^2 + 1) x (p*r).
 
@@ -101,8 +111,7 @@ def j_operator(a, dims):
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     r = a.shape[1]
-    if p * r > _MAX_PR:
-        raise CapacityError(f"dense J needs p*r <= {_MAX_PR}, got {p * r}")
+    check_dense_size(p, r)
     t = slices(a, dims)
     avec = a.reshape(-1, order="F")
 
@@ -128,50 +137,60 @@ def j_rank(j, rtol=1e-8):
     return int(np.sum(s > rtol * s[0]))
 
 
-def j_factors(a, dims):
-    """J(A) factored by one full SVD: (J, N, J^+), with the columns of N an
-    orthonormal basis of N(J) (pr x m) and J^+ the pseudoinverse from the same
-    factors, both cut off at _J_RTOL * sigma_max."""
-    j = j_operator(a, dims)
-    u, s, vt = np.linalg.svd(j, full_matrices=True)
-    n_keep = int(np.sum(s > _J_RTOL * s[0]))
-    jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
-    return j, vt[n_keep:].T, jp
+class RankTangentSpace:
+    """The tangent space N(J(A)) of the core-factor manifold at A, from one
+    full SVD of J(A) cut off at _J_RTOL * sigma_max: an orthonormal basis B
+    (pr x m) and the pseudoinverse J^+ from the same factors."""
+
+    def __init__(self, a, dims):
+        a = np.asarray(a, dtype=float)
+        self.shape, self.dims = a.shape, dims
+        self.j = j_operator(a, dims)
+        u, s, vt = np.linalg.svd(self.j, full_matrices=True)
+        n_keep = int(np.sum(s > _J_RTOL * s[0]))
+        self.jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
+        self.basis = vt[n_keep:].T
+
+    def coords(self, x):
+        """B^T vec(X)."""
+        return self.basis.T @ x.reshape(-1, order="F")
+
+    def tangent(self, coef):
+        """The p x r matrix with vec B coef."""
+        return (self.basis @ coef).reshape(self.shape, order="F")
+
+    def normal_weights(self, egrad):
+        """w = (J^+)^T J^+ J vec(egrad), the weights of the Hessian's normal term."""
+        return self.jp.T @ (self.jp @ (self.j @ egrad.reshape(-1, order="F")))
+
+    def hess_coords(self, ehess_v, v, w):
+        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V."""
+        jv = j_operator(v, self.dims)
+        return self.basis.T @ (ehess_v.reshape(-1, order="F") - jv.T @ w)
 
 
 def tangent_basis_rank(a, dims):
     """Orthonormal basis of the tangent space N(J(A)) as vec-columns (pr x m)."""
-    return j_factors(a, dims)[1]
+    return RankTangentSpace(a, dims).basis
 
 
 def tangent_project_rank(a, v, dims):
-    """Orthogonal projection of V onto N(J(A)): vec -> (I - J^+ J) vec."""
-    j, _, jp = j_factors(a, dims)
-    vvec = np.asarray(v, dtype=float).reshape(-1, order="F")
-    w = vvec - jp @ (j @ vvec)
-    return w.reshape(a.shape, order="F")
+    """Orthogonal projection of V onto N(J(A)): vec -> B B^T vec."""
+    space = RankTangentSpace(a, dims)
+    return space.tangent(space.coords(np.asarray(v, dtype=float)))
 
 
 def rgrad_hess_rank(a, egrad, ehess_v, v, dims):
     """Riemannian gradient and Hessian action on the fixed-rank core manifold
-    under the Euclidean metric:
+    under the Euclidean metric, with P = I - J^+ J = B B^T:
 
-      vec(grad)    = (I - J^+ J) vec(egrad)
-      vec(Hess[V]) = (I - J^+ J) vec(ehess_v)
-                     - (I - J^+ J) J(V)^T (J^+)^T J^+ J vec(egrad)
+      vec(grad)    = P vec(egrad)
+      vec(Hess[V]) = P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad)
     """
-    j, _, jp = j_factors(a, dims)
-    g = np.asarray(egrad, dtype=float).reshape(-1, order="F")
-    hv = np.asarray(ehess_v, dtype=float).reshape(-1, order="F")
-
-    def proj(x):
-        return x - jp @ (j @ x)
-
-    rgrad = proj(g)
-    jv = j_operator(np.asarray(v, dtype=float), dims)
-    corr = jv.T @ (jp.T @ (jp @ (j @ g)))
-    rhess = proj(hv - corr)
-    return rgrad.reshape(a.shape, order="F"), rhess.reshape(a.shape, order="F")
+    space = RankTangentSpace(a, dims)
+    egrad, ehess_v = np.asarray(egrad, dtype=float), np.asarray(ehess_v, dtype=float)
+    coef = space.hess_coords(ehess_v, v, space.normal_weights(egrad))
+    return space.tangent(space.coords(egrad)), space.tangent(coef)
 
 
 def tangent_project_full(v, dims):
@@ -299,7 +318,7 @@ def manifold_dims(dims):
     )
 
 
-def balance_core_factor(a, dims, tol=1e-12, max_iter=200):
+def balance_core_factor(a, dims):
     """Alternating row/column whitening onto the core-factor constraint set.
 
     Each pass replaces the slices A_i by T A_i with T = (A_R/p2)^(-1/2) and
@@ -308,7 +327,7 @@ def balance_core_factor(a, dims, tol=1e-12, max_iter=200):
     """
     a = np.asarray(a, dtype=float).copy()
     p1, p2 = dims.p1, dims.p2
-    for _ in range(max_iter):
+    for _ in range(_BALANCE_MAX_ITER):
         gr = row_gram(a, dims)
         wr, qr = np.linalg.eigh(matops.sym(gr / p2))
         if wr[0] <= 0:
@@ -327,7 +346,7 @@ def balance_core_factor(a, dims, tol=1e-12, max_iter=200):
             np.abs(row_gram(a, dims) - p2 * np.eye(p1)).max(),
             np.abs(col_gram(a, dims) - p1 * np.eye(p2)).max(),
         )
-        if res < tol:
+        if res < _BALANCE_TOL:
             return a
     raise StructureError(f"core-factor balancing stalled at residual {res:.3e}")
 
@@ -348,7 +367,7 @@ def random_core_factor(dims, seed):
         if s[-1] <= 1e-6 * s[0]:
             continue
         try:
-            a = balance_core_factor(a, dims, tol=1e-12, max_iter=200)
+            a = balance_core_factor(a, dims)
         except StructureError:
             continue
         if not is_connected_bipartite(slices(a, dims)):

@@ -16,6 +16,10 @@ import numpy as np
 from . import matops
 from .errors import DefinitenessError, NoKroneckerMle
 
+# Flip-flop stopping: NoKroneckerMle when the objective still falls by more
+# than _MLE_TOL (relative) per sweep after _MLE_MAX_ITER sweeps.
+_MLE_TOL = 1e-10
+_MLE_MAX_ITER = 500
 # A factor whose condition number passes this bound is treated as degenerate
 # evidence that the Kronecker MLE does not exist (iterates collapse).
 _COND_LIMIT = 1e12
@@ -79,12 +83,13 @@ def kl_objective(k1, k2, sigma, dims):
     )
 
 
-def kronecker_mle(sigma, dims, tol=1e-10, max_iter=500, psd_check=True):
+def kronecker_mle(sigma, dims, psd_check=True):
     """Kronecker MLE of a symmetric PSD matrix by flip-flop descent.
 
     Raises NoKroneckerMle when the objective is still decreasing by more than
-    tol (relative) per sweep at max_iter, or when a factor's condition number
-    exceeds 1e12 -- the signatures of nonexistence on rank-deficient input.
+    1e-10 (relative) per sweep after 500 sweeps, or when a factor's condition
+    number exceeds 1e12 -- the signatures of nonexistence on rank-deficient
+    input.
 
     psd_check=False skips the input eigenvalue gate for near-PSD matrices
     (retraction intermediates whose trailing spectrum dips slightly below
@@ -105,7 +110,7 @@ def kronecker_mle(sigma, dims, tol=1e-10, max_iter=500, psd_check=True):
     obj = kl_objective(k1, k2, sigma, dims)
     decrease = np.inf
     prev_move = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         k1_prev, k2_prev = k1, k2
         k1 = matops.sym(
             matops.weighted_partial_trace_1(sigma, np.linalg.inv(k2), dims) / dims.p2
@@ -127,13 +132,13 @@ def kronecker_mle(sigma, dims, tol=1e-10, max_iter=500, psd_check=True):
         obj = new_obj
         move = max(_rel_change(k1, k1_prev), _rel_change(k2, k2_prev))
         # Polish to the float noise floor (a rising tiny move is rounding,
-        # not progress); the user-facing tol only classifies nonexistence.
+        # not progress); _MLE_TOL only classifies nonexistence.
         if move < _PARAM_FLOOR or (move < 1e-9 and move >= prev_move):
             return SeparableCovariance(k1=k1, k2=k2)
         prev_move = move
-    if decrease > tol * abs(obj):
+    if decrease > _MLE_TOL * abs(obj):
         raise NoKroneckerMle(
-            f"objective still decreasing by {decrease:.3e} after {max_iter} sweeps"
+            f"objective still decreasing by {decrease:.3e} after {_MLE_MAX_ITER} sweeps"
         )
     return SeparableCovariance(k1=k1, k2=k2)
 
@@ -147,9 +152,7 @@ def kcd(sigma, dims, h_kind):
     """Full Kronecker-core decomposition of a symmetric PSD matrix."""
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     sep = kronecker_mle(sigma, dims)
-    h = sep.h_matrix(h_kind)
-    x = np.linalg.solve(h, sigma)
-    c = matops.sym(np.linalg.solve(h, x.T).T)
+    c = matops.whiten(sep.h_matrix(h_kind), sigma)
     return KcdResult(k=sep, c=c, h_kind=h_kind)
 
 
@@ -184,8 +187,8 @@ def dh(sep, u1, u2, h_kind):
     if h_kind is SquareRootKind.CHOLESKY:
         l1 = matops.chol(sep.k1)
         l2 = matops.chol(sep.k2)
-        m1 = np.linalg.solve(l1, np.linalg.solve(l1, u1).T).T
-        m2 = np.linalg.solve(l2, np.linalg.solve(l2, u2).T).T
+        m1 = matops.whiten(l1, u1)
+        m2 = matops.whiten(l2, u2)
         inner = matops.kron(np.eye(sep.k2.shape[0]), m1) + matops.kron(
             m2, np.eye(sep.k1.shape[0])
         )
@@ -210,18 +213,18 @@ def rc_apply(c, s1, s2, w1, w2, dims):
     The base satisfies |S1| = 1 and W1 is trace-orthogonal to S1
     (tr(S1^-1 W1) = 0); C is the symmetric-root core at the base point.
     """
-    r1 = _spd_half_powers(s1)
-    r2 = _spd_half_powers(s2)
-    w1b = matops.sym(r1.ihalf @ w1 @ r1.ihalf)
-    w2b = matops.sym(r2.ihalf @ w2 @ r2.ihalf)
+    s1_half, s1_ihalf = matops.spd_half_powers(s1)
+    s2_half, s2_ihalf = matops.spd_half_powers(s2)
+    w1b = matops.sym(s1_ihalf @ w1 @ s1_ihalf)
+    w2b = matops.sym(s2_ihalf @ w2 @ s2_ihalf)
     m1 = matops.weighted_partial_trace_1(c, w2b, dims)
     m2 = matops.weighted_partial_trace_2(c, w1b, dims)
     x1 = (
         w1
-        + r1.half @ m1 @ r1.half / dims.p2
+        + s1_half @ m1 @ s1_half / dims.p2
         - float(np.trace(w2b)) * s1 / dims.p2
     )
-    x2 = w2 + r2.half @ m2 @ r2.half / dims.p1
+    x2 = w2 + s2_half @ m2 @ s2_half / dims.p1
     return matops.sym(x1), matops.sym(x2)
 
 
@@ -264,19 +267,23 @@ def dk(sigma, v, dims):
     """
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    sep = kronecker_mle(sigma, dims)
+    return _dk(kronecker_mle(sigma, dims), sigma, v, dims)
+
+
+def _dk(sep, sigma, v, dims):
+    """dk at the Kronecker MLE sep of Sigma, for symmetric Sigma and V."""
     s1, s2 = sep.k1, sep.k2
     h = sep.h_matrix(SquareRootKind.SYMMETRIC)
-    c_sym = matops.sym(np.linalg.solve(h, np.linalg.solve(h, sigma).T).T)
-    vtil = matops.sym(np.linalg.solve(h, np.linalg.solve(h, v).T).T)
+    c_sym = matops.whiten(h, sigma)
+    vtil = matops.whiten(h, v)
 
-    r1 = _spd_half_powers(s1)
-    r2 = _spd_half_powers(s2)
+    s1_half = matops.sym_sqrt(s1)
+    s2_half = matops.sym_sqrt(s2)
     t1 = matops.partial_trace_1(vtil, dims)
     t2 = matops.partial_trace_2(vtil, dims)
     tr_all = float(np.trace(vtil))
-    m1 = r1.half @ (t1 - tr_all / dims.p1 * np.eye(dims.p1)) @ r1.half / dims.p2
-    m2 = r2.half @ t2 @ r2.half / dims.p1
+    m1 = s1_half @ (t1 - tr_all / dims.p1 * np.eye(dims.p1)) @ s1_half / dims.p2
+    m2 = s2_half @ t2 @ s2_half / dims.p1
     return rc_solve(c_sym, s1, s2, m1, m2, dims)
 
 
@@ -290,13 +297,10 @@ def dc(sigma, v, dims, h_kind):
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
     sep = kronecker_mle(sigma, dims)
-    u1, u2 = dk(sigma, v, dims)
-    u = dh(sep, u1, u2, h_kind)
+    u = dh(sep, *_dk(sep, sigma, v, dims), h_kind)
     h = sep.h_matrix(h_kind)
-    c = matops.sym(np.linalg.solve(h, np.linalg.solve(h, sigma).T).T)
-    main = np.linalg.solve(h, np.linalg.solve(h, v).T).T
-    corr = np.linalg.solve(h, u) @ c
-    return matops.sym(main) - corr - corr.T
+    corr = np.linalg.solve(h, u) @ matops.whiten(h, sigma)
+    return matops.whiten(h, v) - corr - corr.T
 
 
 def dg(sep, c, u1, u2, w, h_kind):
@@ -305,16 +309,3 @@ def dg(sep, c, u1, u2, w, h_kind):
     r = dh(sep, u1, u2, h_kind)
     return matops.sym(h @ w @ h.T) + r @ c @ h.T + h @ c @ r.T
 
-
-class _spd_half_powers:
-    """Cache of Sigma^(1/2) and Sigma^(-1/2) for a small SPD matrix."""
-
-    __slots__ = ("half", "ihalf")
-
-    def __init__(self, s):
-        w, q = np.linalg.eigh(matops.sym(np.asarray(s, dtype=float)))
-        if w[0] <= 0:
-            raise DefinitenessError("half powers of a non-PD matrix")
-        rt = np.sqrt(w)
-        self.half = (q * rt) @ q.T
-        self.ihalf = (q / rt) @ q.T

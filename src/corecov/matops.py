@@ -1,5 +1,6 @@
 """Structural matrix operators: vec/mat, Kronecker and commutation calculus,
-block partitions, partial traces, triangular splits, and SPD square roots.
+block partitions, partial traces, triangular splits, SPD square roots and
+whitening.
 
 Conventions used everywhere in this package:
   - vec() stacks columns (so vec(B X A^T) = (A (x) B) vec(X)).
@@ -157,30 +158,40 @@ def lower(m):
     return np.tril(m)
 
 
-def check_spd(s, rtol=PD_RTOL, what="matrix"):
+def check_spd(s, what="matrix"):
     """Validate symmetry and positive definiteness; return the symmetrized input."""
     s = np.asarray(s, dtype=float)
     s = _check_square(s)
     s = sym(s)
     w = np.linalg.eigvalsh(s)
-    if w[0] <= rtol * max(w[-1], 0.0):
+    if w[0] <= PD_RTOL * max(w[-1], 0.0):
         raise DefinitenessError(
             f"{what} is not positive definite: min eig {w[0]:.3e}, max {w[-1]:.3e}"
         )
     return s
 
 
-def sym_sqrt(s, rtol=PD_RTOL):
+def spd_half_powers(s, what="matrix"):
+    """(S^(1/2), S^(-1/2)) of an SPD matrix from one eigendecomposition."""
+    w, q = np.linalg.eigh(check_spd(s, what=what))
+    rt = np.sqrt(w)
+    return (q * rt) @ q.T, (q / rt) @ q.T
+
+
+def sym_sqrt(s):
     """Symmetric square root of an SPD matrix (eigendecomposition based)."""
-    s = check_spd(s, rtol=rtol, what="sym_sqrt input")
-    w, q = np.linalg.eigh(s)
-    return (q * np.sqrt(w)) @ q.T
+    return spd_half_powers(s, what="sym_sqrt input")[0]
 
 
-def chol(s, rtol=PD_RTOL):
+def chol(s):
     """Lower Cholesky factor with positive diagonal of an SPD matrix."""
-    s = check_spd(s, rtol=rtol, what="chol input")
-    return np.linalg.cholesky(s)
+    return np.linalg.cholesky(check_spd(s, what="chol input"))
+
+
+def whiten(h, m):
+    """sym(H^-1 M H^-T): M expressed in the frame of the square root H."""
+    x = np.linalg.solve(h, m)
+    return sym(np.linalg.solve(h, x.T).T)
 
 
 def _check_square(m, size=None):

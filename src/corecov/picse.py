@@ -23,6 +23,14 @@ from . import core_geometry, kcd, matops, spd_geometry
 from .errors import NUMERICAL_ERRORS, DefinitenessError, StructureError
 from .kcd import SquareRootKind
 
+# Search interval of the shrinkage level lambda; also clamps its initial value.
+_LAMBDA_BRACKET = (1e-4, 1.0 - 1e-4)
+# Step halvings before a block step or the core retraction gives up.
+_MAX_HALVINGS = 30
+# Every top-r eigenvalue of a core kept as a factor must exceed this fraction
+# of the largest.
+_TOP_EIG_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PicseParams:
@@ -71,13 +79,11 @@ class SampleCov:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the alternating-minimization fit."""
+    """Settings of the alternating-minimization fit."""
 
     tol: float = 1e-6
     max_iter: int = 200
     h_kind: SquareRootKind = SquareRootKind.SYMMETRIC
-    lambda_bracket: tuple = (1e-4, 1.0 - 1e-4)
-    max_halvings: int = 30
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
@@ -134,20 +140,13 @@ class _CtildeSpectral:
         )
 
 
-def _whiten(tau, m):
-    """Kbar^-1 M Kbar^-T for the assembled square-root factor."""
-    kbar = tau.kbar
-    x = np.linalg.solve(kbar, np.asarray(m, dtype=float))
-    return np.linalg.solve(kbar, x.T).T
-
-
 def nll(tau, sample_cov):
     """Per-datum negative log-likelihood (additive constants dropped):
 
     tr(Kbar^-1 S Kbar^-T Ctilde^-1) / nu^2 + log|Ctilde| + 2 p log nu.
     """
     spec = _CtildeSpectral(tau.a, tau.lam)
-    m = matops.sym(_whiten(tau, sample_cov.s))
+    m = matops.whiten(tau.kbar, sample_cov.s)
     tr_term = spec.inv_quad_trace(m) / tau.nu**2
     return tr_term + spec.logdet() + 2.0 * tau.dims.p * np.log(tau.nu)
 
@@ -160,18 +159,39 @@ def sigma_from_params(tau):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean derivative and Hessian operators
+# parameter blocks and the decrease-checked Riemannian Newton step
 # ---------------------------------------------------------------------------
 
-class _KSideCalc:
-    """Euclidean gradient/Hessian of the likelihood in one K-bar factor.
+class _KBlock:
+    """K1bar (side 1) or K2bar (side 2) as a parameter block: a unit-determinant
+    SPD point under the affine-invariant metric, or a unit-determinant Cholesky
+    point under the Cholesky metric, with a basis orthonormal in that metric.
 
-    The two factors share one pattern once the whitened observations are
-    transposed: side 1 works with Z_i = K1bar^-1 Y_i K2bar^-T and slices U_j
-    of the top left singular vectors of A; side 2 with their transposes.
+    The Euclidean gradient and Hessian of the likelihood share one pattern for
+    both sides once the whitened observations are transposed: side 1 works
+    with Z_i = K1bar^-1 Y_i K2bar^-T and slices U_j of the top left singular
+    vectors of A; side 2 with their transposes.
     """
 
     def __init__(self, tau, data, side):
+        self.tau = tau
+        self.name = "k1bar" if side == 1 else "k2bar"
+        self.point = getattr(tau, self.name)
+        if tau.h_kind is SquareRootKind.CHOLESKY:
+            self.basis = spd_geometry.chol_unitdet_basis(self.point)
+            self._inner = spd_geometry.chol_inner
+            self._grad_hess = spd_geometry.chol_grad_hess
+            self._proj = spd_geometry.proj_unitdet_chol
+            self._exp = spd_geometry.chol_exp
+            self.f = matops.lower
+        else:
+            self.basis = spd_geometry.ai_unitdet_basis(self.point)
+            self._inner = spd_geometry.ai_inner
+            self._grad_hess = spd_geometry.ai_grad_hess
+            self._proj = spd_geometry.proj_unitdet_spd
+            self._exp = spd_geometry.ai_exp
+            self.f = matops.sym
+
         dims = tau.dims
         data = np.asarray(data, dtype=float)
         n = data.shape[0]
@@ -184,17 +204,14 @@ class _KSideCalc:
         umats = np.stack(
             [matops.mat(spec.u[:, j], dims.p1, dims.p2) for j in range(spec.r)]
         )
-
         if side == 1:
-            self.kb = tau.k1bar
             self.e = z
             self.umats = umats
         else:
-            self.kb = tau.k2bar
             self.e = z.transpose(0, 2, 1)
             self.umats = umats.transpose(0, 2, 1)
         self.alpha = spec.alpha
-        self.kb_inv = np.linalg.inv(self.kb)
+        self.kb_inv = np.linalg.inv(self.point)
         self.q_mat = np.einsum("nab,ncb->ac", self.e, self.e)
         # t[j, i] = trace of the cross-term W_{side,i,j}
         self.t = np.einsum("jab,nab->jn", self.umats, self.e)
@@ -202,9 +219,10 @@ class _KSideCalc:
         self.g_acc = np.einsum("jn,nab->jab", self.t, self.e)
         self.c0 = 2.0 / (n * tau.lam * tau.nu**2)
         self.c1 = 2.0 * (1.0 - tau.lam) / (n * tau.lam * tau.nu**2)
-        self.f = matops.lower if tau.h_kind is SquareRootKind.CHOLESKY else matops.sym
+        self.egrad = self.grad()
 
     def grad(self):
+        """Euclidean gradient of the likelihood in the factor."""
         ki_t = self.kb_inv.T
         out = -self.c0 * self.f(ki_t @ self.q_mat)
         cross = np.einsum(
@@ -215,6 +233,7 @@ class _KSideCalc:
         return out + self.c1 * self.f(cross)
 
     def hess(self, v):
+        """Euclidean Hessian of the likelihood in the factor, applied to V."""
         ki = self.kb_inv
         ki_t = ki.T
         v = np.asarray(v, dtype=float)
@@ -241,64 +260,6 @@ class _KSideCalc:
         )
         return term1 + term2 + term3
 
-
-class _ASideCalc:
-    """Euclidean gradient/Hessian of the likelihood in the core factor A."""
-
-    def __init__(self, tau, sample_cov):
-        self.spec = _CtildeSpectral(tau.a, tau.lam)
-        self.stil = matops.sym(_whiten(tau, sample_cov.s)) / tau.nu**2
-        self.a = tau.a
-        self.lam = tau.lam
-
-    def grad(self):
-        x1 = self.spec.inv_apply(self.a)
-        x3 = self.spec.inv_apply(self.stil @ x1)
-        return -2.0 * (1.0 - self.lam) * (x3 - x1)
-
-    def hess(self, v):
-        inv = self.spec.inv_apply
-        lam = self.lam
-        v = np.asarray(v, dtype=float)
-        p_mat = self.a @ v.T + v @ self.a.T
-        ia = inv(self.a)
-        isia = inv(self.stil @ ia)
-        out = -2.0 * (1.0 - lam) * inv(self.stil @ inv(v))
-        out += 2.0 * (1.0 - lam) * inv(v)
-        out += 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ isia)
-        out += 2.0 * (1.0 - lam) ** 2 * inv(self.stil @ inv(p_mat @ ia))
-        out -= 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ ia)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# parameter blocks and the decrease-checked Riemannian Newton step
-# ---------------------------------------------------------------------------
-
-class _KBlock:
-    """K1bar (side 1) or K2bar (side 2) as a parameter block: a unit-determinant
-    SPD point under the affine-invariant metric, or a unit-determinant Cholesky
-    point under the Cholesky metric, with a basis orthonormal in that metric."""
-
-    def __init__(self, tau, data, side):
-        self.tau = tau
-        self.name = "k1bar" if side == 1 else "k2bar"
-        self.point = getattr(tau, self.name)
-        if tau.h_kind is SquareRootKind.CHOLESKY:
-            self.basis = spd_geometry.chol_unitdet_basis(self.point)
-            self._inner = spd_geometry.chol_inner
-            self._grad_hess = spd_geometry.chol_grad_hess
-            self._proj = spd_geometry.proj_unitdet_chol
-            self._exp = spd_geometry.chol_exp
-        else:
-            self.basis = spd_geometry.ai_unitdet_basis(self.point)
-            self._inner = spd_geometry.ai_inner
-            self._grad_hess = spd_geometry.ai_grad_hess
-            self._proj = spd_geometry.proj_unitdet_spd
-            self._exp = spd_geometry.ai_exp
-        self.calc = _KSideCalc(tau, data, side)
-        self.egrad = self.calc.grad()
-
     def inner(self, u, v):
         return self._inner(self.point, u, v)
 
@@ -317,7 +278,7 @@ class _KBlock:
 
     def hessian(self):
         """Riemannian Hessian in the basis, row i the image of basis[i]."""
-        cols = [self._riemannian(self.calc.hess(b), b)[1] for b in self.basis]
+        cols = [self._riemannian(self.hess(b), b)[1] for b in self.basis]
         return np.array([[self.inner(c, b) for b in self.basis] for c in cols])
 
     def tangent(self, coef):
@@ -333,41 +294,57 @@ class _ABlock:
     manifold under the Euclidean metric, coordinates in an orthonormal basis
     of N(J(A)), and the eigen-truncated core retraction."""
 
-    def __init__(self, tau, sample_cov, max_halvings):
+    def __init__(self, tau, sample_cov):
         self.tau = tau
-        self.max_halvings = max_halvings
-        self.calc = _ASideCalc(tau, sample_cov)
-        self.j, self.basis, self.jp = core_geometry.j_factors(tau.a, tau.dims)
-        self.g_full = self.calc.grad().reshape(-1, order="F")
+        self.spec = _CtildeSpectral(tau.a, tau.lam)
+        self.stil = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
+        self.space = core_geometry.RankTangentSpace(tau.a, tau.dims)
+        self.egrad = self.grad()
 
-    def _mat(self, x):
-        return x.reshape(self.tau.a.shape, order="F")
+    def grad(self):
+        """Euclidean gradient of the likelihood in A."""
+        x1 = self.spec.inv_apply(self.tau.a)
+        x3 = self.spec.inv_apply(self.stil @ x1)
+        return -2.0 * (1.0 - self.tau.lam) * (x3 - x1)
+
+    def hess(self, v):
+        """Euclidean Hessian of the likelihood in A, applied to V."""
+        inv = self.spec.inv_apply
+        a, lam = self.tau.a, self.tau.lam
+        v = np.asarray(v, dtype=float)
+        p_mat = a @ v.T + v @ a.T
+        ia = inv(a)
+        isia = inv(self.stil @ ia)
+        out = -2.0 * (1.0 - lam) * inv(self.stil @ inv(v))
+        out += 2.0 * (1.0 - lam) * inv(v)
+        out += 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ isia)
+        out += 2.0 * (1.0 - lam) ** 2 * inv(self.stil @ inv(p_mat @ ia))
+        out -= 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ ia)
+        return out
 
     def norm(self, v):
         return float(np.linalg.norm(v))
 
     def gradient(self):
-        """Riemannian gradient and its coordinates B^T g in the basis B."""
-        coef = self.basis.T @ self.g_full
-        return self._mat(self.basis @ coef), coef
+        """Riemannian gradient and its coordinates B^T vec(egrad)."""
+        coef = self.space.coords(self.egrad)
+        return self.space.tangent(coef), coef
 
     def hessian(self):
-        """Riemannian Hessian B^T (ehess[V] - J(V)^T (J^+)^T J^+ J g), V = B[:, i]."""
-        z = self.jp.T @ (self.jp @ (self.j @ self.g_full))
-        m = self.basis.shape[1]
+        """Riemannian Hessian in the basis B, column i its action on B[:, i]."""
+        w = self.space.normal_weights(self.egrad)
+        m = self.space.basis.shape[1]
         h_mat = np.empty((m, m))
         for i in range(m):
-            v = self._mat(self.basis[:, i])
-            hv = self.calc.hess(v).reshape(-1, order="F")
-            jv = core_geometry.j_operator(v, self.tau.dims)
-            h_mat[:, i] = self.basis.T @ (hv - jv.T @ z)
+            v = self.space.basis[:, i].reshape(self.tau.a.shape, order="F")
+            h_mat[:, i] = self.space.hess_coords(self.hess(v), v, w)
         return h_mat
 
     def tangent(self, coef):
-        return self._mat(self.basis @ coef)
+        return self.space.tangent(coef)
 
     def retract(self, v):
-        a_new = retract_core_factor(self.tau.a, v, self.tau.dims, self.max_halvings)
+        a_new = retract_core_factor(self.tau.a, v, self.tau.dims)
         return None if a_new is None else dataclasses.replace(self.tau, a=a_new)
 
 
@@ -377,23 +354,23 @@ def _newton_coeffs(h_mat, g_vec):
     return coef
 
 
-def _block_step(block, sample_cov, max_halvings):
+def _block_step(block, sample_cov, current):
     """One decrease-checked Riemannian Newton step in one parameter block.
 
     Tries the Newton direction -Hess^+[grad] first, then steepest descent
-    -2^-k grad for k = 0..max_halvings, and takes the first candidate whose
-    retraction does not raise the objective.  Returns (tau, nll, step_norm)
-    with the norm measured at the base point; when the gradient vanishes or
-    nothing helps, tau is unchanged and the norm is 0.
+    -2^-k grad for k = 0.._MAX_HALVINGS, and takes the first candidate whose
+    retraction does not raise the objective above `current`, its value at
+    the block's base point.  Returns (tau, nll, step_norm) with the norm
+    measured at the base point; when the gradient vanishes or nothing helps,
+    tau is unchanged and the norm is 0.
     """
     tau = block.tau
-    current = nll(tau, sample_cov)
     rgrad, g_coef = block.gradient()
     if np.linalg.norm(g_coef) < 1e-13:
         return tau, current, 0.0
     v_newton = block.tangent(_newton_coeffs(block.hessian(), g_coef))
     newton = [v_newton] if np.isfinite(v_newton).all() else []
-    descent = (-(0.5**k) * rgrad for k in range(max_halvings + 1))
+    descent = (-(0.5**k) * rgrad for k in range(_MAX_HALVINGS + 1))
     for v in itertools.chain(newton, descent):
         try:
             cand = block.retract(v)
@@ -405,32 +382,35 @@ def _block_step(block, sample_cov, max_halvings):
     return tau, current, 0.0
 
 
-def retract_core_factor(a, v, dims, max_halvings=30):
+def retract_core_factor(a, v, dims):
     """Eigen-truncated core retraction of Eq.-style step D = AA^T + AV^T + VA^T.
 
     The core component of D is recomputed (restoring exact partial traces),
     its top-r eigenpairs give the new factor, and the factor is re-balanced
     onto the constraint set.  Infeasible steps (top-r spectrum not positive)
-    shrink V by half, up to max_halvings; returns None if nothing is feasible.
+    shrink V by half, at most _MAX_HALVINGS times; returns None if none fits.
     """
     a = np.asarray(a, dtype=float)
     vv = np.asarray(v, dtype=float)
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         d = matops.sym(a @ a.T + a @ vv.T + vv @ a.T)
         try:
             sep = kcd.kronecker_mle(d, dims, psd_check=False)
-            h = sep.h_matrix(SquareRootKind.SYMMETRIC)
-            dbar = matops.sym(np.linalg.solve(h, np.linalg.solve(h, d).T).T)
-            w, q = np.linalg.eigh(dbar)
-            w_top = w[::-1][: dims.r]
-            q_top = q[:, ::-1][:, : dims.r]
-            if w_top.min() <= 1e-10 * max(w_top.max(), 1e-300):
-                raise StructureError("top-r core spectrum not positive")
-            cand = q_top * np.sqrt(w_top)
-            return core_geometry.balance_core_factor(cand, dims, tol=1e-12)
+            dbar = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
+            return _top_core_factor(dbar, dims)
         except NUMERICAL_ERRORS:
             vv = vv / 2.0
     return None
+
+
+def _top_core_factor(core, dims):
+    """Balanced core factor from the top-r eigenpairs of a core matrix."""
+    w, q = np.linalg.eigh(core)
+    w = w[::-1][: dims.r]
+    q = q[:, ::-1][:, : dims.r]
+    if w.min() <= _TOP_EIG_RTOL * max(w.max(), 1e-300):
+        raise StructureError("top-r core spectrum not positive")
+    return core_geometry.balance_core_factor(q * np.sqrt(w), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +420,21 @@ def retract_core_factor(a, v, dims, max_halvings=30):
 def update_nu(tau, sample_cov):
     """Exact minimizer nu = sqrt(tr(Kbar^-1 S Kbar^-T Ctilde^-1) / p)."""
     spec = _CtildeSpectral(tau.a, tau.lam)
-    m = matops.sym(_whiten(tau, sample_cov.s))
+    m = matops.whiten(tau.kbar, sample_cov.s)
     return float(np.sqrt(spec.inv_quad_trace(m) / tau.dims.p))
 
 
-def update_lambda(tau, sample_cov, bracket=(1e-4, 1.0 - 1e-4)):
+def update_lambda(tau, sample_cov):
     """Bounded scalar minimization of the likelihood in lambda.
 
     One eigendecomposition reduces each probe to O(p): with m_j the whitened
     data energy along the j-th left singular vector of A, the objective is
     sum_j [m_j/d_j + log d_j] over the spiked block plus the isotropic rest.
     """
-    lo, hi = bracket
+    lo, hi = _LAMBDA_BRACKET
     u, sig, _ = np.linalg.svd(tau.a, full_matrices=False)
     sig2 = sig**2
-    m = matops.sym(_whiten(tau, sample_cov.s)) / tau.nu**2
+    m = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
     mj = np.einsum("pj,pq,qj->j", u, m, u)
     rest = float(np.trace(m) - mj.sum())
     p, r = tau.dims.p, tau.dims.r
@@ -478,7 +458,7 @@ def update_lambda(tau, sample_cov, bracket=(1e-4, 1.0 - 1e-4)):
 # initialization, fitting, and baselines
 # ---------------------------------------------------------------------------
 
-def init(sample_cov, r, h_kind, lambda_bracket=(1e-4, 1.0 - 1e-4)):
+def init(sample_cov, r, h_kind):
     """Initialization from the sample Kronecker-core decomposition.
 
     K-bar factors and nu come from the determinant-normalized square-root
@@ -502,16 +482,10 @@ def init(sample_cov, r, h_kind, lambda_bracket=(1e-4, 1.0 - 1e-4)):
     if w[r - 1] <= 1e-12 * max(w[0], 1e-300):
         raise StructureError(f"sample core has rank below r={r}")
     lam0 = (dims.p - float(w[:r].sum())) / (dims.p - r)
-    lam0 = min(max(lam0, lambda_bracket[0]), lambda_bracket[1])
+    lam0 = min(max(lam0, _LAMBDA_BRACKET[0]), _LAMBDA_BRACKET[1])
 
     trunc = matops.sym((q[:, :r] * w[:r]) @ q[:, :r].T)
-    core_r = kcd.kcd(trunc, dims, h_kind).c
-    wc, qc = np.linalg.eigh(core_r)
-    wc = wc[::-1][:r]
-    qc = qc[:, ::-1][:, :r]
-    if wc.min() <= 0:
-        raise StructureError("rank-r core truncation lost definiteness")
-    a0 = core_geometry.balance_core_factor(qc * np.sqrt(wc), dims, tol=1e-12)
+    a0 = _top_core_factor(kcd.kcd(trunc, dims, h_kind).c, dims)
     return PicseParams(
         k1bar=k1bar, k2bar=k2bar, nu=nu0, a=a0, lam=lam0, h_kind=h_kind, dims=dims
     )
@@ -520,10 +494,11 @@ def init(sample_cov, r, h_kind, lambda_bracket=(1e-4, 1.0 - 1e-4)):
 def fit(data, dims, config=None, initial=None):
     """Alternating minimization (K1bar, K2bar, nu, A, lambda per sweep).
 
-    Returns (params, assembled covariance estimate, trace).  Numerical
-    failures mid-fit stop the sweep loop and are recorded in the trace, never
-    raised; initialization failures do propagate.  `initial` overrides the
-    sample-KCD initialization.
+    Returns (params, assembled covariance estimate, trace).  Invalid input
+    and shapes past the dense-size limit (CapacityError) are rejected before
+    any computation.  Numerical failures mid-fit stop the sweep loop and are
+    recorded in the trace, never raised; initialization failures do
+    propagate.  `initial` overrides the sample-KCD initialization.
     """
     config = config or FitConfig()
     data = np.asarray(data, dtype=float)
@@ -535,13 +510,10 @@ def fit(data, dims, config=None, initial=None):
         raise ValueError("data contain non-finite values")
     if dims.r is None:
         raise ValueError("fit needs dims with a rank")
+    core_geometry.check_dense_size(dims.p, dims.r)
     sample_cov = SampleCov.from_data(data, dims)
-    if initial is None:
-        tau = init(sample_cov, dims.r, config.h_kind, config.lambda_bracket)
-    else:
-        tau = initial
+    tau = init(sample_cov, dims.r, config.h_kind) if initial is None else initial
 
-    halvings = config.max_halvings
     value = nll(tau, sample_cov)
     trace = FitTrace(objectives=[value], step_norms=[], termination="max_iter")
     for _ in range(config.max_iter):
@@ -550,17 +522,17 @@ def fit(data, dims, config=None, initial=None):
         try:
             for side in (1, 2):
                 block = _KBlock(tau, data, side)
-                tau, value, steps[block.name] = _block_step(block, sample_cov, halvings)
+                tau, value, steps[block.name] = _block_step(block, sample_cov, value)
 
             nu_new = update_nu(tau, sample_cov)
             steps["nu"] = abs(nu_new - tau.nu)
             tau = dataclasses.replace(tau, nu=nu_new)
             value = nll(tau, sample_cov)
 
-            block = _ABlock(tau, sample_cov, halvings)
-            tau, value, steps["a"] = _block_step(block, sample_cov, halvings)
+            block = _ABlock(tau, sample_cov)
+            tau, value, steps["a"] = _block_step(block, sample_cov, value)
 
-            lam_new = update_lambda(tau, sample_cov, config.lambda_bracket)
+            lam_new = update_lambda(tau, sample_cov)
             steps["lambda"] = abs(lam_new - tau.lam)
             tau = dataclasses.replace(tau, lam=lam_new)
             value = nll(tau, sample_cov)

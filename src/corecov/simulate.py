@@ -72,6 +72,7 @@ class ExperimentConfig:
             raise ValueError("need reps >= 1 and every n >= 2")
         if self.dims.r is None:
             raise ValueError("experiment dims need a rank")
+        core_geometry.check_dense_size(self.dims.p, self.dims.r)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,6 @@ from . import matops
 from .errors import DefinitenessError
 
 
-def _eigh_spd(sigma):
-    sigma = matops.check_spd(sigma, what="SPD base point")
-    w, q = np.linalg.eigh(sigma)
-    return sigma, w, q
-
-
 def check_chol_point(l):
     """Validate a lower-triangular matrix with strictly positive diagonal."""
     l = np.asarray(l, dtype=float)
@@ -45,13 +39,11 @@ def ai_exp(sigma, v, t=1.0, unit_det=False):
     (det-preserving) subspace and the result is renormalized to determinant 1,
     which stops the slow drift that exact total geodesy would forbid.
     """
-    sigma, w, q = _eigh_spd(sigma)
+    sigma = matops.sym(np.asarray(sigma, dtype=float))
+    s_half, s_ihalf = matops.spd_half_powers(sigma, what="SPD base point")
     v = matops.sym(v)
     if unit_det:
         v = proj_unitdet_spd(sigma, v)
-    rt = np.sqrt(w)
-    s_half = (q * rt) @ q.T
-    s_ihalf = (q / rt) @ q.T
     inner = matops.sym(s_ihalf @ v @ s_ihalf)
     wi, qi = np.linalg.eigh(inner)
     e = (qi * np.exp(t * wi)) @ qi.T

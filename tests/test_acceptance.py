@@ -226,8 +226,9 @@ def test_criterion_06_derivative_oracles():
             fd_r = (picse.nll(taup, sc) - picse.nll(taum, sc)) / (2 * eps)
             assert abs(kblock.inner(rg, tang) - fd_r) < tol
 
-            ablock = picse._ABlock(tau, sc, FitConfig().max_halvings)
-            avec = ablock.basis[:, point % ablock.basis.shape[1]].reshape(
+            ablock = picse._ABlock(tau, sc)
+            basis = ablock.space.basis
+            avec = basis[:, point % basis.shape[1]].reshape(
                 tau.a.shape, order="F"
             )
             arg, _ = ablock.gradient()

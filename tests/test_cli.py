@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from corecov import cli, matops, simulate
+from corecov import cli, matops, picse, simulate
 from corecov.kcd import SquareRootKind
 
 from conftest import rand_spd
@@ -102,6 +102,38 @@ def test_fit_rank_deficient_sample_core_exit_code(tmp_path):
         "--out", str(tmp_path / "o.json"),
     ])
     assert rc == 3
+
+
+def _forbid_estimators(monkeypatch):
+    # p*r = 70*59 = 4130 exceeds the dense-J limit at (10, 7, 59), so no
+    # estimator work may start
+    def ran(*args):
+        raise AssertionError("estimator work started past the dense-size check")
+
+    monkeypatch.setattr(simulate, "gen_truth", ran)
+    monkeypatch.setattr(picse, "init", ran)
+
+
+def test_fit_capacity_exit_code_before_init(tmp_path, monkeypatch, capsys):
+    _forbid_estimators(monkeypatch)
+    src = tmp_path / "data.csv"
+    write_data_csv(src, np.random.default_rng(25).standard_normal((3, 10, 7)))
+    rc = cli.main([
+        "fit", "--input", str(src), "--p1", "10", "--p2", "7", "--rank", "59",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "p*r <= 4096" in capsys.readouterr().err
+
+
+def test_simulate_capacity_exit_code_before_truth(tmp_path, monkeypatch):
+    _forbid_estimators(monkeypatch)
+    rc = cli.main([
+        "simulate", "--model", "m1", "--p1", "10", "--p2", "7", "--rank", "59",
+        "--lambda", "0.3", "--n", "140", "--reps", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_kcd_command(tmp_path):

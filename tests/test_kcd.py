@@ -248,6 +248,19 @@ class TestDcDg:
         ) / (2 * eps)
         np.testing.assert_allclose(kcd.dc(sigma, v, DIMS22, kind), fd, atol=1e-5)
 
+    def test_dc_runs_flip_flop_once(self, rng, monkeypatch):
+        # dc and the dk inside it share one Kronecker MLE of Sigma
+        calls = []
+        mle = kcd.kronecker_mle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mle(*args, **kwargs)
+
+        monkeypatch.setattr(kcd, "kronecker_mle", counted)
+        kcd.dc(rand_spd(4, rng), rand_sym(4, rng), DIMS22, SquareRootKind.SYMMETRIC)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_dg_finite_differences(self, kind, rng):
         sigma = rand_spd(4, rng)

@@ -5,14 +5,13 @@ import pytest
 import scipy.linalg
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
-from corecov.errors import DefinitenessError
+from corecov.errors import CapacityError, DefinitenessError
 from corecov.kcd import SquareRootKind
 from corecov.picse import FitConfig, PicseParams, SampleCov
 
 from conftest import rand_lower, rand_spd, rand_sym
 
 DIMS = matops.Dims(3, 2, 3)
-HALVINGS = FitConfig().max_halvings
 
 
 def make_tau(kind, seed, lam=0.35, nu=1.3, dims=DIMS):
@@ -34,8 +33,12 @@ def make_data(seed, n=8, dims=DIMS):
 
 def calc_for(theta, tau, data):
     if theta == "a":
-        return picse._ASideCalc(tau, SampleCov.from_data(data, tau.dims))
-    return picse._KSideCalc(tau, data, 1 if theta == "k1bar" else 2)
+        return picse._ABlock(tau, SampleCov.from_data(data, tau.dims))
+    return picse._KBlock(tau, data, 1 if theta == "k1bar" else 2)
+
+
+def block_step(block, sc):
+    return picse._block_step(block, sc, picse.nll(block.tau, sc))
 
 
 def tangent_for(theta, tau, seed):
@@ -130,8 +133,7 @@ class TestEuclidCalculus:
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=10, dims=DIMS)
-        calc = picse._ASideCalc(tau, sc)
-        assert np.abs(calc.grad()).max() < 1e-12
+        assert np.abs(picse._ABlock(tau, sc).grad()).max() < 1e-12
 
 
 def theta_attr(theta):
@@ -142,6 +144,23 @@ def base_of(tau, theta):
     return getattr(tau, theta_attr(theta))
 
 
+class TestABlockMatchesOperator:
+    @pytest.mark.parametrize("dims", [matops.Dims(3, 2, 3), matops.Dims(4, 3, 5)])
+    def test_gradient_and_hessian_columns(self, dims):
+        # the fitter's Riemannian gradient and Hessian matrix are the public
+        # fixed-rank operator in the block's tangent basis
+        tau = make_tau(SquareRootKind.SYMMETRIC, 45, dims=dims)
+        sc = SampleCov.from_data(make_data(46, n=10, dims=dims), dims)
+        block = picse._ABlock(tau, sc)
+        basis = block.space.basis
+        h_mat = block.hessian()
+        for i in range(basis.shape[1]):
+            v = basis[:, i].reshape(tau.a.shape, order="F")
+            rg, rh = cg.rgrad_hess_rank(tau.a, block.egrad, block.hess(v), v, dims)
+            assert np.abs(h_mat[:, i] - basis.T @ matops.vec(rh)).max() < 1e-10
+        assert np.abs(block.gradient()[0] - rg).max() < 1e-10
+
+
 class TestNewtonDirection:
     def test_zero_gradient_gives_zero(self):
         # a stationary point in A (whitened sample equals Ctilde): gradient
@@ -150,12 +169,12 @@ class TestNewtonDirection:
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=6, dims=DIMS)
-        block = picse._ABlock(tau, sc, HALVINGS)
+        block = picse._ABlock(tau, sc)
         rgrad, coef = block.gradient()
         assert np.abs(rgrad).max() < 1e-10
         assert np.linalg.norm(coef) < 1e-13
         block.retract = None  # a tried candidate would fail here
-        new_tau, _, step = picse._block_step(block, sc, HALVINGS)
+        new_tau, _, step = block_step(block, sc)
         assert new_tau is tau and step == 0.0
 
     def test_quadratic_oracle(self):
@@ -182,9 +201,9 @@ class TestNewtonDirection:
             for make_block in (
                 lambda t: picse._KBlock(t, data, 1),
                 lambda t: picse._KBlock(t, data, 2),
-                lambda t: picse._ABlock(t, sc, HALVINGS),
+                lambda t: picse._ABlock(t, sc),
             ):
-                new_tau, new_value, step = picse._block_step(make_block(tau), sc, HALVINGS)
+                new_tau, new_value, step = picse._block_step(make_block(tau), sc, value)
                 assert np.isfinite(step) and step >= 0.0
                 assert new_value <= value
                 assert new_value == picse.nll(new_tau, sc)
@@ -233,7 +252,7 @@ class TestUpdateK:
         tau = picse.init(sc, 3, kind)
         for side, name in ((1, "k1bar"), (2, "k2bar")):
             block = picse._KBlock(tau, data, side)
-            new_k = getattr(picse._block_step(block, sc, HALVINGS)[0], name)
+            new_k = getattr(block_step(block, sc)[0], name)
             assert abs(np.linalg.det(new_k) - 1.0) <= 1e-8
 
     def test_stationary_point_unchanged(self):
@@ -247,7 +266,7 @@ class TestUpdateK:
         assert np.abs(sc.s - s).max() < 1e-10  # the columns tile S exactly
         for side, name in ((1, "k1bar"), (2, "k2bar")):
             block = picse._KBlock(tau, data, side)
-            new_k = getattr(picse._block_step(block, sc, HALVINGS)[0], name)
+            new_k = getattr(block_step(block, sc)[0], name)
             base = getattr(tau, name)
             assert np.abs(new_k - base).max() < 1e-6
 
@@ -257,9 +276,9 @@ class TestUpdateK:
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, 3, SquareRootKind.SYMMETRIC)
         before = picse.nll(tau, sc)
-        tau = picse._block_step(picse._KBlock(tau, data, 1), sc, HALVINGS)[0]
+        tau = block_step(picse._KBlock(tau, data, 1), sc)[0]
         mid = picse.nll(tau, sc)
-        tau = picse._block_step(picse._KBlock(tau, data, 2), sc, HALVINGS)[0]
+        tau = block_step(picse._KBlock(tau, data, 2), sc)[0]
         after = picse.nll(tau, sc)
         assert mid <= before and after <= mid
 
@@ -272,7 +291,7 @@ class TestUpdateA:
         root = matops.sym_sqrt(s)
         data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
         sc = SampleCov.from_data(data, DIMS)
-        new_a = picse._block_step(picse._ABlock(tau, sc, HALVINGS), sc, HALVINGS)[0].a
+        new_a = block_step(picse._ABlock(tau, sc), sc)[0].a
         assert np.abs(new_a @ new_a.T - tau.a @ tau.a.T).max() < 1e-8
 
     def test_result_is_core_factor_and_monotone(self):
@@ -284,8 +303,7 @@ class TestUpdateA:
             sc = SampleCov.from_data(data, DIMS)
             tau = make_tau(SquareRootKind.SYMMETRIC, 900 + seed)
             before = picse.nll(tau, sc)
-            block = picse._ABlock(tau, sc, HALVINGS)
-            new_tau, after, step = picse._block_step(block, sc, HALVINGS)
+            new_tau, after, step = block_step(picse._ABlock(tau, sc), sc)
             cg.check_core_factor(new_tau.a, DIMS, tol=1e-8)
             assert after <= before
             rejected += step == 0.0
@@ -455,6 +473,18 @@ class TestFit:
         data[2, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             picse.fit(data, DIMS)
+
+    def test_capacity_checked_before_init(self, monkeypatch):
+        # p*r = 70*59 = 4130 exceeds the dense-J limit: rejected from the
+        # shape alone, before the initialization runs
+        dims = matops.Dims(10, 7, 59)
+
+        def ran(*args):
+            raise AssertionError("init ran past the dense-size check")
+
+        monkeypatch.setattr(picse, "init", ran)
+        with pytest.raises(CapacityError):
+            picse.fit(make_data(1, n=3, dims=dims), dims)
 
     def test_lambda_ordering_across_truths(self):
         # lam = 0.2 versus 0.8 at n = 2p: the fitted level tracks the truth
