@@ -27,6 +27,14 @@ _BALANCE_MAX_ITER = 200
 # the null-space basis and the pseudoinverse of J, keeping I - J^+ J an exact
 # projection at the operator's known rank.
 _J_RTOL = 1e-10
+# j_rank counts the singular values of J above this fraction of the largest.
+_J_RANK_RTOL = 1e-8
+# Largest constraint residual a validated core or core factor may show.
+_CONSTRAINT_TOL = 1e-8
+# Slice entries larger than this in magnitude are edges of the slice graph.
+_ZERO_TOL = 1e-12
+# Relative spread of the trailing eigenvalues of a partially isotropic core.
+_ISOTROPY_RTOL = 1e-6
 
 
 def slices(a, dims):
@@ -54,7 +62,7 @@ def col_gram(a, dims):
     return np.einsum("iab,iac->bc", t, t)
 
 
-def check_core_factor(a, dims, tol=1e-8):
+def check_core_factor(a, dims, tol=_CONSTRAINT_TOL):
     """Validate the two Gram constraints and full column rank of A."""
     a = np.asarray(a, dtype=float)
     if a.shape != (dims.p, dims.r):
@@ -71,18 +79,15 @@ def check_core_factor(a, dims, tol=1e-8):
     return a
 
 
-def check_core_matrix(c, dims, rank=None, tol=1e-8):
-    """Validate partial traces (and optionally the rank) of a core matrix."""
+def check_core_matrix(c, dims):
+    """Validate the partial traces of a core matrix."""
     c = matops.sym(np.asarray(c, dtype=float))
     r1 = np.abs(matops.partial_trace_1(c, dims) - dims.p2 * np.eye(dims.p1)).max()
     r2 = np.abs(matops.partial_trace_2(c, dims) - dims.p1 * np.eye(dims.p2)).max()
-    if max(r1, r2) > tol:
-        raise StructureError(f"partial-trace residual {max(r1, r2):.3e} > {tol:.1e}")
-    if rank is not None:
-        w = np.linalg.eigvalsh(c)
-        n_pos = int(np.sum(w > 1e-10 * max(w[-1], 1.0)))
-        if n_pos != rank:
-            raise StructureError(f"core matrix has rank {n_pos}, expected {rank}")
+    if max(r1, r2) > _CONSTRAINT_TOL:
+        raise StructureError(
+            f"partial-trace residual {max(r1, r2):.3e} > {_CONSTRAINT_TOL:.1e}"
+        )
     return c
 
 
@@ -131,10 +136,10 @@ def j_operator(a, dims):
     return np.vstack([j1, j2, j3])
 
 
-def j_rank(j, rtol=1e-8):
-    """Numerical rank of J at threshold rtol * sigma_max."""
+def j_rank(j):
+    """Numerical rank of J at threshold _J_RANK_RTOL * sigma_max."""
     s = np.linalg.svd(j, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > _J_RANK_RTOL * s[0]))
 
 
 class RankTangentSpace:
@@ -222,8 +227,7 @@ def rgrad_hess_full(c, egrad, ehess_v, dims):
 
 def sylvester_solve(e, v):
     """Unique solution Y of Y E + E Y = V for SPD E (eigenbasis division)."""
-    e = matops.check_spd(e, what="Sylvester coefficient")
-    w, q = np.linalg.eigh(e)
+    w, q = matops.spd_eigh(e, what="Sylvester coefficient")
     vt = q.T @ np.asarray(v, dtype=float) @ q
     y = vt / (w[:, None] + w[None, :])
     return q @ y @ q.T
@@ -232,10 +236,7 @@ def sylvester_solve(e, v):
 def vertical_project(a, w):
     """Vertical component A T^-1_{A^T A}(2 skew(A^T W)) of a tangent W."""
     a = np.asarray(a, dtype=float)
-    gram = a.T @ a
-    if np.linalg.eigvalsh(gram).min() <= 1e-12 * np.abs(gram).max():
-        raise DefinitenessError("A^T A is rank deficient in vertical_project")
-    theta = sylvester_solve(gram, 2.0 * matops.skew(a.T @ w))
+    theta = sylvester_solve(a.T @ a, 2.0 * matops.skew(a.T @ w))
     return a @ theta
 
 
@@ -248,12 +249,12 @@ def horizontal_project(a, w):
 # decomposability test, dimensions, sampling
 # ---------------------------------------------------------------------------
 
-def is_connected_bipartite(slbs, p=None, q=None, zero_tol=1e-12):
+def is_connected_bipartite(slbs, p=None, q=None):
     """Necessary-condition test for canonical indecomposability.
 
     Builds the bipartite graph on row vertices s_1..s_{p1} and column
     vertices q_1..q_{p2} with an edge (s_j, q_k) iff some transformed slice
-    P A_i Q^-1 has |entry (j, k)| > zero_tol, and returns its connectivity.
+    P A_i Q^-1 has |entry (j, k)| > _ZERO_TOL, and returns its connectivity.
     A disconnection certifies canonical decomposability at (P, Q);
     connectivity at one (P, Q) is only necessary for indecomposability.
     """
@@ -272,7 +273,7 @@ def is_connected_bipartite(slbs, p=None, q=None, zero_tol=1e-12):
             raise ValueError("Q is singular")
         t = np.einsum("ibc,cd->ibd", t, np.linalg.inv(q))
 
-    adj = (np.abs(t) > zero_tol).any(axis=0)
+    adj = (np.abs(t) > _ZERO_TOL).any(axis=0)
     seen_rows = np.zeros(p1, dtype=bool)
     seen_cols = np.zeros(p2, dtype=bool)
     queue = deque([("r", 0)])
@@ -323,23 +324,15 @@ def balance_core_factor(a, dims):
 
     Each pass replaces the slices A_i by T A_i with T = (A_R/p2)^(-1/2) and
     then by A_i S with S = (A_C/p1)^(-1/2); a fixed point satisfies both Gram
-    constraints exactly.  Raises StructureError on non-convergence.
+    constraints exactly.  Raises DefinitenessError when a Gram matrix is not
+    positive definite and StructureError on non-convergence.
     """
     a = np.asarray(a, dtype=float).copy()
     p1, p2 = dims.p1, dims.p2
     for _ in range(_BALANCE_MAX_ITER):
-        gr = row_gram(a, dims)
-        wr, qr = np.linalg.eigh(matops.sym(gr / p2))
-        if wr[0] <= 0:
-            raise StructureError("row Gram lost definiteness while balancing")
-        t = (qr / np.sqrt(wr)) @ qr.T
+        t = matops.spd_half_powers(row_gram(a, dims) / p2, what="row Gram")[1]
         a = matops.kron(np.eye(p2), t) @ a
-
-        gc = col_gram(a, dims)
-        wc, qc = np.linalg.eigh(matops.sym(gc / p1))
-        if wc[0] <= 0:
-            raise StructureError("column Gram lost definiteness while balancing")
-        s = (qc / np.sqrt(wc)) @ qc.T
+        s = matops.spd_half_powers(col_gram(a, dims) / p1, what="column Gram")[1]
         a = matops.kron(s, np.eye(p1)) @ a
 
         res = max(
@@ -368,7 +361,7 @@ def random_core_factor(dims, seed):
             continue
         try:
             a = balance_core_factor(a, dims)
-        except StructureError:
+        except (DefinitenessError, StructureError):
             continue
         if not is_connected_bipartite(slices(a, dims)):
             continue
@@ -379,10 +372,10 @@ def random_core_factor(dims, seed):
     raise StructureError("random_core_factor failed after 5 redraws")
 
 
-def partial_isotropy_decompose(c, dims, r, eig_rtol=1e-6):
+def partial_isotropy_decompose(c, dims, r):
     """Split a full-rank core C = (1-lambda) A A^T + lambda I.
 
-    Requires the trailing p-r eigenvalues to be equal within eig_rtol
+    Requires the trailing p-r eigenvalues to be equal within _ISOTROPY_RTOL
     (relative); lambda is their common value and A is rebuilt from the top-r
     eigenpairs with weights sqrt((eig_i - lambda)/(1 - lambda)).
     """
@@ -392,7 +385,7 @@ def partial_isotropy_decompose(c, dims, r, eig_rtol=1e-6):
     q = q[:, ::-1]
     tail = w[r:]
     lam = float(tail.mean())
-    if np.abs(tail - lam).max() > eig_rtol * max(abs(lam), 1e-12):
+    if np.abs(tail - lam).max() > _ISOTROPY_RTOL * max(abs(lam), 1e-12):
         raise StructureError("trailing eigenvalues are not a constant block")
     if not (0.0 < lam < 1.0):
         raise StructureError(f"isotropic level {lam:.6f} outside (0, 1)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matops
+from . import core_geometry, matops, spd_geometry
 from .errors import DefinitenessError, NoKroneckerMle
 
 # Flip-flop stopping: NoKroneckerMle when the objective still falls by more
@@ -95,9 +95,10 @@ def kronecker_mle(sigma, dims, psd_check=True):
     (retraction intermediates whose trailing spectrum dips slightly below
     zero); factor positivity is still enforced every sweep.
     """
-    sigma = matops.sym(np.asarray(sigma, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
         raise ValueError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")
+    sigma = matops.sym(sigma)
     if psd_check:
         w = np.linalg.eigvalsh(sigma)
         if w[0] < -1e-8 * max(w[-1], 1.0):
@@ -107,8 +108,6 @@ def kronecker_mle(sigma, dims, psd_check=True):
 
     k1 = np.eye(dims.p1)
     k2 = np.eye(dims.p2)
-    obj = kl_objective(k1, k2, sigma, dims)
-    decrease = np.inf
     prev_move = np.inf
     for _ in range(_MLE_MAX_ITER):
         k1_prev, k2_prev = k1, k2
@@ -127,15 +126,14 @@ def kronecker_mle(sigma, dims, psd_check=True):
         k1 = k1 / scale
         k2 = k2 * scale
 
-        new_obj = kl_objective(k1, k2, sigma, dims)
-        decrease = obj - new_obj
-        obj = new_obj
         move = max(_rel_change(k1, k1_prev), _rel_change(k2, k2_prev))
         # Polish to the float noise floor (a rising tiny move is rounding,
         # not progress); _MLE_TOL only classifies nonexistence.
         if move < _PARAM_FLOOR or (move < 1e-9 and move >= prev_move):
             return SeparableCovariance(k1=k1, k2=k2)
         prev_move = move
+    obj = kl_objective(k1, k2, sigma, dims)
+    decrease = kl_objective(k1_prev, k2_prev, sigma, dims) - obj
     if decrease > _MLE_TOL * abs(obj):
         raise NoKroneckerMle(
             f"objective still decreasing by {decrease:.3e} after {_MLE_MAX_ITER} sweeps"
@@ -150,8 +148,8 @@ def core(sigma, dims, h_kind):
 
 def kcd(sigma, dims, h_kind):
     """Full Kronecker-core decomposition of a symmetric PSD matrix."""
-    sigma = matops.sym(np.asarray(sigma, dtype=float))
     sep = kronecker_mle(sigma, dims)
+    sigma = matops.sym(np.asarray(sigma, dtype=float))
     c = matops.whiten(sep.h_matrix(h_kind), sigma)
     return KcdResult(k=sep, c=c, h_kind=h_kind)
 
@@ -179,8 +177,7 @@ def dh(sep, u1, u2, h_kind):
     separable tangent U = U2 (x) K1 + K2 (x) U1.
 
     Cholesky branch: (L2 (x) L1) (I (x) L1^-1 U1 L1^-T + L2^-1 U2 L2^-T (x) I)_{1/2}.
-    Symmetric branch: eigenbasis Hadamard solve of the Sylvester system
-    h(K) R + R h(K) = U.
+    Symmetric branch: the solution R of the Sylvester system h(K) R + R h(K) = U.
     """
     u1 = matops.sym(u1)
     u2 = matops.sym(u2)
@@ -193,18 +190,9 @@ def dh(sep, u1, u2, h_kind):
             m2, np.eye(sep.k1.shape[0])
         )
         return matops.kron(l2, l1) @ matops.half(inner)
-
-    w1, g1 = np.linalg.eigh(matops.check_spd(sep.k1, what="K1"))
-    w2, g2 = np.linalg.eigh(matops.check_spd(sep.k2, what="K2"))
-    d = np.kron(np.sqrt(w2), np.sqrt(w1))
-    denom = d[:, None] + d[None, :]
-    if denom.min() < 1e-14:
-        raise DefinitenessError("square-rooted eigenvalue sums vanish in dh")
-    rhs = matops.kron(np.diag(w2), g1.T @ u1 @ g1) + matops.kron(
-        g2.T @ u2 @ g2, np.diag(w1)
+    return core_geometry.sylvester_solve(
+        sep.h_matrix(SquareRootKind.SYMMETRIC), separable_tangent(sep, u1, u2)
     )
-    g = matops.kron(g2, g1)
-    return g @ (rhs / denom) @ g.T
 
 
 def rc_apply(c, s1, s2, w1, w2, dims):
@@ -213,19 +201,29 @@ def rc_apply(c, s1, s2, w1, w2, dims):
     The base satisfies |S1| = 1 and W1 is trace-orthogonal to S1
     (tr(S1^-1 W1) = 0); C is the symmetric-root core at the base point.
     """
+    return _rc_operator(c, s1, s2, dims)(w1, w2)
+
+
+def _rc_operator(c, s1, s2, dims):
+    """R_C at base (S1, S2) as a map of (W1, W2), with the half powers of S1
+    and S2 computed once."""
     s1_half, s1_ihalf = matops.spd_half_powers(s1)
     s2_half, s2_ihalf = matops.spd_half_powers(s2)
-    w1b = matops.sym(s1_ihalf @ w1 @ s1_ihalf)
-    w2b = matops.sym(s2_ihalf @ w2 @ s2_ihalf)
-    m1 = matops.weighted_partial_trace_1(c, w2b, dims)
-    m2 = matops.weighted_partial_trace_2(c, w1b, dims)
-    x1 = (
-        w1
-        + s1_half @ m1 @ s1_half / dims.p2
-        - float(np.trace(w2b)) * s1 / dims.p2
-    )
-    x2 = w2 + s2_half @ m2 @ s2_half / dims.p1
-    return matops.sym(x1), matops.sym(x2)
+
+    def apply(w1, w2):
+        w1b = matops.sym(s1_ihalf @ w1 @ s1_ihalf)
+        w2b = matops.sym(s2_ihalf @ w2 @ s2_ihalf)
+        m1 = matops.weighted_partial_trace_1(c, w2b, dims)
+        m2 = matops.weighted_partial_trace_2(c, w1b, dims)
+        x1 = (
+            w1
+            + s1_half @ m1 @ s1_half / dims.p2
+            - float(np.trace(w2b)) * s1 / dims.p2
+        )
+        x2 = w2 + s2_half @ m2 @ s2_half / dims.p1
+        return matops.sym(x1), matops.sym(x2)
+
+    return apply
 
 
 def rc_solve(c, s1, s2, m1, m2, dims):
@@ -234,8 +232,6 @@ def rc_solve(c, s1, s2, m1, m2, dims):
     Materializes R_C over an orthonormal basis of the product tangent space
     (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely.
     """
-    from . import spd_geometry
-
     basis = []
     for e in spd_geometry.ai_unitdet_basis(s1):
         basis.append((e, np.zeros_like(s2)))
@@ -245,11 +241,8 @@ def rc_solve(c, s1, s2, m1, m2, dims):
     def pack(a, b):
         return np.concatenate([a.ravel(), b.ravel()])
 
-    cols = []
-    for b1, b2 in basis:
-        x1, x2 = rc_apply(c, s1, s2, b1, b2, dims)
-        cols.append(pack(x1, x2))
-    mat_op = np.column_stack(cols)
+    r_c = _rc_operator(c, s1, s2, dims)
+    mat_op = np.column_stack([pack(*r_c(b1, b2)) for b1, b2 in basis])
     rhs = pack(np.asarray(m1, dtype=float), np.asarray(m2, dtype=float))
     coef, _, rank, _ = np.linalg.lstsq(mat_op, rhs, rcond=None)
     if rank < len(basis):
@@ -265,26 +258,25 @@ def dk(sigma, v, dims):
     Returns (U1, U2) with tr(S1^-1 U1) = 0; the assembled tangent is
     U2 (x) S1 + S2 (x) U1.
     """
+    sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    return _dk(kronecker_mle(sigma, dims), sigma, v, dims)
+    return _dk(sep, sigma, v, dims)
 
 
 def _dk(sep, sigma, v, dims):
     """dk at the Kronecker MLE sep of Sigma, for symmetric Sigma and V."""
-    s1, s2 = sep.k1, sep.k2
-    h = sep.h_matrix(SquareRootKind.SYMMETRIC)
+    s1_half, s2_half = sep.sqrt_factors(SquareRootKind.SYMMETRIC)
+    h = matops.kron(s2_half, s1_half)
     c_sym = matops.whiten(h, sigma)
     vtil = matops.whiten(h, v)
 
-    s1_half = matops.sym_sqrt(s1)
-    s2_half = matops.sym_sqrt(s2)
     t1 = matops.partial_trace_1(vtil, dims)
     t2 = matops.partial_trace_2(vtil, dims)
     tr_all = float(np.trace(vtil))
     m1 = s1_half @ (t1 - tr_all / dims.p1 * np.eye(dims.p1)) @ s1_half / dims.p2
     m2 = s2_half @ t2 @ s2_half / dims.p1
-    return rc_solve(c_sym, s1, s2, m1, m2, dims)
+    return rc_solve(c_sym, sep.k1, sep.k2, m1, m2, dims)
 
 
 def separable_tangent(sep, u1, u2):
@@ -294,9 +286,9 @@ def separable_tangent(sep, u1, u2):
 
 def dc(sigma, v, dims, h_kind):
     """Differential of the core map c at Sigma along V."""
+    sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    sep = kronecker_mle(sigma, dims)
     u = dh(sep, *_dk(sep, sigma, v, dims), h_kind)
     h = sep.h_matrix(h_kind)
     corr = np.linalg.solve(h, u) @ matops.whiten(h, sigma)

@@ -158,22 +158,20 @@ def lower(m):
     return np.tril(m)
 
 
-def check_spd(s, what="matrix"):
-    """Validate symmetry and positive definiteness; return the symmetrized input."""
-    s = np.asarray(s, dtype=float)
-    s = _check_square(s)
-    s = sym(s)
-    w = np.linalg.eigvalsh(s)
+def spd_eigh(s, what="matrix"):
+    """Eigendecomposition (w, q) of the symmetrized input; DefinitenessError
+    unless its smallest eigenvalue exceeds PD_RTOL times the largest."""
+    w, q = np.linalg.eigh(sym(_check_square(s)))
     if w[0] <= PD_RTOL * max(w[-1], 0.0):
         raise DefinitenessError(
             f"{what} is not positive definite: min eig {w[0]:.3e}, max {w[-1]:.3e}"
         )
-    return s
+    return w, q
 
 
 def spd_half_powers(s, what="matrix"):
     """(S^(1/2), S^(-1/2)) of an SPD matrix from one eigendecomposition."""
-    w, q = np.linalg.eigh(check_spd(s, what=what))
+    w, q = spd_eigh(s, what=what)
     rt = np.sqrt(w)
     return (q * rt) @ q.T, (q / rt) @ q.T
 
@@ -185,7 +183,8 @@ def sym_sqrt(s):
 
 def chol(s):
     """Lower Cholesky factor with positive diagonal of an SPD matrix."""
-    return np.linalg.cholesky(check_spd(s, what="chol input"))
+    spd_eigh(s, what="chol input")
+    return np.linalg.cholesky(sym(_check_square(s)))
 
 
 def whiten(h, m):

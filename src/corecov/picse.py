@@ -30,6 +30,8 @@ _MAX_HALVINGS = 30
 # Every top-r eigenvalue of a core kept as a factor must exceed this fraction
 # of the largest.
 _TOP_EIG_RTOL = 1e-10
+# Largest |det - 1| of a validated K-bar factor.
+_DET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,16 @@ class PicseParams:
     h_kind: SquareRootKind
     dims: matops.Dims
 
-    def validate(self, tol=1e-8):
-        if abs(np.linalg.det(self.k1bar) - 1.0) > tol:
+    def validate(self):
+        if abs(np.linalg.det(self.k1bar) - 1.0) > _DET_TOL:
             raise StructureError("K1bar determinant differs from 1")
-        if abs(np.linalg.det(self.k2bar) - 1.0) > tol:
+        if abs(np.linalg.det(self.k2bar) - 1.0) > _DET_TOL:
             raise StructureError("K2bar determinant differs from 1")
         if not (0.0 < self.lam < 1.0):
             raise StructureError(f"lambda {self.lam} outside (0, 1)")
         if self.nu <= 0.0:
             raise StructureError("nu must be positive")
-        core_geometry.check_core_factor(self.a, self.dims, tol=tol)
+        core_geometry.check_core_factor(self.a, self.dims)
         return self
 
     @property
@@ -427,20 +429,19 @@ def update_nu(tau, sample_cov):
 def update_lambda(tau, sample_cov):
     """Bounded scalar minimization of the likelihood in lambda.
 
-    One eigendecomposition reduces each probe to O(p): with m_j the whitened
-    data energy along the j-th left singular vector of A, the objective is
-    sum_j [m_j/d_j + log d_j] over the spiked block plus the isotropic rest.
+    The spectral form of Ctilde reduces each probe to O(p): with m_j the
+    whitened data energy along the j-th left singular vector of A, the objective
+    is sum_j [m_j/d_j + log d_j] over the spiked block plus the isotropic rest.
     """
     lo, hi = _LAMBDA_BRACKET
-    u, sig, _ = np.linalg.svd(tau.a, full_matrices=False)
-    sig2 = sig**2
+    spec = _CtildeSpectral(tau.a, tau.lam)
     m = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
-    mj = np.einsum("pj,pq,qj->j", u, m, u)
+    mj = np.einsum("pj,pq,qj->j", spec.u, m, spec.u)
     rest = float(np.trace(m) - mj.sum())
     p, r = tau.dims.p, tau.dims.r
 
     def objective(lam):
-        d = (1.0 - lam) * sig2 + lam
+        d = (1.0 - lam) * spec.sig2 + lam
         return float(
             np.sum(mj / d + np.log(d)) + rest / lam + (p - r) * np.log(lam)
         )

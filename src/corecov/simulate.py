@@ -24,6 +24,9 @@ _DATA = 1
 _CORE_FACTOR = 2
 _OBS = 3
 
+# Condition-number cap of the truth's Kronecker factors.
+_COND_CAP = 50.0
+
 CSV_HEADER = [
     "estimator",
     "rep",
@@ -73,6 +76,7 @@ class ExperimentConfig:
         if self.dims.r is None:
             raise ValueError("experiment dims need a rank")
         core_geometry.check_dense_size(self.dims.p, self.dims.r)
+        picse.FitConfig(tol=self.tol, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,13 @@ class TruthBundle:
     model: str
 
 
-def _random_spd_capped(q, rng, cond_cap=50.0):
-    """Random SPD with orthogonal eigenbasis and condition number <= cap."""
+def _random_spd_capped(q, rng):
+    """Random SPD with orthogonal eigenbasis and condition number <= _COND_CAP."""
     g = rng.standard_normal((q, q))
     qmat, rmat = np.linalg.qr(g)
     qmat = qmat * np.sign(np.diag(rmat))
-    lo = 1.0 / np.sqrt(cond_cap)
-    w = np.exp(rng.uniform(np.log(lo), np.log(lo * cond_cap), size=q))
+    lo = 1.0 / np.sqrt(_COND_CAP)
+    w = np.exp(rng.uniform(np.log(lo), np.log(lo * _COND_CAP), size=q))
     return matops.sym((qmat * w) @ qmat.T)
 
 

@@ -9,6 +9,9 @@ import numpy as np
 from . import matops
 from .errors import DefinitenessError
 
+# Gram-Schmidt drops candidates of at most this squared norm once orthogonalized.
+_GS_TOL = 1e-9
+
 
 def check_chol_point(l):
     """Validate a lower-triangular matrix with strictly positive diagonal."""
@@ -153,14 +156,14 @@ def lower_basis(q):
     return basis
 
 
-def _gram_schmidt(cands, inner, tol=1e-9):
+def _gram_schmidt(cands, inner):
     out = []
     for c in cands:
         w = c.copy()
         for b in out:
             w = w - inner(w, b) * b
         nrm = inner(w, w)
-        if nrm > tol:
+        if nrm > _GS_TOL:
             out.append(w / np.sqrt(nrm))
     return out
 

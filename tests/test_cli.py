@@ -136,6 +136,18 @@ def test_simulate_capacity_exit_code_before_truth(tmp_path, monkeypatch):
     assert not (tmp_path / "x").exists()
 
 
+def test_simulate_fit_settings_exit_code_before_truth(tmp_path, monkeypatch, capsys):
+    _forbid_estimators(monkeypatch)
+    base = [
+        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
+        "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
+    ]
+    for bad in (["--tol", "0"], ["--max-iter", "0"]):
+        assert cli.main(base + bad) == 2
+        assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_kcd_command(tmp_path):
     rng = np.random.default_rng(31)
     sigma = rand_spd(6, rng)
@@ -180,6 +192,17 @@ def test_kcd_rejects_nonfinite_matrix(tmp_path, capsys):
     ])
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_kcd_rejects_non_square_matrix(tmp_path, capsys):
+    src = tmp_path / "sigma.csv"
+    np.savetxt(src, np.random.default_rng(33).standard_normal((6, 5)), delimiter=",")
+    rc = cli.main([
+        "kcd", "--input", str(src), "--p1", "3", "--p2", "2",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "expected 6x6 input, got (6, 5)" in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path):

@@ -272,6 +272,22 @@ class TestRandomCoreFactor:
         assert np.abs(cg.col_gram(a, dims) - dims.p1 * np.eye(dims.p2)).max() < 1e-10
         assert cg.is_connected_bipartite(cg.slices(a, dims))
 
+    def test_redraws_when_balancing_loses_definiteness(self, monkeypatch):
+        calls = []
+        balance = cg.balance_core_factor
+
+        def fail_first(a, dims):
+            calls.append(a)
+            if len(calls) == 1:
+                raise DefinitenessError("row Gram is not positive definite")
+            return balance(a, dims)
+
+        monkeypatch.setattr(cg, "balance_core_factor", fail_first)
+        a = cg.random_core_factor(DIMS324, seed=99)
+        assert len(calls) == 2
+        assert np.abs(calls[0] - calls[1]).max() > 1e-3
+        cg.check_core_factor(a, DIMS324)
+
     def test_deterministic(self):
         a = cg.random_core_factor(DIMS324, seed=99)
         b = cg.random_core_factor(DIMS324, seed=99)

@@ -66,15 +66,42 @@ class TestKroneckerMle:
         with pytest.raises(DefinitenessError):
             kcd.kronecker_mle(np.diag([1.0, 1.0, 1.0, -1.0]), DIMS22)
 
+    def test_converging_run_skips_objective(self, rng, monkeypatch):
+        # the objective is read only to classify a run that hits the sweep cap
+        calls = []
+        objective = kcd.kl_objective
+
+        def counted(*args):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(kcd, "kl_objective", counted)
+        kcd.kronecker_mle(rand_spd(6, rng), DIMS32)
+        assert calls == []
+        with pytest.raises(NoKroneckerMle, match="still decreasing"):
+            kcd.kronecker_mle(nonexistence_gram(), DIMS22)
+        assert len(calls) == 2
+
 
 class TestKcd:
+    @pytest.mark.parametrize("op", ["kcd", "dk", "dc"])
+    def test_shape_checked_before_symmetrizing(self, op, rng):
+        sigma = rng.standard_normal((6, 5))
+        call = {
+            "kcd": lambda: kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC),
+            "dk": lambda: kcd.dk(sigma, np.eye(6), DIMS32),
+            "dc": lambda: kcd.dc(sigma, np.eye(6), DIMS32, SquareRootKind.SYMMETRIC),
+        }[op]
+        with pytest.raises(ValueError, match=r"expected 6x6 input, got \(6, 5\)"):
+            call()
+
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_round_trip_and_core(self, kind, rng):
         sigma = rand_spd(6, rng)
         dec = kcd.kcd(sigma, DIMS32, kind)
         err = np.linalg.norm(dec.reconstruct() - sigma) / np.linalg.norm(sigma)
         assert err <= 1e-10
-        core_geometry.check_core_matrix(dec.c, DIMS32, tol=1e-8)
+        core_geometry.check_core_matrix(dec.c, DIMS32)
         assert abs(np.trace(dec.c) - 6.0) < 1e-8
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
@@ -234,6 +261,19 @@ class TestDk:
         np.testing.assert_allclose(
             kcd.separable_tangent(sep, u1, u2), fd, atol=1e-5
         )
+
+    def test_half_powers_computed_once(self, rng, monkeypatch):
+        # one pair for each of S1 and S2 in the sqrt factors, one in R_C
+        calls = []
+        half_powers = matops.spd_half_powers
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return half_powers(*args, **kwargs)
+
+        monkeypatch.setattr(matops, "spd_half_powers", counted)
+        kcd.dk(rand_spd(6, rng), rand_sym(6, rng), DIMS32)
+        assert len(calls) <= 4
 
 
 class TestDcDg:

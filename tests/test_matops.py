@@ -150,6 +150,24 @@ def test_sqrt_and_chol(rng):
     np.testing.assert_allclose(r, r.T)
 
 
+def test_half_powers_from_one_eigendecomposition(rng, monkeypatch):
+    # the definiteness test reads the eigenvalues of the one eigh
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    root, inv_root = matops.spd_half_powers(rand_spd(4, rng))
+    assert calls == ["eigh"]
+    np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
+
+
 def test_definiteness_errors(rng):
     bad = np.diag([1.0, -0.5])
     with pytest.raises(DefinitenessError):

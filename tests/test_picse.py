@@ -373,7 +373,7 @@ class TestInit:
         data = simulate.gen_data(truth.sigma, 24, seed=84, dims=DIMS)
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, 3, kind)
-        tau.validate(tol=1e-8)
+        tau.validate()
         # nu Kbar is exactly the chosen square root of the sample Kronecker MLE
         sep = kcd.kronecker_mle(sc.s, DIMS)
         np.testing.assert_allclose(
@@ -402,7 +402,7 @@ class TestFit:
         obj = np.asarray(trace.objectives)
         assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
         assert trace.termination == "converged"
-        tau.validate(tol=1e-8)
+        tau.validate()
         # assembled estimate is SPD and consistent with the traced objective
         w = np.linalg.eigvalsh(sigma_hat)
         assert w.min() > 0

@@ -23,7 +23,7 @@ class TestGenTruth:
         assert np.abs(dec.c - expect).max() < 1e-8
         # D is itself a diagonal core
         assert np.abs(truth.d - np.diag(np.diag(truth.d))).max() < 1e-12
-        cg.check_core_matrix(truth.d, DIMS, tol=1e-8)
+        cg.check_core_matrix(truth.d, DIMS)
 
     def test_determinism(self):
         a = simulate.gen_truth("m1", DIMS, 0.5, seed=7)

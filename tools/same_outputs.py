@@ -1,0 +1,154 @@
+"""Check that two source trees give bit-identical benchmark outputs.
+
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a `corecov` package, such as
+the `src/` of two checkouts.  Each tree runs all operations of the three
+benchmark workloads in benchmarks/bench_workloads.py once, in the pool order
+of seed 0, in its own process with one BLAS thread.  Each output is reduced
+to SHA-256 digests of its bytes:
+
+  fit-small       objectives, step norms, termination, K1bar, K2bar, nu, A,
+                  lambda and sigma_hat of each `picse.fit` call
+  fit-large       exit code and JSON text of `corecov fit`
+  simulate-study  exit code and results.csv of `corecov simulate`
+                  (summary.json holds wall times, so it is left out)
+
+An operation that raises is reduced to its exception.  Exits 0 when every
+operation matches, 1 when some differ (each is named with the fields that
+differ), and 2 when a tree could not be run.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(os.path.dirname(HERE), "benchmarks")
+WORKLOADS = ("fit-small", "fit-large", "simulate-study")
+SEED = 0
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+
+
+def _fit_fields(output):
+    tau, sigma_hat, trace = output
+
+    def array(x):
+        x = np.ascontiguousarray(x, dtype=float)
+        return repr(x.shape).encode() + x.tobytes()
+
+    return {
+        "objectives": array(trace.objectives),
+        "step_norms": json.dumps(trace.step_norms, sort_keys=True).encode(),
+        "termination": trace.termination.encode(),
+        "k1bar": array(tau.k1bar),
+        "k2bar": array(tau.k2bar),
+        "nu": float(tau.nu).hex().encode(),
+        "a": array(tau.a),
+        "lambda": float(tau.lam).hex().encode(),
+        "sigma_hat": array(sigma_hat),
+    }
+
+
+def _fields(workload, output):
+    if workload == "fit-small":
+        return _fit_fields(output)
+    code, path = output
+    if workload == "simulate-study":
+        path = os.path.join(path, "results.csv")
+    with open(path, "rb") as fh:
+        return {"exit_code": str(code).encode(), "output": fh.read()}
+
+
+def digest_tree(src, out):
+    """Run every benchmark operation on the tree at `src`; write
+    {workload/key: {field: sha256}} as JSON to `out`."""
+    sys.path[:0] = [src, BENCH]
+    import corecov
+    import bench_workloads as bw
+
+    if not os.path.abspath(corecov.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise RuntimeError(f"corecov imported from {corecov.__file__}, not {src}")
+    digests = {}
+    workdir = tempfile.mkdtemp(prefix="same-outputs-")
+    try:
+        for workload in WORKLOADS:
+            for op in bw.workload(workload).build(SEED, workdir):
+                try:
+                    fields = _fields(workload, op.run())
+                except Exception as exc:  # the exception is the output compared
+                    fields = {"exception": repr(exc).encode()}
+                digests[f"{workload}/{op.key}"] = {
+                    k: hashlib.sha256(v).hexdigest() for k, v in fields.items()
+                }
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    with open(out, "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def compare(old, new):
+    """Names of the operations whose digests differ, with the differing fields."""
+    diffs = []
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, {}), new.get(key, {})
+        fields = sorted(f for f in set(a) | set(b) if a.get(f) != b.get(f))
+        if fields:
+            diffs.append(f"{key} ({', '.join(fields)})")
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+    trees = (args.old_src, args.new_src)
+
+    # Each tree gets a fresh interpreter, so the two corecov packages never
+    # meet in one process and BLAS starts with one thread.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
+    child = "import sys, same_outputs; same_outputs.digest_tree(*sys.argv[1:])"
+    tmp = tempfile.mkdtemp(prefix="same-outputs-")
+    try:
+        outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
+        procs = []
+        for src, out in zip(trees, outs):
+            with open(out + ".log", "w") as log:
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-c", child, os.path.abspath(src), out],
+                    cwd=HERE, env=env, stderr=log))
+        codes = [proc.wait() for proc in procs]
+        for src, out, code in zip(trees, outs, codes):
+            if code != 0:
+                with open(out + ".log") as log:
+                    print(f"error: running {src} failed:\n{log.read()}", file=sys.stderr)
+        if any(codes):
+            return 2
+        old, new = (_load(out) for out in outs)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    diffs = compare(old, new)
+    for line in diffs:
+        print(f"differs: {line}")
+    total = len(set(old) | set(new))
+    print(f"{total - len(diffs)} of {total} operations bit-identical")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
