@@ -90,7 +90,7 @@ def _cmd_fit(args):
     dims = matops.Dims(args.p1, args.p2, args.rank)
     if rows.shape[1] != dims.p:
         raise ValueError(f"expected {dims.p} columns, found {rows.shape[1]}")
-    data = np.stack([matops.mat(row, dims.p1, dims.p2) for row in rows])
+    data = rows.reshape(-1, dims.p2, dims.p1).transpose(0, 2, 1)
     config = picse.FitConfig(
         tol=args.tol, max_iter=args.max_iter, h_kind=SquareRootKind(args.sqrt)
     )

@@ -9,7 +9,6 @@ satisfy sum_i A_i A_i^T = p2 I and sum_i A_i^T A_i = p1 I, so that A A^T is a
 rank-r core.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +61,20 @@ def col_gram(a, dims):
     return np.einsum("iab,iac->bc", t, t)
 
 
+def gram_residual(a, dims):
+    """Largest entry of |sum_i A_i A_i^T - p2 I| and |sum_i A_i^T A_i - p1 I|."""
+    res_r = np.abs(row_gram(a, dims) - dims.p2 * np.eye(dims.p1)).max()
+    return max(res_r, np.abs(col_gram(a, dims) - dims.p1 * np.eye(dims.p2)).max())
+
+
 def check_core_factor(a, dims, tol=_CONSTRAINT_TOL):
     """Validate the two Gram constraints and full column rank of A."""
     a = np.asarray(a, dtype=float)
     if a.shape != (dims.p, dims.r):
         raise ValueError(f"expected {dims.p}x{dims.r}, got {a.shape}")
-    res_r = np.abs(row_gram(a, dims) - dims.p2 * np.eye(dims.p1)).max()
-    res_c = np.abs(col_gram(a, dims) - dims.p1 * np.eye(dims.p2)).max()
-    if max(res_r, res_c) > tol:
-        raise StructureError(
-            f"core-factor constraint residual {max(res_r, res_c):.3e} > {tol:.1e}"
-        )
+    res = gram_residual(a, dims)
+    if res > tol:
+        raise StructureError(f"core-factor constraint residual {res:.3e} > {tol:.1e}")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise StructureError("core factor is column-rank deficient")
@@ -120,17 +122,14 @@ def j_operator(a, dims):
     t = slices(a, dims)
     avec = a.reshape(-1, order="F")
 
-    perm1 = matops.commutation_permutation(p1, p1)
-    blocks1 = np.hstack([matops.kron(t[i], np.eye(p1)) for i in range(r)])
-    j1 = (blocks1 + blocks1[perm1]) / p - (2.0 / (p1**2 * p2)) * np.outer(
-        matops.vec(np.eye(p1)), avec
-    )
-
-    perm2 = matops.commutation_permutation(p2, p2)
-    blocks2 = np.hstack([matops.kron(np.eye(p2), t[i].T) for i in range(r)])
-    j2 = (blocks2 + blocks2[perm2]) / p - (2.0 / (p1 * p2**2)) * np.outer(
-        matops.vec(np.eye(p2)), avec
-    )
+    # [A_i (x) I] and [I (x) A_i^T] on axes (x, y, i, b, c), by the products
+    # np.kron forms, so J keeps its bits; K_{q,q} exchanges the axes x and y
+    k1 = t.transpose(1, 0, 2)[:, None, :, :, None] * np.eye(p1)[None, :, None, None, :]
+    k2 = np.eye(p2)[:, None, None, :, None] * t.transpose(2, 0, 1)[None, :, :, None, :]
+    j1 = ((k1 + k1.swapaxes(0, 1)) / p).reshape(p1 * p1, -1)
+    j1 -= (2.0 / (p1**2 * p2)) * np.outer(matops.vec(np.eye(p1)), avec)
+    j2 = ((k2 + k2.swapaxes(0, 1)) / p).reshape(p2 * p2, -1)
+    j2 -= (2.0 / (p1 * p2**2)) * np.outer(matops.vec(np.eye(p2)), avec)
 
     j3 = 2.0 * avec[None, :]
     return np.vstack([j1, j2, j3])
@@ -274,23 +273,14 @@ def is_connected_bipartite(slbs, p=None, q=None):
         t = np.einsum("ibc,cd->ibd", t, np.linalg.inv(q))
 
     adj = (np.abs(t) > _ZERO_TOL).any(axis=0)
-    seen_rows = np.zeros(p1, dtype=bool)
-    seen_cols = np.zeros(p2, dtype=bool)
-    queue = deque([("r", 0)])
-    seen_rows[0] = True
-    while queue:
-        side, idx = queue.popleft()
-        if side == "r":
-            for k in np.nonzero(adj[idx])[0]:
-                if not seen_cols[k]:
-                    seen_cols[k] = True
-                    queue.append(("c", k))
-        else:
-            for jj in np.nonzero(adj[:, idx])[0]:
-                if not seen_rows[jj]:
-                    seen_rows[jj] = True
-                    queue.append(("r", jj))
-    return bool(seen_rows.all() and seen_cols.all())
+    # grow the rows reached from row 0 through their columns until stable
+    rows = np.arange(p1) == 0
+    while True:
+        cols = adj[rows].any(axis=0)
+        grown = rows | adj[:, cols].any(axis=1)
+        if (grown == rows).all():
+            return bool(rows.all() and cols.all())
+        rows = grown
 
 
 @dataclass(frozen=True)
@@ -335,10 +325,7 @@ def balance_core_factor(a, dims):
         s = matops.spd_half_powers(col_gram(a, dims) / p1, what="column Gram")[1]
         a = matops.kron(s, np.eye(p1)) @ a
 
-        res = max(
-            np.abs(row_gram(a, dims) - p2 * np.eye(p1)).max(),
-            np.abs(col_gram(a, dims) - p1 * np.eye(p2)).max(),
-        )
+        res = gram_residual(a, dims)
         if res < _BALANCE_TOL:
             return a
     raise StructureError(f"core-factor balancing stalled at residual {res:.3e}")

@@ -73,14 +73,9 @@ def kron(b, a):
     return np.kron(np.asarray(b), np.asarray(a))
 
 
-def commutation_permutation(m, n):
-    """Index array perm with vec(B) = vec(B^T)[perm] for any m x n B."""
-    return np.arange(m * n).reshape(m, n).T.ravel().copy()
-
-
 def commutation_matrix(m, n):
     """Dense commutation matrix K_{m,n} with K_{m,n} vec(B^T) = vec(B)."""
-    return np.eye(m * n)[commutation_permutation(m, n)]
+    return np.eye(m * n)[np.arange(m * n).reshape(m, n).T.ravel()]
 
 
 def block_partition(m, dims):

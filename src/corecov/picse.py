@@ -75,7 +75,7 @@ class SampleCov:
     def from_data(cls, data, dims):
         data = np.asarray(data, dtype=float)
         n = data.shape[0]
-        ymat = np.stack([matops.vec(y) for y in data])
+        ymat = data.transpose(0, 2, 1).reshape(n, -1)
         return cls(s=matops.sym(ymat.T @ ymat / n), n=n, dims=dims)
 
 
@@ -88,7 +88,7 @@ class FitConfig:
     h_kind: SquareRootKind = SquareRootKind.SYMMETRIC
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
+        if not self.tol > 0 or self.max_iter < 1:
             raise ValueError("need tol > 0 and max_iter >= 1")
 
 
@@ -203,9 +203,8 @@ class _KBlock:
         z = np.linalg.solve(tau.k2bar, z.transpose(0, 2, 1)).transpose(0, 2, 1)
 
         spec = _CtildeSpectral(tau.a, tau.lam)
-        umats = np.stack(
-            [matops.mat(spec.u[:, j], dims.p1, dims.p2) for j in range(spec.r)]
-        )
+        # contiguous: einsum's summation order, so its rounding, follows layout
+        umats = np.ascontiguousarray(core_geometry.slices(spec.u, dims))
         if side == 1:
             self.e = z
             self.umats = umats
@@ -268,19 +267,19 @@ class _KBlock:
     def norm(self, v):
         return float(np.sqrt(self.inner(v, v)))
 
-    def _riemannian(self, ehess_v, v):
-        g, h = self._grad_hess(self.point, self.egrad, ehess_v, v)
-        return self._proj(self.point, g), self._proj(self.point, h)
-
     def gradient(self):
         """Riemannian gradient and its coordinates in the basis."""
         zero = np.zeros_like(self.point)
-        rgrad = self._riemannian(zero, zero)[0]
+        g = self._grad_hess(self.point, self.egrad, zero, zero)[0]
+        rgrad = self._proj(self.point, g)
         return rgrad, np.array([self.inner(rgrad, b) for b in self.basis])
 
     def hessian(self):
         """Riemannian Hessian in the basis, row i the image of basis[i]."""
-        cols = [self._riemannian(self.hess(b), b)[1] for b in self.basis]
+        cols = []
+        for b in self.basis:
+            h = self._grad_hess(self.point, self.egrad, self.hess(b), b)[1]
+            cols.append(self._proj(self.point, h))
         return np.array([[self.inner(c, b) for b in self.basis] for c in cols])
 
     def tangent(self, coef):
@@ -351,8 +350,7 @@ class _ABlock:
 
 
 def _newton_coeffs(h_mat, g_vec):
-    h_mat = (h_mat + h_mat.T) / 2.0
-    coef, *_ = np.linalg.lstsq(h_mat, -g_vec, rcond=None)
+    coef, *_ = np.linalg.lstsq(matops.sym(h_mat), -g_vec, rcond=None)
     return coef
 
 

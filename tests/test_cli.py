@@ -68,6 +68,9 @@ def test_fit_round_trip(tmp_path):
     assert payload["trace"]["termination"] in ("converged", "max_iter")
     objs = payload["trace"]["objectives"]
     assert all(b <= a + 1e-9 * abs(a) for a, b in zip(objs, objs[1:]))
+    # the vec rows are read back as the same observations
+    tau, _, _ = picse.fit(data, dims)
+    np.testing.assert_array_equal(np.array(payload["a"]), tau.a)
 
 
 def test_fit_rejects_bad_width(tmp_path):
@@ -142,10 +145,24 @@ def test_simulate_fit_settings_exit_code_before_truth(tmp_path, monkeypatch, cap
         "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
         "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
     ]
-    for bad in (["--tol", "0"], ["--max-iter", "0"]):
+    for bad in (["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"]):
         assert cli.main(base + bad) == 2
         assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_fit_nan_tol_exit_code_before_init(tmp_path, monkeypatch, capsys):
+    # NaN fails every comparison, so a `tol <= 0` test let it through
+    _forbid_estimators(monkeypatch)
+    src = tmp_path / "data.csv"
+    write_data_csv(src, np.random.default_rng(26).standard_normal((8, 2, 2)))
+    rc = cli.main([
+        "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "3",
+        "--tol", "nan", "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_kcd_command(tmp_path):

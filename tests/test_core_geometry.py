@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from corecov import core_geometry as cg, kcd, matops
 from corecov.errors import CapacityError, DefinitenessError, StructureError
@@ -63,6 +65,57 @@ class TestJOperator:
     def test_capacity_gate(self):
         with pytest.raises(CapacityError):
             cg.j_operator(np.zeros((64 * 64, 2)), matops.Dims(64, 64, 130))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 4), (4, 3, 3)])
+    def test_matches_central_differences(self, shape, rng):
+        # J(A) vec(B) is the derivative of F(A) = (vec(tr_1(AA^T))/|A|^2,
+        # vec(tr_2-dual Gram)/|A|^2, |A|^2) along B, checked against F itself
+        # since the tangent bases of the other tests are built from J
+        dims = matops.Dims(*shape)
+        a = cg.random_core_factor(dims, seed=41)
+
+        def f(x):
+            n2 = np.sum(x * x)
+            return np.concatenate([
+                matops.vec(cg.row_gram(x, dims)) / n2,
+                matops.vec(cg.col_gram(x, dims)) / n2,
+                [n2],
+            ])
+
+        j = cg.j_operator(a, dims)
+        h = 1e-6
+        for _ in range(3):
+            b = rng.standard_normal(a.shape)
+            fd = (f(a + h * b) - f(a - h * b)) / (2.0 * h)
+            jb = j @ b.reshape(-1, order="F")
+            assert np.linalg.norm(jb - fd) <= 1e-7 * np.linalg.norm(jb)
+
+    def test_assembled_from_slices_without_kron(self, monkeypatch):
+        # the dense block assembly, built here from np.kron and a row gather,
+        # must come out bit for bit without any matops.kron call
+        dims = matops.Dims(3, 2, 4)
+        a = cg.random_core_factor(dims, seed=5)
+        a[0, 1] = 0.0
+        t, avec, p = cg.slices(a, dims), a.reshape(-1, order="F"), dims.p
+        rows = []
+        for q, c, blocks in (
+            (dims.p1, 2.0 / (dims.p1**2 * dims.p2),
+             [np.kron(ti, np.eye(dims.p1)) for ti in t]),
+            (dims.p2, 2.0 / (dims.p1 * dims.p2**2),
+             [np.kron(np.eye(dims.p2), ti.T) for ti in t]),
+        ):
+            k = np.hstack(blocks)
+            swap = np.arange(q * q).reshape(q, q).T.ravel()
+            e = matops.vec(np.eye(q))
+            rows.append((k + k[swap]) / p - c * np.outer(e, avec))
+        expected = np.vstack(rows + [2.0 * avec[None, :]])
+
+        def no_kron(*args):
+            raise AssertionError("j_operator built a Kronecker product")
+
+        monkeypatch.setattr(matops, "kron", no_kron)
+        j = cg.j_operator(a, dims)
+        assert j.tobytes() == expected.tobytes()
 
 
 class TestTangentProjectFull:
@@ -234,6 +287,24 @@ class TestConnectivity:
 
     def test_rotation_family_disconnected(self):
         assert not cg.is_connected_bipartite(rotation_example_tuple())
+
+    def test_matches_connected_components(self):
+        # reference: scipy's components of the bipartite slice graph
+        rng = np.random.default_rng(47)
+        n_connected = 0
+        for _ in range(3000):
+            p1, p2, r = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 4)
+            t = rng.standard_normal((r, p1, p2))
+            t[rng.random(t.shape) > rng.uniform(0.05, 0.6)] = 0.0
+            t[rng.random(t.shape) < 0.05] = 1e-13  # below the edge threshold
+            adj = (np.abs(t) > 1e-12).any(axis=0)
+            graph = csr_matrix(np.block([
+                [np.zeros((p1, p1)), adj], [adj.T, np.zeros((p2, p2))],
+            ]))
+            expected = connected_components(graph, directed=False)[0] == 1
+            assert cg.is_connected_bipartite(t) == expected
+            n_connected += expected
+        assert 300 < n_connected < 2700
 
     def test_transformation_arguments(self, rng):
         slices = np.stack([rng.standard_normal((2, 2)) for _ in range(3)])

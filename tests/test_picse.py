@@ -54,6 +54,15 @@ def tangent_for(theta, tau, seed):
     return rand_sym(q, rng)
 
 
+class TestSampleCov:
+    def test_matches_vec_row_products(self):
+        dims = matops.Dims(3, 2)
+        data = np.random.default_rng(8).standard_normal((7, 3, 2))
+        ymat = np.stack([matops.vec(y) for y in data])
+        expected = matops.sym(ymat.T @ ymat / 7)
+        np.testing.assert_array_equal(SampleCov.from_data(data, dims).s, expected)
+
+
 class TestNll:
     def test_perfect_fit_value(self):
         tau = make_tau(SquareRootKind.SYMMETRIC, 1)
@@ -473,6 +482,11 @@ class TestFit:
         data[2, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             picse.fit(data, DIMS)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
+    def test_config_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError, match="need tol > 0"):
+            FitConfig(tol=tol)
 
     def test_capacity_checked_before_init(self, monkeypatch):
         # p*r = 70*59 = 4130 exceeds the dense-J limit: rejected from the
