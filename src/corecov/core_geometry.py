@@ -320,9 +320,9 @@ def balance_core_factor(a, dims):
     a = np.asarray(a, dtype=float).copy()
     p1, p2 = dims.p1, dims.p2
     for _ in range(_BALANCE_MAX_ITER):
-        t = matops.spd_half_powers(row_gram(a, dims) / p2, what="row Gram")[1]
+        t = matops.spd_inv_sqrt(row_gram(a, dims) / p2, what="row Gram")
         a = matops.kron(np.eye(p2), t) @ a
-        s = matops.spd_half_powers(col_gram(a, dims) / p1, what="column Gram")[1]
+        s = matops.spd_inv_sqrt(col_gram(a, dims) / p1, what="column Gram")
         a = matops.kron(s, np.eye(p1)) @ a
 
         res = gram_residual(a, dims)

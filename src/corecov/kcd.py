@@ -232,11 +232,8 @@ def rc_solve(c, s1, s2, m1, m2, dims):
     Materializes R_C over an orthonormal basis of the product tangent space
     (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely.
     """
-    basis = []
-    for e in spd_geometry.ai_unitdet_basis(s1):
-        basis.append((e, np.zeros_like(s2)))
-    for e in spd_geometry.sym_basis(dims.p2):
-        basis.append((np.zeros_like(s1), e))
+    basis = [(e, np.zeros_like(s2)) for e in spd_geometry.ai_unitdet_basis(s1)]
+    basis += [(np.zeros_like(s1), e) for e in spd_geometry.sym_basis(dims.p2)]
 
     def pack(a, b):
         return np.concatenate([a.ravel(), b.ravel()])

@@ -125,7 +125,7 @@ def weighted_partial_trace_2(m, w1, dims):
 
 def sym(m):
     m = np.asarray(m)
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def skew(m):
@@ -138,7 +138,7 @@ def strict_lower(m):
 
 
 def diag_part(m):
-    return np.diag(np.diag(np.asarray(m)))
+    return np.where(np.eye(np.shape(m)[-1], dtype=bool), m, 0.0)
 
 
 def half(m):
@@ -171,9 +171,16 @@ def spd_half_powers(s, what="matrix"):
     return (q * rt) @ q.T, (q / rt) @ q.T
 
 
+def spd_inv_sqrt(s, what="matrix"):
+    """S^(-1/2) of an SPD matrix from one eigendecomposition."""
+    w, q = spd_eigh(s, what=what)
+    return (q / np.sqrt(w)) @ q.T
+
+
 def sym_sqrt(s):
     """Symmetric square root of an SPD matrix (eigendecomposition based)."""
-    return spd_half_powers(s, what="sym_sqrt input")[0]
+    w, q = spd_eigh(s, what="sym_sqrt input")
+    return (q * np.sqrt(w)) @ q.T
 
 
 def chol(s):

@@ -205,12 +205,9 @@ class _KBlock:
         spec = _CtildeSpectral(tau.a, tau.lam)
         # contiguous: einsum's summation order, so its rounding, follows layout
         umats = np.ascontiguousarray(core_geometry.slices(spec.u, dims))
-        if side == 1:
-            self.e = z
-            self.umats = umats
-        else:
-            self.e = z.transpose(0, 2, 1)
-            self.umats = umats.transpose(0, 2, 1)
+        if side == 2:
+            z, umats = z.transpose(0, 2, 1), umats.transpose(0, 2, 1)
+        self.e, self.umats = z, umats
         self.alpha = spec.alpha
         self.kb_inv = np.linalg.inv(self.point)
         self.q_mat = np.einsum("nab,ncb->ac", self.e, self.e)
@@ -261,26 +258,17 @@ class _KBlock:
         )
         return term1 + term2 + term3
 
-    def inner(self, u, v):
-        return self._inner(self.point, u, v)
-
     def norm(self, v):
-        return float(np.sqrt(self.inner(v, v)))
+        return float(np.sqrt(self._inner(self.point, v, v)))
 
-    def gradient(self):
-        """Riemannian gradient and its coordinates in the basis."""
-        zero = np.zeros_like(self.point)
-        g = self._grad_hess(self.point, self.egrad, zero, zero)[0]
-        rgrad = self._proj(self.point, g)
-        return rgrad, np.array([self.inner(rgrad, b) for b in self.basis])
-
-    def hessian(self):
-        """Riemannian Hessian in the basis, row i the image of basis[i]."""
-        cols = []
-        for b in self.basis:
-            h = self._grad_hess(self.point, self.egrad, self.hess(b), b)[1]
-            cols.append(self._proj(self.point, h))
-        return np.array([[self.inner(c, b) for b in self.basis] for c in cols])
+    def derivatives(self):
+        """Riemannian gradient, its coordinates in the basis, and the
+        Riemannian Hessian in the basis, row i the image of basis[i]."""
+        ehess = np.array([self.hess(b) for b in self.basis])
+        rgrad, rhess = self._grad_hess(self.point, self.egrad, ehess, self.basis)
+        rgrad, rhess = self._proj(self.point, rgrad), self._proj(self.point, rhess)
+        h_mat = np.array([self._inner(self.point, h, self.basis) for h in rhess])
+        return rgrad, self._inner(self.point, rgrad, self.basis), h_mat
 
     def tangent(self, coef):
         return sum(c * b for c, b in zip(coef, self.basis))
@@ -326,20 +314,17 @@ class _ABlock:
     def norm(self, v):
         return float(np.linalg.norm(v))
 
-    def gradient(self):
-        """Riemannian gradient and its coordinates B^T vec(egrad)."""
+    def derivatives(self):
+        """Riemannian gradient, its coordinates B^T vec(egrad), and the
+        Riemannian Hessian in the basis B, column i its action on B[:, i]."""
         coef = self.space.coords(self.egrad)
-        return self.space.tangent(coef), coef
-
-    def hessian(self):
-        """Riemannian Hessian in the basis B, column i its action on B[:, i]."""
         w = self.space.normal_weights(self.egrad)
         m = self.space.basis.shape[1]
         h_mat = np.empty((m, m))
         for i in range(m):
             v = self.space.basis[:, i].reshape(self.tau.a.shape, order="F")
             h_mat[:, i] = self.space.hess_coords(self.hess(v), v, w)
-        return h_mat
+        return self.space.tangent(coef), coef, h_mat
 
     def tangent(self, coef):
         return self.space.tangent(coef)
@@ -365,10 +350,10 @@ def _block_step(block, sample_cov, current):
     tau is unchanged and the norm is 0.
     """
     tau = block.tau
-    rgrad, g_coef = block.gradient()
+    rgrad, g_coef, h_mat = block.derivatives()
     if np.linalg.norm(g_coef) < 1e-13:
         return tau, current, 0.0
-    v_newton = block.tangent(_newton_coeffs(block.hessian(), g_coef))
+    v_newton = block.tangent(_newton_coeffs(h_mat, g_coef))
     newton = [v_newton] if np.isfinite(v_newton).all() else []
     descent = (-(0.5**k) * rgrad for k in range(_MAX_HALVINGS + 1))
     for v in itertools.chain(newton, descent):
@@ -457,6 +442,13 @@ def update_lambda(tau, sample_cov):
 # initialization, fitting, and baselines
 # ---------------------------------------------------------------------------
 
+def check_rank(dims):
+    """ValueError unless dims carry a rank r < p: at r = p the isotropic block
+    is empty, so lambda is not identified."""
+    if dims.r is None or dims.r >= dims.p:
+        raise ValueError(f"PICSE needs a rank r < p = {dims.p}, got r = {dims.r}")
+
+
 def init(sample_cov, r, h_kind):
     """Initialization from the sample Kronecker-core decomposition.
 
@@ -467,6 +459,7 @@ def init(sample_cov, r, h_kind):
     core, re-balanced onto the constraint set.
     """
     dims = sample_cov.dims.with_rank(r)
+    check_rank(dims)
     dec = kcd.kcd(sample_cov.s, dims, h_kind)
     h1, h2 = dec.k.sqrt_factors(h_kind)
     det1 = np.linalg.det(h1) ** (1.0 / dims.p1)
@@ -497,7 +490,8 @@ def fit(data, dims, config=None, initial=None):
     and shapes past the dense-size limit (CapacityError) are rejected before
     any computation.  Numerical failures mid-fit stop the sweep loop and are
     recorded in the trace, never raised; initialization failures do
-    propagate.  `initial` overrides the sample-KCD initialization.
+    propagate.  `initial` overrides the sample-KCD initialization; it must
+    have these dims and the configured square-root kind, and pass validate().
     """
     config = config or FitConfig()
     data = np.asarray(data, dtype=float)
@@ -507,9 +501,15 @@ def fit(data, dims, config=None, initial=None):
         raise ValueError("need at least two observations")
     if not np.isfinite(data).all():
         raise ValueError("data contain non-finite values")
-    if dims.r is None:
-        raise ValueError("fit needs dims with a rank")
+    check_rank(dims)
     core_geometry.check_dense_size(dims.p, dims.r)
+    if initial is not None:
+        if initial.dims != dims or initial.h_kind is not config.h_kind:
+            raise ValueError("initial parameters differ from the fit in dims or h_kind")
+        try:
+            initial.validate()
+        except NUMERICAL_ERRORS as exc:
+            raise ValueError(f"invalid initial parameters: {exc}") from exc
     sample_cov = SampleCov.from_data(data, dims)
     tau = init(sample_cov, dims.r, config.h_kind) if initial is None else initial
 

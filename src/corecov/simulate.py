@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("lambda must lie in (0, 1)")
         if self.reps < 1 or any(n < 2 for n in self.n_list):
             raise ValueError("need reps >= 1 and every n >= 2")
-        if self.dims.r is None:
-            raise ValueError("experiment dims need a rank")
+        picse.check_rank(self.dims)
         core_geometry.check_dense_size(self.dims.p, self.dims.r)
         picse.FitConfig(tol=self.tol, max_iter=self.max_iter)
 

@@ -2,6 +2,8 @@
 of lower-triangular matrices with positive diagonal under the Cholesky metric,
 plus the unit-determinant submanifolds of both (totally geodesic, so gradients
 and Hessians restrict by orthogonal projection).
+Inner products, Hessian actions and projections broadcast over the leading
+axes of their tangents; each matrix of a stack gets the bits of its own call.
 """
 
 import numpy as np
@@ -25,6 +27,10 @@ def check_chol_point(l):
     return np.tril(l)
 
 
+def _diag(m):
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
 # ---------------------------------------------------------------------------
 # affine-invariant geometry
 # ---------------------------------------------------------------------------
@@ -32,7 +38,7 @@ def check_chol_point(l):
 def ai_inner(sigma, u, v):
     """Affine-invariant inner product tr(Sigma^-1 U Sigma^-1 V)."""
     si = np.linalg.inv(sigma)
-    return float(np.trace(si @ u @ si @ v))
+    return np.trace(si @ u @ si @ v, axis1=-2, axis2=-1)
 
 
 def ai_exp(sigma, v, t=1.0, unit_det=False):
@@ -70,9 +76,9 @@ def ai_grad_hess(sigma, egrad, ehess_v, v):
 
 def proj_unitdet_spd(sigma, v):
     """Orthogonal (affine-invariant) projection onto {W : tr(Sigma^-1 W) = 0}."""
-    q = sigma.shape[0]
-    c = float(np.trace(np.linalg.solve(sigma, matops.sym(v))))
-    return matops.sym(v) - c * sigma / q
+    v = matops.sym(v)
+    c = np.trace(np.linalg.solve(sigma, v), axis1=-2, axis2=-1)
+    return v - c[..., None, None] * sigma / sigma.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +89,8 @@ def chol_inner(l, u, v):
     """Cholesky-metric inner product: Euclidean on strict lower parts,
     diagonal parts weighted by D(L)^-2."""
     dl = np.diag(l)
-    s = float(np.sum(np.tril(u, -1) * np.tril(v, -1)))
-    s += float(np.sum(np.diag(u) * np.diag(v) / dl**2))
-    return s
+    low = np.sum(np.tril(u, -1) * np.tril(v, -1), axis=(-2, -1))
+    return low + np.sum(_diag(u) * _diag(v) / dl**2, axis=-1)
 
 
 def chol_exp(l, v, t=1.0, unit_det=False):
@@ -120,10 +125,9 @@ def chol_grad_hess(l, egrad, ehess_v, v):
 
 def proj_unitdet_chol(l, v):
     """Cholesky-metric orthogonal projection onto {W : tr(L^-1 W) = 0}."""
-    q = l.shape[0]
     v = np.tril(np.asarray(v, dtype=float))
-    c = float(np.sum(np.diag(v) / np.diag(l)))
-    return v - c * matops.diag_part(l) / q
+    c = np.sum(_diag(v) / np.diag(l), axis=-1)
+    return v - c[..., None, None] * matops.diag_part(l) / l.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +135,22 @@ def proj_unitdet_chol(l, v):
 # ---------------------------------------------------------------------------
 
 def sym_basis(q):
-    """Euclidean-orthonormal basis of symmetric q x q matrices."""
-    basis = []
-    for i in range(q):
-        e = np.zeros((q, q))
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(q):
-        for j in range(i + 1, q):
-            e = np.zeros((q, q))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
+    """Euclidean-orthonormal basis of symmetric q x q matrices as a (m, q, q)
+    stack: the diagonal units, then the off-diagonal pairs in row order."""
+    iu, ju = np.triu_indices(q, 1)
+    i, j = np.concatenate([np.arange(q), iu]), np.concatenate([np.arange(q), ju])
+    basis = np.zeros((i.size, q, q))
+    k = np.arange(i.size)
+    basis[k, i, j] = basis[k, j, i] = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
     return basis
 
 
 def lower_basis(q):
-    """Euclidean-orthonormal basis of lower-triangular q x q matrices."""
-    basis = []
-    for i in range(q):
-        for j in range(i + 1):
-            e = np.zeros((q, q))
-            e[i, j] = 1.0
-            basis.append(e)
+    """Euclidean-orthonormal basis of lower-triangular q x q matrices as a
+    (m, q, q) stack, in row order."""
+    i, j = np.tril_indices(q)
+    basis = np.zeros((i.size, q, q))
+    basis[np.arange(i.size), i, j] = 1.0
     return basis
 
 
@@ -165,18 +163,16 @@ def _gram_schmidt(cands, inner):
         nrm = inner(w, w)
         if nrm > _GS_TOL:
             out.append(w / np.sqrt(nrm))
-    return out
+    return np.array(out)
 
 
 def ai_unitdet_basis(sigma):
     """Basis of T_Sigma P(S++), orthonormal under the affine-invariant metric."""
-    q = sigma.shape[0]
-    cands = [proj_unitdet_spd(sigma, e) for e in sym_basis(q)]
+    cands = proj_unitdet_spd(sigma, sym_basis(sigma.shape[0]))
     return _gram_schmidt(cands, lambda a, b: ai_inner(sigma, a, b))
 
 
 def chol_unitdet_basis(l):
     """Basis of T_L P(L++), orthonormal under the Cholesky metric."""
-    q = l.shape[0]
-    cands = [proj_unitdet_chol(l, e) for e in lower_basis(q)]
+    cands = proj_unitdet_chol(l, lower_basis(l.shape[0]))
     return _gram_schmidt(cands, lambda a, b: chol_inner(l, a, b))

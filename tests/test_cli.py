@@ -231,6 +231,30 @@ def test_invalid_config_exit_code(tmp_path):
     assert rc == 2  # rank 2 violates the rank regime at (2, 2)
 
 
+def test_full_rank_exit_code_before_any_computation(tmp_path, monkeypatch, capsys):
+    # r = p leaves no isotropic block, so lambda is not identified
+    def ran(*args):
+        raise AssertionError("estimator work started past the rank check")
+
+    monkeypatch.setattr(simulate, "gen_truth", ran)
+    monkeypatch.setattr(picse, "init", ran)
+    src = tmp_path / "data.csv"
+    write_data_csv(src, np.random.default_rng(26).standard_normal((8, 2, 2)))
+    rc = cli.main([
+        "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "4",
+        "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "r < p" in capsys.readouterr().err
+    rc = cli.main([
+        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "4",
+        "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 2
+    assert "r < p" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "bogus"])

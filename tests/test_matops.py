@@ -138,6 +138,13 @@ def test_sym_skew_half_lower(rng):
     assert np.abs(np.triu(matops.half(s), 1)).max() == 0.0
 
 
+def test_sym_and_diag_part_act_on_stacks(rng):
+    stack = rng.standard_normal((5, 4, 4))
+    assert np.array_equal(matops.sym(stack), [matops.sym(m) for m in stack])
+    assert np.array_equal(matops.diag_part(stack), [np.diag(np.diag(m)) for m in stack])
+    assert np.array_equal(matops.diag_part(stack[0]), np.diag(np.diag(stack[0])))
+
+
 def test_sqrt_and_chol(rng):
     np.testing.assert_allclose(matops.sym_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(matops.chol(np.eye(4)), np.eye(4), atol=1e-12)
@@ -163,9 +170,14 @@ def test_half_powers_from_one_eigendecomposition(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-    root, inv_root = matops.spd_half_powers(rand_spd(4, rng))
+    s = rand_spd(4, rng)
+    root, inv_root = matops.spd_half_powers(s)
     assert calls == ["eigh"]
     np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
+    # each single power comes from one eigh too, with the same bits
+    assert np.array_equal(matops.sym_sqrt(s), root)
+    assert np.array_equal(matops.spd_inv_sqrt(s), inv_root)
+    assert calls == ["eigh"] * 3
 
 
 def test_definiteness_errors(rng):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
+from corecov import spd_geometry as sg
 from corecov.errors import CapacityError, DefinitenessError
 from corecov.kcd import SquareRootKind
 from corecov.picse import FitConfig, PicseParams, SampleCov
@@ -162,12 +163,39 @@ class TestABlockMatchesOperator:
         sc = SampleCov.from_data(make_data(46, n=10, dims=dims), dims)
         block = picse._ABlock(tau, sc)
         basis = block.space.basis
-        h_mat = block.hessian()
+        rgrad, _, h_mat = block.derivatives()
         for i in range(basis.shape[1]):
             v = basis[:, i].reshape(tau.a.shape, order="F")
             rg, rh = cg.rgrad_hess_rank(tau.a, block.egrad, block.hess(v), v, dims)
             assert np.abs(h_mat[:, i] - basis.T @ matops.vec(rh)).max() < 1e-10
-        assert np.abs(block.gradient()[0] - rg).max() < 1e-10
+        assert np.abs(rgrad - rg).max() < 1e-10
+
+
+class TestKBlockMatchesOperator:
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
+    def test_derivatives_match_scalar_calls(self, kind, dims):
+        # derivatives() batches over the basis; each entry keeps the bits of
+        # the scalar operator calls made one basis pair at a time
+        if kind is SquareRootKind.CHOLESKY:
+            inner, grad_hess, proj = sg.chol_inner, sg.chol_grad_hess, sg.proj_unitdet_chol
+        else:
+            inner, grad_hess, proj = sg.ai_inner, sg.ai_grad_hess, sg.proj_unitdet_spd
+        tau = make_tau(kind, 47, dims=dims)
+        data = make_data(48, n=10, dims=dims)
+        for side in (1, 2):
+            block = picse._KBlock(tau, data, side)
+            x = block.point
+            q = x.shape[0]
+            assert block.basis.shape == (q * (q + 1) // 2 - 1, q, q)
+            rgrad, g_coef, h_mat = block.derivatives()
+            zero = np.zeros_like(x)
+            g = proj(x, grad_hess(x, block.egrad, zero, zero)[0])
+            assert np.array_equal(rgrad, g)
+            assert np.array_equal(g_coef, [inner(x, g, b) for b in block.basis])
+            for i, b in enumerate(block.basis):
+                h = proj(x, grad_hess(x, block.egrad, block.hess(b), b)[1])
+                assert np.array_equal(h_mat[i], [inner(x, h, c) for c in block.basis])
 
 
 class TestNewtonDirection:
@@ -179,7 +207,7 @@ class TestNewtonDirection:
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=6, dims=DIMS)
         block = picse._ABlock(tau, sc)
-        rgrad, coef = block.gradient()
+        rgrad, coef, _ = block.derivatives()
         assert np.abs(rgrad).max() < 1e-10
         assert np.linalg.norm(coef) < 1e-13
         block.retract = None  # a tried candidate would fail here
@@ -389,6 +417,22 @@ class TestInit:
             tau.nu * tau.kbar, sep.h_matrix(kind), atol=1e-10
         )
 
+    def test_full_rank_rejected_before_any_computation(self, monkeypatch):
+        # at r = p the isotropic block is empty and lambda is not identified
+        dims = matops.Dims(2, 2)
+        data = make_data(61, n=8, dims=dims)
+        sc = SampleCov.from_data(data, dims)
+
+        def ran(*args):
+            raise AssertionError("decomposition ran past the rank check")
+
+        monkeypatch.setattr(kcd, "kcd", ran)
+        for kind in SquareRootKind:
+            with pytest.raises(ValueError, match="r < p"):
+                picse.init(sc, 4, kind)
+            with pytest.raises(ValueError, match="r < p"):
+                picse.base_estimator(data, dims, 4, kind)
+
     def test_consistency_smoke(self):
         # at n = 50 p the assembled initialization is close to the truth; the
         # rank-r truncation of the sample core leaves a small lambda-scaled
@@ -499,6 +543,36 @@ class TestFit:
         monkeypatch.setattr(picse, "init", ran)
         with pytest.raises(CapacityError):
             picse.fit(make_data(1, n=3, dims=dims), dims)
+
+    def test_full_rank_rejected_before_init(self, monkeypatch):
+        dims = matops.Dims(2, 2, 4)
+
+        def ran(*args):
+            raise AssertionError("init ran past the rank check")
+
+        monkeypatch.setattr(picse, "init", ran)
+        with pytest.raises(ValueError, match="r < p"):
+            picse.fit(make_data(62, n=8, dims=dims), dims)
+
+    def test_initial_must_match_the_fit(self, monkeypatch):
+        # a symmetric start under a Cholesky config, a start of other dims and
+        # a K1bar of determinant 16 are rejected before any computation
+        dims = matops.Dims(4, 3, 3)
+        data = make_data(63, n=24, dims=dims)
+        start = make_tau(SquareRootKind.SYMMETRIC, 64, dims=dims)
+        bad_starts = [
+            (start, FitConfig(h_kind=SquareRootKind.CHOLESKY)),
+            (make_tau(SquareRootKind.SYMMETRIC, 64), FitConfig()),
+            (dataclasses.replace(start, k1bar=2.0 * start.k1bar), FitConfig()),
+        ]
+
+        def ran(*args):
+            raise AssertionError("the fit ran past the check of its start")
+
+        monkeypatch.setattr(picse, "nll", ran)
+        for initial, config in bad_starts:
+            with pytest.raises(ValueError, match="initial"):
+                picse.fit(data, dims, config, initial=initial)
 
     def test_lambda_ordering_across_truths(self):
         # lam = 0.2 versus 0.8 at n = 2p: the fitted level tracks the truth

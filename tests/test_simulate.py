@@ -145,3 +145,7 @@ class TestRunExperiment:
             ExperimentConfig(model="m1", dims=DIMS, lam=1.5, n_list=(8,), reps=1, seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(model="m1", dims=DIMS, lam=0.5, n_list=(1,), reps=1, seed=0)
+        with pytest.raises(ValueError, match="r < p"):
+            ExperimentConfig(
+                model="m1", dims=matops.Dims(2, 2, 4), lam=0.5, n_list=(8,), reps=1, seed=0
+            )

@@ -203,3 +203,70 @@ def test_bases_are_orthonormal(rng):
     assert len(basis) == 4 * 5 // 2 - 1
     gram = np.array([[sg.chol_inner(l, a, b) for b in basis] for a in basis])
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
+
+
+def loop_sym_basis(q):
+    basis = [np.diag(np.eye(q)[i]) for i in range(q)]
+    for i in range(q):
+        for j in range(i + 1, q):
+            e = np.zeros((q, q))
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+            basis.append(e)
+    return basis
+
+
+def loop_lower_basis(q):
+    return [np.outer(np.eye(q)[i], np.eye(q)[j]) for i in range(q) for j in range(i + 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_euclidean_bases_are_index_built_stacks(q):
+    # same elements in the same order as the per-element loops: the order
+    # fixes the Gram-Schmidt output bit for bit
+    assert np.array_equal(sg.sym_basis(q), loop_sym_basis(q))
+    assert np.array_equal(sg.lower_basis(q), loop_lower_basis(q))
+
+
+class TestBroadcastOverStacks:
+    # each operator on a stack of tangents gives exactly the per-matrix results
+
+    @pytest.mark.parametrize("q", [3, 5, 10])
+    def test_affine_invariant(self, rng, q):
+        s = rand_spd(q, rng)
+        u = rand_sym(q, rng)
+        stack = np.array([rand_sym(q, rng) for _ in range(6)])
+        assert np.array_equal(sg.ai_inner(s, u, stack), [sg.ai_inner(s, u, v) for v in stack])
+        assert np.array_equal(sg.ai_inner(s, stack, u), [sg.ai_inner(s, v, u) for v in stack])
+        assert np.array_equal(sg.ai_inner(s, stack, stack), [sg.ai_inner(s, v, v) for v in stack])
+        assert np.array_equal(
+            sg.proj_unitdet_spd(s, stack), [sg.proj_unitdet_spd(s, v) for v in stack]
+        )
+        g, h = sg.ai_grad_hess(s, u, stack, stack[::-1])
+        assert np.array_equal(g, sg.ai_grad_hess(s, u, stack[0], stack[-1])[0])
+        assert np.array_equal(
+            h, [sg.ai_grad_hess(s, u, e, v)[1] for e, v in zip(stack, stack[::-1])]
+        )
+
+    @pytest.mark.parametrize("q", [3, 5, 10])
+    def test_cholesky(self, rng, q):
+        l = np.linalg.cholesky(rand_spd(q, rng))
+        u = rand_lower(q, rng)
+        stack = np.array([rand_lower(q, rng) for _ in range(6)])
+        assert np.array_equal(sg.chol_inner(l, u, stack), [sg.chol_inner(l, u, v) for v in stack])
+        assert np.array_equal(sg.chol_inner(l, stack, u), [sg.chol_inner(l, v, u) for v in stack])
+        assert np.array_equal(
+            sg.chol_inner(l, stack, stack), [sg.chol_inner(l, v, v) for v in stack]
+        )
+        assert np.array_equal(
+            sg.proj_unitdet_chol(l, stack), [sg.proj_unitdet_chol(l, v) for v in stack]
+        )
+        g, h = sg.chol_grad_hess(l, u, stack, stack[::-1])
+        assert np.array_equal(g, sg.chol_grad_hess(l, u, stack[0], stack[-1])[0])
+        assert np.array_equal(
+            h, [sg.chol_grad_hess(l, u, e, v)[1] for e, v in zip(stack, stack[::-1])]
+        )
+
+    def test_unitdet_bases_are_stacks(self, rng):
+        s = unit_det_spd(4, rng)
+        assert sg.ai_unitdet_basis(s).shape == (9, 4, 4)
+        assert sg.chol_unitdet_basis(np.linalg.cholesky(s)).shape == (9, 4, 4)
