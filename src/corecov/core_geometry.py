@@ -67,14 +67,14 @@ def gram_residual(a, dims):
     return max(res_r, np.abs(col_gram(a, dims) - dims.p1 * np.eye(dims.p2)).max())
 
 
-def check_core_factor(a, dims, tol=_CONSTRAINT_TOL):
+def check_core_factor(a, dims):
     """Validate the two Gram constraints and full column rank of A."""
     a = np.asarray(a, dtype=float)
     if a.shape != (dims.p, dims.r):
         raise ValueError(f"expected {dims.p}x{dims.r}, got {a.shape}")
     res = gram_residual(a, dims)
-    if res > tol:
-        raise StructureError(f"core-factor constraint residual {res:.3e} > {tol:.1e}")
+    if res > _CONSTRAINT_TOL:
+        raise StructureError(f"core-factor residual {res:.3e} > {_CONSTRAINT_TOL:.1e}")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise StructureError("core factor is column-rank deficient")
@@ -359,25 +359,27 @@ def random_core_factor(dims, seed):
     raise StructureError("random_core_factor failed after 5 redraws")
 
 
-def partial_isotropy_decompose(c, dims, r):
-    """Split a full-rank core C = (1-lambda) A A^T + lambda I.
+def partial_isotropy_decompose(c, dims):
+    """Split a full-rank core C = (1-lambda) A A^T + lambda I, A of rank dims.r.
 
     Requires the trailing p-r eigenvalues to be equal within _ISOTROPY_RTOL
     (relative); lambda is their common value and A is rebuilt from the top-r
     eigenpairs with weights sqrt((eig_i - lambda)/(1 - lambda)).
     """
+    if dims.r is None:
+        raise ValueError("partial_isotropy_decompose needs dims with a rank")
     c = matops.sym(np.asarray(c, dtype=float))
     w, q = np.linalg.eigh(c)
     w = w[::-1]
     q = q[:, ::-1]
-    tail = w[r:]
+    tail = w[dims.r:]
     lam = float(tail.mean())
     if np.abs(tail - lam).max() > _ISOTROPY_RTOL * max(abs(lam), 1e-12):
         raise StructureError("trailing eigenvalues are not a constant block")
     if not (0.0 < lam < 1.0):
         raise StructureError(f"isotropic level {lam:.6f} outside (0, 1)")
-    top = w[:r]
+    top = w[: dims.r]
     if top.min() <= lam * (1.0 + 1e-12):
         raise StructureError("spiked eigenvalues do not exceed the isotropic level")
     scale = np.sqrt((top - lam) / (1.0 - lam))
-    return lam, q[:, :r] * scale
+    return lam, q[:, : dims.r] * scale

@@ -42,9 +42,6 @@ class Dims:
     def p(self):
         return self.p1 * self.p2
 
-    def with_rank(self, r):
-        return Dims(self.p1, self.p2, r)
-
     def __eq__(self, other):
         return (
             isinstance(other, Dims)

@@ -25,13 +25,13 @@ from .kcd import SquareRootKind
 
 # Search interval of the shrinkage level lambda; also clamps its initial value.
 _LAMBDA_BRACKET = (1e-4, 1.0 - 1e-4)
-# Step halvings before a block step or the core retraction gives up.
+# Step halvings before a block step gives up on a candidate or on descent.
 _MAX_HALVINGS = 30
 # Every top-r eigenvalue of a core kept as a factor must exceed this fraction
 # of the largest.
 _TOP_EIG_RTOL = 1e-10
-# Largest |det - 1| of a validated K-bar factor.
-_DET_TOL = 1e-8
+# Largest |det - 1| and relative asymmetry of a validated K-bar factor.
+_KBAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,18 @@ class PicseParams:
     dims: matops.Dims
 
     def validate(self):
-        if abs(np.linalg.det(self.k1bar) - 1.0) > _DET_TOL:
-            raise StructureError("K1bar determinant differs from 1")
-        if abs(np.linalg.det(self.k2bar) - 1.0) > _DET_TOL:
-            raise StructureError("K2bar determinant differs from 1")
+        """ValueError unless K-bar factors have the square-root kind's structure
+        and unit determinant, lambda lies in (0, 1), nu > 0 and A is a core factor."""
+        for name in ("k1bar", "k2bar"):
+            k = getattr(self, name)
+            if self.h_kind is SquareRootKind.CHOLESKY:
+                spd_geometry.check_chol_point(k)
+            elif np.abs(k - k.T).max() > _KBAR_TOL * np.abs(k).max():
+                raise StructureError(f"{name} is not symmetric")
+            else:
+                matops.spd_eigh(k, what=name)
+            if abs(np.linalg.det(k) - 1.0) > _KBAR_TOL:
+                raise StructureError(f"{name} determinant differs from 1")
         if not (0.0 < self.lam < 1.0):
             raise StructureError(f"lambda {self.lam} outside (0, 1)")
         if self.nu <= 0.0:
@@ -73,8 +81,16 @@ class SampleCov:
 
     @classmethod
     def from_data(cls, data, dims):
+        """ValueError unless the data are (n, p1, p2), n >= 2, all finite."""
         data = np.asarray(data, dtype=float)
+        p1, p2 = dims.p1, dims.p2
+        if data.ndim != 3 or data.shape[1:] != (p1, p2):
+            raise ValueError(f"expected (n, {p1}, {p2}) data, got {data.shape}")
         n = data.shape[0]
+        if n < 2:
+            raise ValueError("need at least two observations")
+        if not np.isfinite(data).all():
+            raise ValueError("data contain non-finite values")
         ymat = data.transpose(0, 2, 1).reshape(n, -1)
         return cls(s=matops.sym(ymat.T @ ymat / n), n=n, dims=dims)
 
@@ -331,7 +347,7 @@ class _ABlock:
 
     def retract(self, v):
         a_new = retract_core_factor(self.tau.a, v, self.tau.dims)
-        return None if a_new is None else dataclasses.replace(self.tau, a=a_new)
+        return dataclasses.replace(self.tau, a=a_new)
 
 
 def _newton_coeffs(h_mat, g_vec):
@@ -345,9 +361,10 @@ def _block_step(block, sample_cov, current):
     Tries the Newton direction -Hess^+[grad] first, then steepest descent
     -2^-k grad for k = 0.._MAX_HALVINGS, and takes the first candidate whose
     retraction does not raise the objective above `current`, its value at
-    the block's base point.  Returns (tau, nll, step_norm) with the norm
-    measured at the base point; when the gradient vanishes or nothing helps,
-    tau is unchanged and the norm is 0.
+    the block's base point; a candidate whose retraction raises is halved, at
+    most _MAX_HALVINGS times, before the next is tried.  Returns (tau, nll,
+    step_norm), the norm of the tangent retracted, at the base point; when
+    the gradient vanishes or nothing helps, tau is unchanged and the norm is 0.
     """
     tau = block.tau
     rgrad, g_coef, h_mat = block.derivatives()
@@ -357,9 +374,16 @@ def _block_step(block, sample_cov, current):
     newton = [v_newton] if np.isfinite(v_newton).all() else []
     descent = (-(0.5**k) * rgrad for k in range(_MAX_HALVINGS + 1))
     for v in itertools.chain(newton, descent):
+        for _ in range(_MAX_HALVINGS + 1):
+            try:
+                cand = block.retract(v)
+                break
+            except NUMERICAL_ERRORS:
+                v = v / 2.0
+        else:
+            continue
         try:
-            cand = block.retract(v)
-            value = np.nan if cand is None else nll(cand, sample_cov)
+            value = nll(cand, sample_cov)
         except NUMERICAL_ERRORS:
             continue
         if np.isfinite(value) and value <= current:
@@ -372,20 +396,15 @@ def retract_core_factor(a, v, dims):
 
     The core component of D is recomputed (restoring exact partial traces),
     its top-r eigenpairs give the new factor, and the factor is re-balanced
-    onto the constraint set.  Infeasible steps (top-r spectrum not positive)
-    shrink V by half, at most _MAX_HALVINGS times; returns None if none fits.
+    onto the constraint set.  An infeasible step (top-r spectrum not
+    positive) raises one of NUMERICAL_ERRORS.
     """
     a = np.asarray(a, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    for _ in range(_MAX_HALVINGS + 1):
-        d = matops.sym(a @ a.T + a @ vv.T + vv @ a.T)
-        try:
-            sep = kcd.kronecker_mle(d, dims, psd_check=False)
-            dbar = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
-            return _top_core_factor(dbar, dims)
-        except NUMERICAL_ERRORS:
-            vv = vv / 2.0
-    return None
+    v = np.asarray(v, dtype=float)
+    d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
+    sep = kcd.kronecker_mle(d, dims, psd_check=False)
+    dbar = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
+    return _top_core_factor(dbar, dims)
 
 
 def _top_core_factor(core, dims):
@@ -449,16 +468,16 @@ def check_rank(dims):
         raise ValueError(f"PICSE needs a rank r < p = {dims.p}, got r = {dims.r}")
 
 
-def init(sample_cov, r, h_kind):
+def init(sample_cov, h_kind):
     """Initialization from the sample Kronecker-core decomposition.
 
     K-bar factors and nu come from the determinant-normalized square-root
     factors of the sample Kronecker MLE; lambda from the trailing eigenvalue
     mass of the sample core (clamped into the bracket); A from the top-r
     eigenpairs of the core of the best rank-r approximation of the sample
-    core, re-balanced onto the constraint set.
+    core, re-balanced onto the constraint set.  The rank is sample_cov.dims.r.
     """
-    dims = sample_cov.dims.with_rank(r)
+    dims, r = sample_cov.dims, sample_cov.dims.r
     check_rank(dims)
     dec = kcd.kcd(sample_cov.s, dims, h_kind)
     h1, h2 = dec.k.sqrt_factors(h_kind)
@@ -488,19 +507,13 @@ def fit(data, dims, config=None, initial=None):
 
     Returns (params, assembled covariance estimate, trace).  Invalid input
     and shapes past the dense-size limit (CapacityError) are rejected before
-    any computation.  Numerical failures mid-fit stop the sweep loop and are
-    recorded in the trace, never raised; initialization failures do
-    propagate.  `initial` overrides the sample-KCD initialization; it must
-    have these dims and the configured square-root kind, and pass validate().
+    the initialization or the objective runs.  Numerical failures mid-fit
+    stop the sweep loop and are recorded in the trace, never raised;
+    initialization failures do propagate.  `initial` overrides the sample-KCD
+    initialization; it must have these dims and h_kind, and pass validate().
     """
     config = config or FitConfig()
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 3 or data.shape[1:] != (dims.p1, dims.p2):
-        raise ValueError(f"expected (n, {dims.p1}, {dims.p2}) data, got {data.shape}")
-    if data.shape[0] < 2:
-        raise ValueError("need at least two observations")
-    if not np.isfinite(data).all():
-        raise ValueError("data contain non-finite values")
+    sample_cov = SampleCov.from_data(data, dims)
     check_rank(dims)
     core_geometry.check_dense_size(dims.p, dims.r)
     if initial is not None:
@@ -508,10 +521,9 @@ def fit(data, dims, config=None, initial=None):
             raise ValueError("initial parameters differ from the fit in dims or h_kind")
         try:
             initial.validate()
-        except NUMERICAL_ERRORS as exc:
+        except ValueError as exc:
             raise ValueError(f"invalid initial parameters: {exc}") from exc
-    sample_cov = SampleCov.from_data(data, dims)
-    tau = init(sample_cov, dims.r, config.h_kind) if initial is None else initial
+    tau = init(sample_cov, config.h_kind) if initial is None else initial
 
     value = nll(tau, sample_cov)
     trace = FitTrace(objectives=[value], step_norms=[], termination="max_iter")
@@ -548,12 +560,12 @@ def fit(data, dims, config=None, initial=None):
 
 def kmle_estimator(data, dims):
     """The sample Kronecker MLE assembled as a full covariance."""
-    sample_cov = SampleCov.from_data(np.asarray(data, dtype=float), dims)
+    sample_cov = SampleCov.from_data(data, dims)
     return kcd.kronecker_mle(sample_cov.s, dims).matrix
 
 
-def base_estimator(data, dims, r, h_kind):
+def base_estimator(data, dims, h_kind):
     """The initialization plugged straight into the covariance assembly."""
-    sample_cov = SampleCov.from_data(np.asarray(data, dtype=float), dims)
-    tau = init(sample_cov, r, h_kind)
+    sample_cov = SampleCov.from_data(data, dims)
+    tau = init(sample_cov, h_kind)
     return sigma_from_params(tau)

@@ -98,9 +98,7 @@ class TruthBundle:
     k_sqrt: np.ndarray
     k: np.ndarray
     a: np.ndarray
-    lam: float
     d: np.ndarray  # isotropy replacement core in M2, None in M1
-    model: str
 
 
 def _random_spd_capped(q, rng):
@@ -137,9 +135,7 @@ def gen_truth(model, dims, lam, seed):
         k_sqrt=k_sqrt,
         k=matops.sym(k_sqrt @ k_sqrt.T),
         a=a,
-        lam=lam,
         d=d if model == "m2" else None,
-        model=model,
     )
 
 
@@ -162,13 +158,22 @@ def rel_spec_norm(est, truth):
     return float(np.linalg.norm(np.asarray(est, dtype=float) - truth, 2) / denom)
 
 
-def _estimator_list(config):
-    names = [("kmle", None)]
-    for kind in config.h_kinds:
-        names.append((f"base-{kind.value}", kind))
-    for kind in config.h_kinds:
-        names.append((f"picse-{kind.value}", kind))
-    return names
+# Runners of the study's estimators: (data, config, kind) -> (sigma_hat, core
+# estimate or None to read it off sigma_hat, lambda_hat, termination).
+def _kmle(data, config, kind):
+    sigma_hat = picse.kmle_estimator(data, config.dims)
+    return sigma_hat, np.eye(config.dims.p), None, "closed_form"
+
+
+def _base(data, config, kind):
+    return picse.base_estimator(data, config.dims, kind), None, None, "closed_form"
+
+
+def _picse(data, config, kind):
+    fit_config = picse.FitConfig(tol=config.tol, max_iter=config.max_iter, h_kind=kind)
+    tau, sigma_hat, trace = picse.fit(data, config.dims, fit_config)
+    c_hat = (1.0 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(config.dims.p)
+    return sigma_hat, c_hat, tau.lam, trace.termination
 
 
 def run_experiment(config):
@@ -180,6 +185,12 @@ def run_experiment(config):
     scored with the symmetric one).  Failures become flagged records.
     """
     dims = config.dims
+    # name, scoring square-root kind and runner of each estimator, in record order
+    estimators = [("kmle", SquareRootKind.SYMMETRIC, _kmle)] + [
+        (f"{name}-{kind.value}", kind, runner)
+        for name, runner in (("base", _base), ("picse", _picse))
+        for kind in config.h_kinds
+    ]
     records = []
     for rep in range(config.reps):
         truth = gen_truth(config.model, dims, config.lam, _seq(config.seed, rep))
@@ -188,60 +199,36 @@ def run_experiment(config):
             truth_cores[kind] = kcd.kcd(truth.sigma, dims, kind).c
         for n in config.n_list:
             data = gen_data(truth.sigma, n, _seq(config.seed, rep, _DATA, n), dims)
-            for name, kind in _estimator_list(config):
-                records.append(
-                    _run_one(name, kind, data, dims, config, truth, truth_cores, rep, n)
-                )
+            for est in estimators:
+                records.append(_run_one(est, data, config, truth, truth_cores, rep, n))
     return records, _summarize(config, records)
 
 
-def _run_one(name, kind, data, dims, config, truth, truth_cores, rep, n):
+def _run_one(estimator, data, config, truth, truth_cores, rep, n):
+    """Fit and score one estimator; a numerical failure gives a failed record."""
+    name, kind, runner = estimator
     t0 = time.perf_counter()
-    lam_hat = None
-    termination = "closed_form"
     try:
-        if name == "kmle":
-            sigma_hat = picse.kmle_estimator(data, dims)
-            score_kind = SquareRootKind.SYMMETRIC
-            c_hat = np.eye(dims.p)
-        elif name.startswith("base"):
-            sigma_hat = picse.base_estimator(data, dims, dims.r, kind)
-            score_kind = kind
-            c_hat = None
-        else:
-            cfg = picse.FitConfig(
-                tol=config.tol, max_iter=config.max_iter, h_kind=kind
-            )
-            tau, sigma_hat, trace = picse.fit(data, dims, cfg)
-            lam_hat = tau.lam
-            termination = trace.termination
-            score_kind = kind
-            c_hat = (1.0 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(dims.p)
-        dec = kcd.kcd(sigma_hat, dims, score_kind)
-        if c_hat is None:
-            c_hat = dec.c
-        return ResultRecord(
-            estimator=name,
-            rep=rep,
-            n=n,
-            metric_sigma=rel_spec_norm(sigma_hat, truth.sigma),
-            metric_k=rel_spec_norm(dec.k.matrix, truth.k),
-            metric_c=rel_spec_norm(c_hat, truth_cores[score_kind]),
-            lambda_hat=lam_hat,
-            wall_time_s=time.perf_counter() - t0,
-            termination=termination,
-            failed=False,
-        )
+        sigma_hat, c_hat, lam_hat, termination = runner(data, config, kind)
+        dec = kcd.kcd(sigma_hat, config.dims, kind)
+        c_hat = dec.c if c_hat is None else c_hat
+        metrics = {
+            "metric_sigma": rel_spec_norm(sigma_hat, truth.sigma),
+            "metric_k": rel_spec_norm(dec.k.matrix, truth.k),
+            "metric_c": rel_spec_norm(c_hat, truth_cores[kind]),
+        }
     except NUMERICAL_ERRORS as exc:
-        return ResultRecord(
-            estimator=name,
-            rep=rep,
-            n=n,
-            lambda_hat=None,
-            wall_time_s=time.perf_counter() - t0,
-            termination=f"error:{type(exc).__name__}",
-            failed=True,
-        )
+        metrics, lam_hat, termination = {}, None, f"error:{type(exc).__name__}"
+    return ResultRecord(
+        estimator=name,
+        rep=rep,
+        n=n,
+        lambda_hat=lam_hat,
+        wall_time_s=time.perf_counter() - t0,
+        termination=termination,
+        failed=not metrics,
+        **metrics,
+    )
 
 
 def _summarize(config, records):
@@ -273,13 +260,10 @@ def _summarize(config, records):
             "failures": len(cell) - len(ok),
             "wall_time_total_s": float(sum(r.wall_time_s for r in cell)),
         }
-        for metric in ("metric_sigma", "metric_k", "metric_c"):
-            vals = [getattr(r, metric) for r in ok]
-            entry[f"{metric}_mean"] = float(np.mean(vals)) if vals else None
-            entry[f"{metric}_std"] = float(np.std(vals)) if vals else None
-        lams = [r.lambda_hat for r in ok if r.lambda_hat is not None]
-        entry["lambda_hat_mean"] = float(np.mean(lams)) if lams else None
-        entry["lambda_hat_std"] = float(np.std(lams)) if lams else None
+        for column in ("metric_sigma", "metric_k", "metric_c", "lambda_hat"):
+            vals = [getattr(r, column) for r in ok if getattr(r, column) is not None]
+            entry[f"{column}_mean"] = float(np.mean(vals)) if vals else None
+            entry[f"{column}_std"] = float(np.std(vals)) if vals else None
         summary["cells"].append(entry)
     return summary
 
@@ -300,22 +284,7 @@ def write_results_csv(records, path):
     the same configuration are byte-identical; timing lives in the summary."""
     lines = [",".join(CSV_HEADER)]
     for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.estimator,
-                    r.rep,
-                    r.n,
-                    r.metric_sigma,
-                    r.metric_k,
-                    r.metric_c,
-                    r.lambda_hat,
-                    r.termination,
-                    r.failed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, column)) for column in CSV_HEADER))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

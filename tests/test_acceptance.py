@@ -251,7 +251,7 @@ def test_criterion_07_partial_isotropy_round_trip():
     for i, lam in enumerate((0.2, 0.5, 0.8)):
         a0 = cg.random_core_factor(dims, seed=40 + i)
         c = (1 - lam) * (a0 @ a0.T) + lam * np.eye(6)
-        lam_hat, a_hat = cg.partial_isotropy_decompose(c, dims, 4)
+        lam_hat, a_hat = cg.partial_isotropy_decompose(c, dims)
         assert abs(lam_hat - lam) <= 1e-8
         assert np.abs(a_hat @ a_hat.T - a0 @ a0.T).max() <= 1e-8
     _report(7, "planted (lambda, A A^T) recovered at 1e-8 for lambda in "
@@ -299,7 +299,7 @@ def test_criterion_09_desk_scale_ordering():
             )
             errs["base"].append(
                 simulate.rel_spec_norm(
-                    picse.base_estimator(data, dims, dims.r, SquareRootKind.SYMMETRIC),
+                    picse.base_estimator(data, dims, SquareRootKind.SYMMETRIC),
                     truth.sigma,
                 )
             )
@@ -322,7 +322,7 @@ def test_criterion_10_identifiability_invariance():
         truth = simulate.gen_truth("m1", dims, 0.3, simulate._seq(880, seed))
         data = simulate.gen_data(truth.sigma, 30, simulate._seq(880, seed, 1), dims)
         sc = SampleCov.from_data(data, dims)
-        tau0 = picse.init(sc, dims.r, SquareRootKind.SYMMETRIC)
+        tau0 = picse.init(sc, SquareRootKind.SYMMETRIC)
         o, _ = np.linalg.qr(np.random.default_rng(885 + seed).standard_normal((3, 3)))
         tau0_rot = dataclasses.replace(tau0, a=tau0.a @ o)
         _, s_a, _ = picse.fit(data, dims, FitConfig(), initial=tau0)

@@ -52,7 +52,8 @@ class TestJOperator:
         dims = matops.Dims(3, 3, 3)
         a = cg.from_slices(rotation_example_tuple())
         # the tuple satisfies both Gram constraints exactly
-        cg.check_core_factor(a, dims, tol=1e-12)
+        cg.check_core_factor(a, dims)
+        assert cg.gram_residual(a, dims) <= 1e-12
         assert cg.j_rank(cg.j_operator(a, dims)) < 11
 
     def test_annihilates_tangents(self, rng):
@@ -372,23 +373,27 @@ class TestPartialIsotropyDecompose:
         a0 = cg.random_core_factor(DIMS223, seed=31)
         lam = 0.4
         c = (1 - lam) * (a0 @ a0.T) + lam * np.eye(4)
-        lam_hat, a_hat = cg.partial_isotropy_decompose(c, DIMS223, 3)
+        lam_hat, a_hat = cg.partial_isotropy_decompose(c, DIMS223)
         assert abs(lam_hat - lam) < 1e-8
         assert np.abs(a_hat @ a_hat.T - a0 @ a0.T).max() < 1e-8
 
     def test_recovered_factor_is_core(self):
         a0 = cg.random_core_factor(DIMS324, seed=32)
         c = 0.7 * (a0 @ a0.T) + 0.3 * np.eye(6)
-        _, a_hat = cg.partial_isotropy_decompose(c, DIMS324, 4)
-        cg.check_core_factor(a_hat, DIMS324, tol=1e-8)
+        _, a_hat = cg.partial_isotropy_decompose(c, DIMS324)
+        cg.check_core_factor(a_hat, DIMS324)
 
     def test_identity_rejected(self):
         with pytest.raises(StructureError):
-            cg.partial_isotropy_decompose(np.eye(4), DIMS223, 3)
+            cg.partial_isotropy_decompose(np.eye(4), DIMS223)
+
+    def test_dims_without_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank"):
+            cg.partial_isotropy_decompose(np.eye(4), matops.Dims(2, 2))
 
     def test_unequal_tail_rejected(self, rng):
         a0 = cg.random_core_factor(DIMS324, seed=33)
         c = 0.6 * (a0 @ a0.T) + 0.4 * np.eye(6)
         c = c + 0.05 * np.diag([0, 0, 0, 0, 1.0, -1.0])
         with pytest.raises(StructureError):
-            cg.partial_isotropy_decompose(c, DIMS324, 4)
+            cg.partial_isotropy_decompose(c, DIMS324)

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import time
@@ -34,3 +35,24 @@ def test_tree_without_corecov_exits_2_fast(tmp_path, capsys):
     assert same_outputs.main([str(tree) for tree in trees]) == 2
     assert time.perf_counter() - t0 < 30.0
     assert "failed" in capsys.readouterr().err
+
+
+def _study_digest(tmp_path, name, summary):
+    out = tmp_path / name
+    out.mkdir()
+    (out / "results.csv").write_text("estimator,rep\nkmle,0\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    return same_outputs._digest(same_outputs._fields("simulate-study", (0, str(out))))
+
+
+def test_summary_digest_ignores_wall_times_only(tmp_path):
+    def summary(wall_s, mean):
+        cell = {"estimator": "kmle", "n": 12, "wall_time_total_s": wall_s,
+                "metric_sigma_mean": mean}
+        return {"config": {"seed": 0}, "cells": [cell]}
+
+    base = _study_digest(tmp_path, "base", summary(0.5, 0.25))
+    assert _study_digest(tmp_path, "slower", summary(2.0, 0.25)) == base
+    changed = _study_digest(tmp_path, "changed", summary(0.5, 0.2500000001))
+    assert changed["summary"] != base["summary"]
+    assert changed["output"] == base["output"]

@@ -11,8 +11,8 @@ to SHA-256 digests of its bytes:
   fit-small       objectives, step norms, termination, K1bar, K2bar, nu, A,
                   lambda and sigma_hat of each `picse.fit` call
   fit-large       exit code and JSON text of `corecov fit`
-  simulate-study  exit code and results.csv of `corecov simulate`
-                  (summary.json holds wall times, so it is left out)
+  simulate-study  exit code, results.csv and summary.json of `corecov
+                  simulate`, the summary with every wall_time_total_s removed
 
 An operation that raises is reduced to its exception.  Exits 0 when every
 operation matches, 1 when some differ (each is named with the fields that
@@ -58,14 +58,30 @@ def _fit_fields(output):
     }
 
 
+def _summary_bytes(path):
+    """summary.json without its wall times, which differ from run to run."""
+    with open(path) as fh:
+        summary = json.load(fh)
+    for cell in summary["cells"]:
+        del cell["wall_time_total_s"]
+    return json.dumps(summary, sort_keys=True).encode()
+
+
 def _fields(workload, output):
     if workload == "fit-small":
         return _fit_fields(output)
     code, path = output
+    fields = {"exit_code": str(code).encode()}
     if workload == "simulate-study":
+        fields["summary"] = _summary_bytes(os.path.join(path, "summary.json"))
         path = os.path.join(path, "results.csv")
     with open(path, "rb") as fh:
-        return {"exit_code": str(code).encode(), "output": fh.read()}
+        fields["output"] = fh.read()
+    return fields
+
+
+def _digest(fields):
+    return {k: hashlib.sha256(v).hexdigest() for k, v in fields.items()}
 
 
 def digest_tree(src, out):
@@ -86,9 +102,7 @@ def digest_tree(src, out):
                     fields = _fields(workload, op.run())
                 except Exception as exc:  # the exception is the output compared
                     fields = {"exception": repr(exc).encode()}
-                digests[f"{workload}/{op.key}"] = {
-                    k: hashlib.sha256(v).hexdigest() for k, v in fields.items()
-                }
+                digests[f"{workload}/{op.key}"] = _digest(fields)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w") as fh:
