@@ -113,26 +113,31 @@ def j_operator(a, dims):
       J3 = 2 a^T
     J1/J2/J3 are the differentials of A -> tr_1(AA^T)/tr(AA^T), the tr_2
     analogue, and the trace itself; N(J) is the tangent space of the
-    core-factor manifold.
+    core-factor manifold.  Only the three structural diagonals of J1 and J2
+    are written, by adding into zeros, so every zero of J is +0.0.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     r = a.shape[1]
     check_dense_size(p, r)
-    t = slices(a, dims)
+    tp = slices(a, dims) / p
     avec = a.reshape(-1, order="F")
-
-    # [A_i (x) I] and [I (x) A_i^T] on axes (x, y, i, b, c), by the products
-    # np.kron forms, so J keeps its bits; K_{q,q} exchanges the axes x and y
-    k1 = t.transpose(1, 0, 2)[:, None, :, :, None] * np.eye(p1)[None, :, None, None, :]
-    k2 = np.eye(p2)[:, None, None, :, None] * t.transpose(2, 0, 1)[None, :, :, None, :]
-    j1 = ((k1 + k1.swapaxes(0, 1)) / p).reshape(p1 * p1, -1)
-    j1 -= (2.0 / (p1**2 * p2)) * np.outer(matops.vec(np.eye(p1)), avec)
-    j2 = ((k2 + k2.swapaxes(0, 1)) / p).reshape(p2 * p2, -1)
-    j2 -= (2.0 / (p1 * p2**2)) * np.outer(matops.vec(np.eye(p2)), avec)
-
-    j3 = 2.0 * avec[None, :]
-    return np.vstack([j1, j2, j3])
+    aic = avec.reshape(r, p2, p1)  # A_i[c, b] on the column axes (i, b, c)
+    j = np.zeros((p1 * p1 + p2 * p2 + 1, p * r))
+    # rows (x, y), columns (i, b, c) of vec(B_i)[c + b p1]; J1 = (A_i[x, b]
+    # d_yc + A_i[y, b] d_xc)/p - c1 d_xy A_i[c, b], J2 = (d_xb A_i[c, y] +
+    # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b]; on x == y == c, a/p + a/p has
+    # the bits of (a + a)/p
+    j1 = j[: p1 * p1].reshape(p1, p1, r, p2, p1)
+    np.einsum("xcibc->xcib", j1)[...] += tp.transpose(1, 0, 2)[:, None]
+    np.einsum("cyibc->cyib", j1)[...] += tp.transpose(1, 0, 2)[None]
+    np.einsum("xxibc->xibc", j1)[...] -= (2.0 / (p1**2 * p2)) * aic
+    j2 = j[p1 * p1 : -1].reshape(p2, p2, r, p2, p1)
+    np.einsum("xyixc->xyic", j2)[...] += tp.transpose(2, 0, 1)[None]
+    np.einsum("xyiyc->xyic", j2)[...] += tp.transpose(2, 0, 1)[:, None]
+    np.einsum("xxibc->xibc", j2)[...] -= (2.0 / (p1 * p2**2)) * aic
+    j[-1] += 2.0 * avec
+    return j
 
 
 def j_rank(j):

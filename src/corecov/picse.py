@@ -13,7 +13,6 @@ retraction).
 """
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,35 +358,39 @@ def _block_step(block, sample_cov, current):
     """One decrease-checked Riemannian Newton step in one parameter block.
 
     Tries the Newton direction -Hess^+[grad] first, then steepest descent
-    -2^-k grad for k = 0.._MAX_HALVINGS, and takes the first candidate whose
-    retraction does not raise the objective above `current`, its value at
-    the block's base point; a candidate whose retraction raises is halved, at
-    most _MAX_HALVINGS times, before the next is tried.  Returns (tau, nll,
-    step_norm), the norm of the tangent retracted, at the base point; when
-    the gradient vanishes or nothing helps, tau is unchanged and the norm is 0.
+    -2^-e grad, and takes the first step whose retraction does not raise the
+    objective above `current`, its value at the block's base point.  A step
+    whose retraction raises is halved (Newton at most _MAX_HALVINGS times,
+    descent up to e = 2 _MAX_HALVINGS); so is a descent step that fails the
+    decrease check while e < _MAX_HALVINGS, and no step is tried twice.
+    Returns (tau, nll, step_norm), the norm of the tangent retracted, at the
+    base point; when the gradient vanishes or nothing helps, tau is unchanged
+    and the norm is 0.
     """
     tau = block.tau
     rgrad, g_coef, h_mat = block.derivatives()
     if np.linalg.norm(g_coef) < 1e-13:
         return tau, current, 0.0
     v_newton = block.tangent(_newton_coeffs(h_mat, g_coef))
-    newton = [v_newton] if np.isfinite(v_newton).all() else []
-    descent = (-(0.5**k) * rgrad for k in range(_MAX_HALVINGS + 1))
-    for v in itertools.chain(newton, descent):
-        for _ in range(_MAX_HALVINGS + 1):
+    # (first step, last e, a failed decrease check halves it while e < this)
+    ladders = [(-rgrad, 2 * _MAX_HALVINGS, _MAX_HALVINGS)]
+    if np.isfinite(v_newton).all():
+        ladders.insert(0, (v_newton, _MAX_HALVINGS, 0))
+    for v, last, retry_below in ladders:
+        for e in range(last + 1):
+            step = v / 2.0**e
             try:
-                cand = block.retract(v)
-                break
+                cand = block.retract(step)
             except NUMERICAL_ERRORS:
-                v = v / 2.0
-        else:
-            continue
-        try:
-            value = nll(cand, sample_cov)
-        except NUMERICAL_ERRORS:
-            continue
-        if np.isfinite(value) and value <= current:
-            return cand, value, block.norm(v)
+                continue
+            try:
+                value = nll(cand, sample_cov)
+            except NUMERICAL_ERRORS:
+                value = np.nan
+            if np.isfinite(value) and value <= current:
+                return cand, value, block.norm(step)
+            if e >= retry_below:
+                break
     return tau, current, 0.0
 
 

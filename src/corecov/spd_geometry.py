@@ -37,7 +37,11 @@ def _diag(m):
 
 def ai_inner(sigma, u, v):
     """Affine-invariant inner product tr(Sigma^-1 U Sigma^-1 V)."""
-    si = np.linalg.inv(sigma)
+    return _ai_inner_inv(np.linalg.inv(sigma), u, v)
+
+
+def _ai_inner_inv(si, u, v):
+    """ai_inner from the inverse si of the base point."""
     return np.trace(si @ u @ si @ v, axis1=-2, axis2=-1)
 
 
@@ -88,9 +92,13 @@ def proj_unitdet_spd(sigma, v):
 def chol_inner(l, u, v):
     """Cholesky-metric inner product: Euclidean on strict lower parts,
     diagonal parts weighted by D(L)^-2."""
-    dl = np.diag(l)
+    return _chol_inner_d2(np.diag(l) ** 2, u, v)
+
+
+def _chol_inner_d2(dl2, u, v):
+    """chol_inner from the squared diagonal dl2 of the base point."""
     low = np.sum(np.tril(u, -1) * np.tril(v, -1), axis=(-2, -1))
-    return low + np.sum(_diag(u) * _diag(v) / dl**2, axis=-1)
+    return low + np.sum(_diag(u) * _diag(v) / dl2, axis=-1)
 
 
 def chol_exp(l, v, t=1.0, unit_det=False):
@@ -169,10 +177,12 @@ def _gram_schmidt(cands, inner):
 def ai_unitdet_basis(sigma):
     """Basis of T_Sigma P(S++), orthonormal under the affine-invariant metric."""
     cands = proj_unitdet_spd(sigma, sym_basis(sigma.shape[0]))
-    return _gram_schmidt(cands, lambda a, b: ai_inner(sigma, a, b))
+    si = np.linalg.inv(sigma)
+    return _gram_schmidt(cands, lambda a, b: _ai_inner_inv(si, a, b))
 
 
 def chol_unitdet_basis(l):
     """Basis of T_L P(L++), orthonormal under the Cholesky metric."""
     cands = proj_unitdet_chol(l, lower_basis(l.shape[0]))
-    return _gram_schmidt(cands, lambda a, b: chol_inner(l, a, b))
+    dl2 = np.diag(l) ** 2
+    return _gram_schmidt(cands, lambda a, b: _chol_inner_d2(dl2, a, b))

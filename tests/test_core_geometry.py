@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -21,6 +22,33 @@ def rotation_example_tuple(theta=np.pi / 4):
     a2[2, 2] = 1.0
     a3 = a2.T.copy()
     return np.stack([np.eye(3), a2, a3])
+
+
+def kron_j_reference(a, dims):
+    """J(A) assembled as its formula reads, from np.kron blocks and a row
+    gather for K_{q,q}."""
+    t, avec, p = cg.slices(a, dims), a.reshape(-1, order="F"), dims.p
+    rows = []
+    for q, c, blocks in (
+        (dims.p1, 2.0 / (dims.p1**2 * dims.p2),
+         [np.kron(ti, np.eye(dims.p1)) for ti in t]),
+        (dims.p2, 2.0 / (dims.p1 * dims.p2**2),
+         [np.kron(np.eye(dims.p2), ti.T) for ti in t]),
+    ):
+        k = np.hstack(blocks)
+        swap = np.arange(q * q).reshape(q, q).T.ravel()
+        e = matops.vec(np.eye(q))
+        rows.append((k + k[swap]) / p - c * np.outer(e, avec))
+    return np.vstack(rows + [2.0 * avec[None, :]])
+
+
+def signed_zeros(a, frac=0.2, rng=None):
+    """A copy of A with a share frac of its entries set to +0.0 and -0.0."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    a = np.array(a, dtype=float)
+    hit = rng.random(a.shape) < frac
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
 
 
 def random_tangent(a, dims, rng):
@@ -93,30 +121,50 @@ class TestJOperator:
 
     def test_assembled_from_slices_without_kron(self, monkeypatch):
         # the dense block assembly, built here from np.kron and a row gather,
-        # must come out bit for bit without any matops.kron call
+        # must come out without any matops.kron call: every entry equal,
+        # every nonzero bit for bit, and every zero +0.0
         dims = matops.Dims(3, 2, 4)
         a = cg.random_core_factor(dims, seed=5)
         a[0, 1] = 0.0
-        t, avec, p = cg.slices(a, dims), a.reshape(-1, order="F"), dims.p
-        rows = []
-        for q, c, blocks in (
-            (dims.p1, 2.0 / (dims.p1**2 * dims.p2),
-             [np.kron(ti, np.eye(dims.p1)) for ti in t]),
-            (dims.p2, 2.0 / (dims.p1 * dims.p2**2),
-             [np.kron(np.eye(dims.p2), ti.T) for ti in t]),
-        ):
-            k = np.hstack(blocks)
-            swap = np.arange(q * q).reshape(q, q).T.ravel()
-            e = matops.vec(np.eye(q))
-            rows.append((k + k[swap]) / p - c * np.outer(e, avec))
-        expected = np.vstack(rows + [2.0 * avec[None, :]])
+        expected = kron_j_reference(a, dims)
 
         def no_kron(*args):
             raise AssertionError("j_operator built a Kronecker product")
 
         monkeypatch.setattr(matops, "kron", no_kron)
         j = cg.j_operator(a, dims)
-        assert j.tobytes() == expected.tobytes()
+        assert np.array_equal(j, expected)
+        assert j[expected != 0].tobytes() == expected[expected != 0].tobytes()
+        assert not np.signbit(j[j == 0]).any()
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 5, 4), (6, 4, 3)])
+    def test_fit_path_bits_match_reference(self, shape, rng):
+        # the signs of J's zeros reach neither the SVD of J(A) nor the
+        # Hessian's normal term J(V)^T w, also where A has signed zeros
+        dims = matops.Dims(*shape)
+        a = signed_zeros(cg.random_core_factor(dims, seed=7))
+        for got, want in zip(np.linalg.svd(cg.j_operator(a, dims)),
+                             np.linalg.svd(kron_j_reference(a, dims))):
+            assert got.tobytes() == want.tobytes()
+        space = cg.RankTangentSpace(cg.random_core_factor(dims, seed=8), dims)
+        w = space.normal_weights(rng.standard_normal(a.shape))
+        ehess = rng.standard_normal(a.shape)
+        for v in [a] + [col.reshape(a.shape, order="F") for col in space.basis.T]:
+            gemv = space.basis.T @ (
+                ehess.reshape(-1, order="F") - kron_j_reference(v, dims).T @ w
+            )
+            assert space.hess_coords(ehess, v, w).tobytes() == gemv.tobytes()
+
+    @settings(deadline=None, max_examples=50)
+    @given(p1=st.integers(2, 6), p2=st.integers(2, 6), data=st.data())
+    def test_matches_reference_over_valid_shapes(self, p1, p2, data):
+        r = data.draw(st.integers(int(p1 / p2 + p2 / p1) + 1, p1 * p2), label="r")
+        dims = matops.Dims(p1, p2, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = signed_zeros(rng.standard_normal((dims.p, r)), rng.uniform(0.0, 0.5), rng)
+        j, expected = cg.j_operator(a, dims), kron_j_reference(a, dims)
+        assert np.array_equal(j, expected)
+        assert j[expected != 0].tobytes() == expected[expected != 0].tobytes()
 
 
 class TestTangentProjectFull:

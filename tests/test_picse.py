@@ -257,6 +257,88 @@ class TestNewtonDirection:
         assert new_value < picse.nll(block.tau, sc)
         assert step == np.linalg.norm(v) / 4
 
+    @pytest.mark.parametrize("theta", ["k1bar", "k2bar", "a"])
+    def test_raising_retraction_tries_each_step_once(self, theta):
+        # a block whose every retraction raises: 31 Newton halvings and 61
+        # descent step sizes, each tried once, then the step gives up
+        data = make_data(44, n=12)
+        block = calc_for(theta, make_tau(SquareRootKind.SYMMETRIC, 43), data)
+        tried = []
+
+        def infeasible(v):
+            tried.append(v)
+            raise StructureError("infeasible step")
+
+        block.retract = infeasible
+        new_tau, _, step = block_step(block, SampleCov.from_data(data, DIMS))
+        assert new_tau is block.tau and step == 0.0
+        assert len(tried) == (picse._MAX_HALVINGS + 1) + (2 * picse._MAX_HALVINGS + 1)
+
+    def test_descent_skips_failed_step_sizes(self, monkeypatch):
+        # the first descent step raises at halvings 0 and 1, fails the decrease
+        # check at 2, raises in the objective at 3 and is non-finite at 4; the
+        # step taken, its value and its norm are those of the loop that retried
+        # every failed step size, and no step size is tried twice
+        rgrad = np.array([1.0, -2.0, 0.5])
+        current = 1.0
+        values = {2: 2.0, 3: None, 4: np.inf, 5: 0.5, 6: 0.25}
+
+        class Block:
+            tau = "base"
+
+            def __init__(self):
+                self.tried = []
+
+            def derivatives(self):
+                return rgrad, np.ones(3), np.eye(3)
+
+            def tangent(self, coef):
+                return np.full(3, np.nan)  # no Newton candidate
+
+            def retract(self, v):
+                e = int(round(-np.log2(np.abs(v[0]))))
+                self.tried.append(e)
+                if e < 2:
+                    raise StructureError("infeasible step")
+                return e
+
+            def norm(self, v):
+                return float(np.linalg.norm(v))
+
+        def objective(e, sample_cov):
+            if values[e] is None:
+                raise DefinitenessError("not positive definite")
+            return values[e]
+
+        def retrying_step(block, sample_cov, current):
+            # the descent loop that retried failed step sizes
+            rgrad = block.derivatives()[0]
+            for k in range(picse._MAX_HALVINGS + 1):
+                v = -(0.5**k) * rgrad
+                for _ in range(picse._MAX_HALVINGS + 1):
+                    try:
+                        cand = block.retract(v)
+                        break
+                    except NUMERICAL_ERRORS:
+                        v = v / 2.0
+                else:
+                    continue
+                try:
+                    value = picse.nll(cand, sample_cov)
+                except NUMERICAL_ERRORS:
+                    continue
+                if np.isfinite(value) and value <= current:
+                    return cand, value, block.norm(v)
+            return block.tau, current, 0.0
+
+        monkeypatch.setattr(picse, "nll", objective)
+        old_block, new_block = Block(), Block()
+        old = retrying_step(old_block, None, current)
+        new = picse._block_step(new_block, None, current)
+        assert new == old == (5, 0.5, np.linalg.norm(rgrad) / 32)
+        assert new_block.tried == [0, 1, 2, 3, 4, 5]
+        assert len(old_block.tried) > len(new_block.tried)
+
     def test_quadratic_oracle(self):
         # Newton on f(x) = ||x - x*||^2 over a random subspace basis lands on
         # the optimum in one step.
