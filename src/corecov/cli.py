@@ -85,8 +85,17 @@ def _cmd_simulate(args):
     return 0
 
 
+def _load_csv(path):
+    """The rows of a numeric CSV file; ValueError when it holds no data."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ValueError(f"{path} contains no data")
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
 def _cmd_fit(args):
-    rows = np.loadtxt(args.input, delimiter=",", ndmin=2)
+    rows = _load_csv(args.input)
     dims = matops.Dims(args.p1, args.p2, args.rank)
     if rows.shape[1] != dims.p:
         raise ValueError(f"expected {dims.p} columns, found {rows.shape[1]}")
@@ -115,7 +124,7 @@ def _cmd_fit(args):
 
 
 def _cmd_kcd(args):
-    sigma = np.loadtxt(args.input, delimiter=",", ndmin=2)
+    sigma = _load_csv(args.input)
     if not np.isfinite(sigma).all():
         raise ValueError("matrix contains non-finite values")
     dims = matops.Dims(args.p1, args.p2)

@@ -61,10 +61,14 @@ def col_gram(a, dims):
     return np.einsum("iab,iac->bc", t, t)
 
 
-def gram_residual(a, dims):
-    """Largest entry of |sum_i A_i A_i^T - p2 I| and |sum_i A_i^T A_i - p1 I|."""
-    res_r = np.abs(row_gram(a, dims) - dims.p2 * np.eye(dims.p1)).max()
-    return max(res_r, np.abs(col_gram(a, dims) - dims.p1 * np.eye(dims.p2)).max())
+def gram_targets(dims):
+    """The constraint values (p2 I, p1 I) of the row and column Grams."""
+    return dims.p2 * np.eye(dims.p1), dims.p1 * np.eye(dims.p2)
+
+
+def gram_residual(row, col, targets):
+    """Largest entry of |row_gram - p2 I| and |col_gram - p1 I| (gram_targets)."""
+    return max(np.abs(row - targets[0]).max(), np.abs(col - targets[1]).max())
 
 
 def check_core_factor(a, dims):
@@ -72,7 +76,7 @@ def check_core_factor(a, dims):
     a = np.asarray(a, dtype=float)
     if a.shape != (dims.p, dims.r):
         raise ValueError(f"expected {dims.p}x{dims.r}, got {a.shape}")
-    res = gram_residual(a, dims)
+    res = gram_residual(row_gram(a, dims), col_gram(a, dims), gram_targets(dims))
     if res > _CONSTRAINT_TOL:
         raise StructureError(f"core-factor residual {res:.3e} > {_CONSTRAINT_TOL:.1e}")
     s = np.linalg.svd(a, compute_uv=False)
@@ -318,19 +322,26 @@ def balance_core_factor(a, dims):
     """Alternating row/column whitening onto the core-factor constraint set.
 
     Each pass replaces the slices A_i by T A_i with T = (A_R/p2)^(-1/2) and
-    then by A_i S with S = (A_C/p1)^(-1/2); a fixed point satisfies both Gram
-    constraints exactly.  Raises DefinitenessError when a Gram matrix is not
-    positive definite and StructureError on non-convergence.
+    then by A_i S with S = (A_C/p1)^(-1/2), as products with I (x) T and
+    S (x) I; a fixed point satisfies both Gram constraints exactly.  Raises
+    DefinitenessError when a Gram matrix is not positive definite and
+    StructureError on non-convergence.
     """
     a = np.asarray(a, dtype=float).copy()
-    p1, p2 = dims.p1, dims.p2
+    p1, p2, p = dims.p1, dims.p2, dims.p
+    targets = gram_targets(dims)
+    op_t, op_s = np.zeros((p, p)), np.zeros((p, p))
+    # views: T is block (y, y) of I (x) T; S[y, c] is entry (x, x) of block (y, c)
+    t_blocks = np.einsum("yayb->yab", op_t.reshape(p2, p1, p2, p1))
+    s_diags = np.einsum("yxcx->xyc", op_s.reshape(p2, p1, p2, p1))
+    row = row_gram(a, dims)
     for _ in range(_BALANCE_MAX_ITER):
-        t = matops.spd_inv_sqrt(row_gram(a, dims) / p2, what="row Gram")
-        a = matops.kron(np.eye(p2), t) @ a
-        s = matops.spd_inv_sqrt(col_gram(a, dims) / p1, what="column Gram")
-        a = matops.kron(s, np.eye(p1)) @ a
-
-        res = gram_residual(a, dims)
+        t_blocks[...] = matops.spd_inv_sqrt(row / p2, what="row Gram")
+        a = op_t @ a
+        s_diags[...] = matops.spd_inv_sqrt(col_gram(a, dims) / p1, what="column Gram")
+        a = op_s @ a
+        row = row_gram(a, dims)
+        res = gram_residual(row, col_gram(a, dims), targets)
         if res < _BALANCE_TOL:
             return a
     raise StructureError(f"core-factor balancing stalled at residual {res:.3e}")

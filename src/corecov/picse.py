@@ -226,6 +226,10 @@ class _KBlock:
         self.alpha = spec.alpha
         self.kb_inv = np.linalg.inv(self.point)
         self.q_mat = np.einsum("nab,ncb->ac", self.e, self.e)
+        # V-free factors of hess(): K^-T K^-1, K^-T Q and K^-T U_j
+        ki_t = self.kb_inv.T
+        self.kk, self.kq = ki_t @ self.kb_inv, ki_t @ self.q_mat
+        self.ku = np.einsum("ab,jbc->jac", ki_t, self.umats)
         # t[j, i] = trace of the cross-term W_{side,i,j}
         self.t = np.einsum("jab,nab->jn", self.umats, self.e)
         # G[j] = sum_i t[j, i] E_i
@@ -252,8 +256,8 @@ class _KBlock:
         v = np.asarray(v, dtype=float)
         term1 = self.c0 * self.f(
             ki_t @ v.T @ ki_t @ self.q_mat
-            + ki_t @ self.q_mat @ v.T @ ki_t
-            + ki_t @ ki @ v @ self.q_mat
+            + self.kq @ v.T @ ki_t
+            + self.kk @ v @ self.q_mat
         )
         kv = ki @ v
         s = np.einsum("jab,nab->jn", self.umats, np.einsum("ab,nbc->nac", kv, self.e))
@@ -265,9 +269,9 @@ class _KBlock:
                 np.einsum("ab,jbc,jdc->jad", ki_t, self.umats, h_acc),
             )
         )
-        ku = np.einsum("ab,jbc->jac", ki_t, self.umats)
-        part_a = np.einsum("ab,jbc,jdc->jad", ki_t @ v.T, ku, self.g_acc)
-        part_b = np.einsum("jab,jcb->jac", ku, np.einsum("ab,jbc->jac", kv, self.g_acc))
+        part_a = np.einsum("ab,jbc,jdc->jad", ki_t @ v.T, self.ku, self.g_acc)
+        kvg = np.einsum("ab,jbc->jac", kv, self.g_acc)
+        part_b = np.einsum("jab,jcb->jac", self.ku, kvg)
         term3 = -self.c1 * self.f(
             np.einsum("j,jab->ab", self.alpha, part_a + part_b)
         )
@@ -303,13 +307,14 @@ class _ABlock:
         self.spec = _CtildeSpectral(tau.a, tau.lam)
         self.stil = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
         self.space = core_geometry.RankTangentSpace(tau.a, tau.dims)
+        # V-free factors of grad() and hess(): Ctilde^-1 A, Ctilde^-1 S~ Ctilde^-1 A
+        self.ia = self.spec.inv_apply(tau.a)
+        self.isia = self.spec.inv_apply(self.stil @ self.ia)
         self.egrad = self.grad()
 
     def grad(self):
         """Euclidean gradient of the likelihood in A."""
-        x1 = self.spec.inv_apply(self.tau.a)
-        x3 = self.spec.inv_apply(self.stil @ x1)
-        return -2.0 * (1.0 - self.tau.lam) * (x3 - x1)
+        return -2.0 * (1.0 - self.tau.lam) * (self.isia - self.ia)
 
     def hess(self, v):
         """Euclidean Hessian of the likelihood in A, applied to V."""
@@ -317,13 +322,12 @@ class _ABlock:
         a, lam = self.tau.a, self.tau.lam
         v = np.asarray(v, dtype=float)
         p_mat = a @ v.T + v @ a.T
-        ia = inv(a)
-        isia = inv(self.stil @ ia)
-        out = -2.0 * (1.0 - lam) * inv(self.stil @ inv(v))
-        out += 2.0 * (1.0 - lam) * inv(v)
-        out += 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ isia)
-        out += 2.0 * (1.0 - lam) ** 2 * inv(self.stil @ inv(p_mat @ ia))
-        out -= 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ ia)
+        iv, ipia = inv(v), inv(p_mat @ self.ia)
+        out = -2.0 * (1.0 - lam) * inv(self.stil @ iv)
+        out += 2.0 * (1.0 - lam) * iv
+        out += 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ self.isia)
+        out += 2.0 * (1.0 - lam) ** 2 * inv(self.stil @ ipia)
+        out -= 2.0 * (1.0 - lam) ** 2 * ipia
         return out
 
     def norm(self, v):

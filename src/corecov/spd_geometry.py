@@ -92,13 +92,13 @@ def proj_unitdet_spd(sigma, v):
 def chol_inner(l, u, v):
     """Cholesky-metric inner product: Euclidean on strict lower parts,
     diagonal parts weighted by D(L)^-2."""
-    return _chol_inner_d2(np.diag(l) ** 2, u, v)
+    return _chol_inner_d2(np.diag(l) ** 2, np.tri(len(l), k=-1, dtype=bool), u, v)
 
 
-def _chol_inner_d2(dl2, u, v):
-    """chol_inner from the squared diagonal dl2 of the base point."""
-    low = np.sum(np.tril(u, -1) * np.tril(v, -1), axis=(-2, -1))
-    return low + np.sum(_diag(u) * _diag(v) / dl2, axis=-1)
+def _chol_inner_d2(dl2, low, u, v):
+    """chol_inner from the squared diagonal dl2 and strict-lower mask low of L."""
+    off = np.sum(np.where(low, u, 0.0) * np.where(low, v, 0.0), axis=(-2, -1))
+    return off + np.sum(_diag(u) * _diag(v) / dl2, axis=-1)
 
 
 def chol_exp(l, v, t=1.0, unit_det=False):
@@ -184,5 +184,5 @@ def ai_unitdet_basis(sigma):
 def chol_unitdet_basis(l):
     """Basis of T_L P(L++), orthonormal under the Cholesky metric."""
     cands = proj_unitdet_chol(l, lower_basis(l.shape[0]))
-    dl2 = np.diag(l) ** 2
-    return _gram_schmidt(cands, lambda a, b: _chol_inner_d2(dl2, a, b))
+    dl2, low = np.diag(l) ** 2, np.tri(len(l), k=-1, dtype=bool)
+    return _gram_schmidt(cands, lambda a, b: _chol_inner_d2(dl2, low, a, b))

@@ -222,6 +222,21 @@ def test_kcd_rejects_non_square_matrix(tmp_path, capsys):
     assert "expected 6x6 input, got (6, 5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n# only a comment\n"])
+@pytest.mark.parametrize("command", [
+    ["fit", "--p1", "3", "--p2", "2", "--rank", "3"],
+    ["kcd", "--p1", "3", "--p2", "2"],
+])
+def test_empty_input_exit_code(tmp_path, capsys, command, text):
+    # loadtxt would warn and hand back a (0, 1) array; the file is rejected first
+    src = tmp_path / "empty.csv"
+    src.write_text(text)
+    rc = cli.main(command + ["--input", str(src), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert f"error: {src} contains no data" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_invalid_config_exit_code(tmp_path):
     rc = cli.main([
         "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "2",

@@ -42,6 +42,23 @@ def kron_j_reference(a, dims):
     return np.vstack(rows + [2.0 * avec[None, :]])
 
 
+def kron_balance_reference(a, dims):
+    """balance_core_factor as its formula reads: both whitenings as np.kron
+    products built each pass, both Grams recomputed for the residual."""
+    a = np.asarray(a, dtype=float).copy()
+    p1, p2 = dims.p1, dims.p2
+    for _ in range(200):
+        t = matops.spd_inv_sqrt(cg.row_gram(a, dims) / p2, what="row Gram")
+        a = np.kron(np.eye(p2), t) @ a
+        s = matops.spd_inv_sqrt(cg.col_gram(a, dims) / p1, what="column Gram")
+        a = np.kron(s, np.eye(p1)) @ a
+        res_r = np.abs(cg.row_gram(a, dims) - p2 * np.eye(p1)).max()
+        res = max(res_r, np.abs(cg.col_gram(a, dims) - p1 * np.eye(p2)).max())
+        if res < 1e-12:
+            return a
+    raise StructureError(f"core-factor balancing stalled at residual {res:.3e}")
+
+
 def signed_zeros(a, frac=0.2, rng=None):
     """A copy of A with a share frac of its entries set to +0.0 and -0.0."""
     rng = np.random.default_rng(0) if rng is None else rng
@@ -81,7 +98,8 @@ class TestJOperator:
         a = cg.from_slices(rotation_example_tuple())
         # the tuple satisfies both Gram constraints exactly
         cg.check_core_factor(a, dims)
-        assert cg.gram_residual(a, dims) <= 1e-12
+        grams = cg.row_gram(a, dims), cg.col_gram(a, dims)
+        assert cg.gram_residual(*grams, cg.gram_targets(dims)) <= 1e-12
         assert cg.j_rank(cg.j_operator(a, dims)) < 11
 
     def test_annihilates_tangents(self, rng):
@@ -381,6 +399,58 @@ class TestManifoldDims:
     def test_requires_rank(self):
         with pytest.raises(ValueError):
             cg.manifold_dims(matops.Dims(2, 2))
+
+
+class TestBalanceCoreFactor:
+    @pytest.mark.parametrize(
+        "shape", [(4, 3, 3), (6, 4, 3), (5, 4, 3), (3, 5, 4), (12, 10, 6)]
+    )
+    def test_bits_match_kron_loop(self, shape, monkeypatch):
+        def outcome(balance, a, dims):
+            try:
+                return balance(a, dims).tobytes()
+            except StructureError as exc:  # a stall at the rounding floor
+                return repr(exc)
+
+        def no_kron(*args):
+            raise AssertionError("balancing built a Kronecker product")
+
+        monkeypatch.setattr(matops, "kron", no_kron)
+        dims = matops.Dims(*shape)
+        rng = np.random.default_rng(sum(shape))
+        balanced = 0
+        for _ in range(10):
+            a = rng.standard_normal((dims.p, dims.r))
+            got = outcome(cg.balance_core_factor, a, dims)
+            assert got == outcome(kron_balance_reference, a, dims)
+            balanced += isinstance(got, bytes)
+        assert balanced >= 5
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (6, 4, 3), (3, 5, 4)])
+    def test_meets_constraints(self, shape):
+        dims = matops.Dims(*shape)
+        a = np.random.default_rng(7).standard_normal((dims.p, dims.r))
+        b = cg.balance_core_factor(a, dims)
+        grams = cg.row_gram(b, dims), cg.col_gram(b, dims)
+        assert cg.gram_residual(*grams, cg.gram_targets(dims)) <= 1e-12
+
+    def test_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(cg, "_BALANCE_MAX_ITER", 1)
+        a = np.random.default_rng(8).standard_normal((12, 3))
+        with pytest.raises(StructureError, match="stalled"):
+            cg.balance_core_factor(a, matops.Dims(4, 3, 3))
+
+    @pytest.mark.parametrize(
+        "zero, what", [(np.s_[:, 0, :], "row Gram"), (np.s_[:, :, 0], "column Gram")]
+    )
+    def test_singular_gram_raises(self, zero, what):
+        # row (column) 0 of every slice is zero, so the row (column) Gram is
+        # singular; T A_i keeps a zero column 0, so the column Gram after it is too
+        dims = matops.Dims(4, 3, 3)
+        t = cg.slices(np.random.default_rng(9).standard_normal((12, 3)), dims)
+        t[zero] = 0.0
+        with pytest.raises(DefinitenessError, match=what):
+            cg.balance_core_factor(cg.from_slices(t), dims)
 
 
 class TestRandomCoreFactor:

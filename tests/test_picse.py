@@ -215,6 +215,105 @@ class TestKBlockMatchesOperator:
                 assert np.array_equal(h_mat[i], [inner(x, h, c) for c in block.basis])
 
 
+def a_grad_reference(block):
+    """_ABlock.grad as its formula reads, every Ctilde^-1 applied in place."""
+    inv, lam = block.spec.inv_apply, block.tau.lam
+    x1 = inv(block.tau.a)
+    return -2.0 * (1.0 - lam) * (inv(block.stil @ x1) - x1)
+
+
+def a_hess_reference(block, v):
+    """_ABlock.hess as its formula reads, every Ctilde^-1 applied in place."""
+    inv, a, lam = block.spec.inv_apply, block.tau.a, block.tau.lam
+    p_mat = a @ v.T + v @ a.T
+    ia = inv(a)
+    isia = inv(block.stil @ ia)
+    out = -2.0 * (1.0 - lam) * inv(block.stil @ inv(v))
+    out += 2.0 * (1.0 - lam) * inv(v)
+    out += 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ isia)
+    out += 2.0 * (1.0 - lam) ** 2 * inv(block.stil @ inv(p_mat @ ia))
+    out -= 2.0 * (1.0 - lam) ** 2 * inv(p_mat @ ia)
+    return out
+
+
+def k_grad_reference(block):
+    """_KBlock.grad as its formula reads."""
+    ki_t = block.kb_inv.T
+    cross = np.einsum(
+        "j,jab->ab",
+        block.alpha,
+        np.einsum("ab,jbc,jdc->jad", ki_t, block.umats, block.g_acc),
+    )
+    return -block.c0 * block.f(ki_t @ block.q_mat) + block.c1 * block.f(cross)
+
+
+def k_hess_reference(block, v):
+    """_KBlock.hess as its formula reads, every K^-1 product formed in place."""
+    ki = block.kb_inv
+    ki_t, f, alpha = ki.T, block.f, block.alpha
+    term1 = block.c0 * f(
+        ki_t @ v.T @ ki_t @ block.q_mat
+        + ki_t @ block.q_mat @ v.T @ ki_t
+        + ki_t @ ki @ v @ block.q_mat
+    )
+    kv = ki @ v
+    s = np.einsum("jab,nab->jn", block.umats, np.einsum("ab,nbc->nac", kv, block.e))
+    h_acc = np.einsum("jn,nab->jab", s, block.e)
+    term2 = -block.c1 * f(np.einsum(
+        "j,jab->ab", alpha, np.einsum("ab,jbc,jdc->jad", ki_t, block.umats, h_acc)
+    ))
+    ku = np.einsum("ab,jbc->jac", ki_t, block.umats)
+    part_a = np.einsum("ab,jbc,jdc->jad", ki_t @ v.T, ku, block.g_acc)
+    part_b = np.einsum("jab,jcb->jac", ku, np.einsum("ab,jbc->jac", kv, block.g_acc))
+    term3 = -block.c1 * f(np.einsum("j,jab->ab", alpha, part_a + part_b))
+    return term1 + term2 + term3
+
+
+class TestBlockDerivativeBits:
+    # the blocks form their base-point factors once; every gradient and
+    # Hessian column keeps the bits of the formulas evaluated in place
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
+    def test_a_block(self, kind, dims):
+        tau = make_tau(kind, 49, dims=dims)
+        sc = SampleCov.from_data(make_data(50, n=10, dims=dims), dims)
+        block = picse._ABlock(tau, sc)
+        assert block.grad().tobytes() == a_grad_reference(block).tobytes()
+        assert block.egrad.tobytes() == a_grad_reference(block).tobytes()
+        for i in range(block.space.basis.shape[1]):
+            v = block.space.basis[:, i].reshape(tau.a.shape, order="F")
+            assert block.hess(v).tobytes() == a_hess_reference(block, v).tobytes()
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
+    def test_k_blocks(self, kind, dims):
+        tau = make_tau(kind, 51, dims=dims)
+        data = make_data(52, n=10, dims=dims)
+        for side in (1, 2):
+            block = picse._KBlock(tau, data, side)
+            assert block.egrad.tobytes() == k_grad_reference(block).tobytes()
+            for b in block.basis:
+                assert block.hess(b).tobytes() == k_hess_reference(block, b).tobytes()
+
+    def test_a_hess_applies_ctilde_inverse_five_times(self):
+        dims = matops.Dims(4, 3, 3)
+        tau = make_tau(SquareRootKind.SYMMETRIC, 53, dims=dims)
+        block = picse._ABlock(tau, SampleCov.from_data(make_data(54, dims=dims), dims))
+        calls = []
+        inv_apply = block.spec.inv_apply
+
+        def counting(m):
+            calls.append(m.shape)
+            return inv_apply(m)
+
+        block.spec.inv_apply = counting
+        v = block.space.basis[:, 0].reshape(tau.a.shape, order="F")
+        block.hess(v)
+        assert len(calls) == 5
+        block.grad()
+        assert len(calls) == 5
+
+
 class TestNewtonDirection:
     def test_zero_gradient_gives_zero(self):
         # a stationary point in A (whitened sample equals Ctilde): gradient
