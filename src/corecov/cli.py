@@ -78,11 +78,17 @@ def _cmd_simulate(args):
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    records, summary = simulate.run_experiment(config)
     os.makedirs(args.out, exist_ok=True)
+    records, summary = simulate.run_experiment(config)
     simulate.write_results_csv(records, os.path.join(args.out, "results.csv"))
     simulate.write_summary_json(summary, os.path.join(args.out, "summary.json"))
     return 0
+
+
+def _check_out_file(path):
+    """ValueError unless path is no directory and its directory exists."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"cannot write the output file {path}")
 
 
 def _load_csv(path):
@@ -95,6 +101,7 @@ def _load_csv(path):
 
 
 def _cmd_fit(args):
+    _check_out_file(args.out)
     rows = _load_csv(args.input)
     dims = matops.Dims(args.p1, args.p2, args.rank)
     if rows.shape[1] != dims.p:
@@ -124,6 +131,7 @@ def _cmd_fit(args):
 
 
 def _cmd_kcd(args):
+    _check_out_file(args.out)
     sigma = _load_csv(args.input)
     if not np.isfinite(sigma).all():
         raise ValueError("matrix contains non-finite values")

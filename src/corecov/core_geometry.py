@@ -26,8 +26,6 @@ _BALANCE_MAX_ITER = 200
 # the null-space basis and the pseudoinverse of J, keeping I - J^+ J an exact
 # projection at the operator's known rank.
 _J_RTOL = 1e-10
-# j_rank counts the singular values of J above this fraction of the largest.
-_J_RANK_RTOL = 1e-8
 # Largest constraint residual a validated core or core factor may show.
 _CONSTRAINT_TOL = 1e-8
 # Slice entries larger than this in magnitude are edges of the slice graph.
@@ -86,14 +84,12 @@ def check_core_factor(a, dims):
 
 
 def check_core_matrix(c, dims):
-    """Validate the partial traces of a core matrix."""
+    """Validate the partial traces of a core matrix, the Grams of its factors."""
     c = matops.sym(np.asarray(c, dtype=float))
-    r1 = np.abs(matops.partial_trace_1(c, dims) - dims.p2 * np.eye(dims.p1)).max()
-    r2 = np.abs(matops.partial_trace_2(c, dims) - dims.p1 * np.eye(dims.p2)).max()
-    if max(r1, r2) > _CONSTRAINT_TOL:
-        raise StructureError(
-            f"partial-trace residual {max(r1, r2):.3e} > {_CONSTRAINT_TOL:.1e}"
-        )
+    traces = matops.partial_trace_1(c, dims), matops.partial_trace_2(c, dims)
+    res = gram_residual(*traces, gram_targets(dims))
+    if res > _CONSTRAINT_TOL:
+        raise StructureError(f"partial-trace residual {res:.3e} > {_CONSTRAINT_TOL:.1e}")
     return c
 
 
@@ -144,23 +140,19 @@ def j_operator(a, dims):
     return j
 
 
-def j_rank(j):
-    """Numerical rank of J at threshold _J_RANK_RTOL * sigma_max."""
-    s = np.linalg.svd(j, compute_uv=False)
-    return int(np.sum(s > _J_RANK_RTOL * s[0]))
-
-
 class RankTangentSpace:
     """The tangent space N(J(A)) of the core-factor manifold at A, from one
-    full SVD of J(A) cut off at _J_RTOL * sigma_max: an orthonormal basis B
-    (pr x m) and the pseudoinverse J^+ from the same factors."""
+    full SVD of J(A) cut off at _J_RTOL * sigma_max: the rank of J, an
+    orthonormal basis B (pr x m) and J^+.  coords and hess_coords give, in B,
+    the Euclidean-metric Riemannian gradient P vec(egrad) and Hessian
+    P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad), P = I - J^+ J = B B^T."""
 
     def __init__(self, a, dims):
         a = np.asarray(a, dtype=float)
         self.shape, self.dims = a.shape, dims
         self.j = j_operator(a, dims)
         u, s, vt = np.linalg.svd(self.j, full_matrices=True)
-        n_keep = int(np.sum(s > _J_RTOL * s[0]))
+        self.rank = n_keep = int(np.sum(s > _J_RTOL * s[0]))
         self.jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
         self.basis = vt[n_keep:].T
 
@@ -182,32 +174,10 @@ class RankTangentSpace:
         return self.basis.T @ (ehess_v.reshape(-1, order="F") - jv.T @ w)
 
 
-def tangent_basis_rank(a, dims):
-    """Orthonormal basis of the tangent space N(J(A)) as vec-columns (pr x m)."""
-    return RankTangentSpace(a, dims).basis
-
-
-def tangent_project_rank(a, v, dims):
-    """Orthogonal projection of V onto N(J(A)): vec -> B B^T vec."""
-    space = RankTangentSpace(a, dims)
-    return space.tangent(space.coords(np.asarray(v, dtype=float)))
-
-
-def rgrad_hess_rank(a, egrad, ehess_v, v, dims):
-    """Riemannian gradient and Hessian action on the fixed-rank core manifold
-    under the Euclidean metric, with P = I - J^+ J = B B^T:
-
-      vec(grad)    = P vec(egrad)
-      vec(Hess[V]) = P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad)
-    """
-    space = RankTangentSpace(a, dims)
-    egrad, ehess_v = np.asarray(egrad, dtype=float), np.asarray(ehess_v, dtype=float)
-    coef = space.hess_coords(ehess_v, v, space.normal_weights(egrad))
-    return space.tangent(space.coords(egrad)), space.tangent(coef)
-
-
 def tangent_project_full(v, dims):
-    """Projection G onto {W symmetric : tr_1(W) = 0, tr_2(W) = 0}:
+    """Projection G onto {W symmetric : tr_1(W) = 0, tr_2(W) = 0}, which maps
+    Euclidean gradients and Hessian actions to Riemannian ones on the flat
+    full-rank core manifold:
 
     G(V) = V - (I (x) tr_1(V))/p2 - (tr_2(V) (x) I)/p1 + tr(V)/p I.
     """
@@ -220,13 +190,6 @@ def tangent_project_full(v, dims):
         - matops.kron(t2, np.eye(dims.p1)) / dims.p1
         + np.trace(v) / dims.p * np.eye(dims.p)
     )
-
-
-def rgrad_hess_full(c, egrad, ehess_v, dims):
-    """Riemannian gradient/Hessian on the full-rank core manifold: both are
-    plain G-projections (the manifold is flat under the Euclidean metric)."""
-    del c  # the projection does not depend on the base point
-    return tangent_project_full(egrad, dims), tangent_project_full(ehess_v, dims)
 
 
 # ---------------------------------------------------------------------------

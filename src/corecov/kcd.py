@@ -141,13 +141,15 @@ def kronecker_mle(sigma, dims, psd_check=True):
     return SeparableCovariance(k1=k1, k2=k2)
 
 
-def core(sigma, dims, h_kind):
-    """Core component C = h(k(Sigma))^-1 Sigma h(k(Sigma))^-T."""
-    return kcd(sigma, dims, h_kind).c
+def check_h_kind(h_kind):
+    """ValueError unless h_kind is a SquareRootKind member."""
+    if not isinstance(h_kind, SquareRootKind):
+        raise ValueError(f"square-root kind must be a SquareRootKind, got {h_kind!r}")
 
 
 def kcd(sigma, dims, h_kind):
     """Full Kronecker-core decomposition of a symmetric PSD matrix."""
+    check_h_kind(h_kind)
     sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     c = matops.whiten(sep.h_matrix(h_kind), sigma)
@@ -195,18 +197,11 @@ def dh(sep, u1, u2, h_kind):
     )
 
 
-def rc_apply(c, s1, s2, w1, w2, dims):
-    """Apply the operator R_C to a tangent pair (W1, W2) at base (S1, S2).
-
-    The base satisfies |S1| = 1 and W1 is trace-orthogonal to S1
-    (tr(S1^-1 W1) = 0); C is the symmetric-root core at the base point.
-    """
-    return _rc_operator(c, s1, s2, dims)(w1, w2)
-
-
-def _rc_operator(c, s1, s2, dims):
-    """R_C at base (S1, S2) as a map of (W1, W2), with the half powers of S1
-    and S2 computed once."""
+def rc_operator(c, s1, s2, dims):
+    """R_C at base (S1, S2) as a map of tangent pairs (W1, W2), with the half
+    powers of S1 and S2 computed once.  The base satisfies |S1| = 1, W1 is
+    trace-orthogonal to S1 (tr(S1^-1 W1) = 0), and C is the symmetric-root
+    core at the base point."""
     s1_half, s1_ihalf = matops.spd_half_powers(s1)
     s2_half, s2_ihalf = matops.spd_half_powers(s2)
 
@@ -238,7 +233,7 @@ def rc_solve(c, s1, s2, m1, m2, dims):
     def pack(a, b):
         return np.concatenate([a.ravel(), b.ravel()])
 
-    r_c = _rc_operator(c, s1, s2, dims)
+    r_c = rc_operator(c, s1, s2, dims)
     mat_op = np.column_stack([pack(*r_c(b1, b2)) for b1, b2 in basis])
     rhs = pack(np.asarray(m1, dtype=float), np.asarray(m2, dtype=float))
     coef, _, rank, _ = np.linalg.lstsq(mat_op, rhs, rcond=None)

@@ -8,6 +8,9 @@ Conventions used everywhere in this package:
     p1 x p1 blocks; kron(B, A) then has block [i, j] = B[i, j] * A.
 """
 
+import operator
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DefinitenessError
@@ -17,39 +20,33 @@ from .errors import DefinitenessError
 PD_RTOL = 1e-10
 
 
+@dataclass(frozen=True, slots=True)
 class Dims:
     """Problem shape (p1, p2) with p = p1*p2 and an optional rank r.
 
-    Requires p1, p2 >= 2.  When r is given it must satisfy
-    p1/p2 + p2/p1 < r <= p, the regime in which rank-r cores exist.
+    The sizes are integers (Python or numpy; operator.index), p1, p2 >= 2.
+    When r is given it must satisfy p1/p2 + p2/p1 < r <= p, the regime in
+    which rank-r cores exist.
     """
 
-    __slots__ = ("p1", "p2", "r")
+    p1: int
+    p2: int
+    r: int | None = None
 
-    def __init__(self, p1, p2, r=None):
-        p1, p2 = int(p1), int(p2)
+    def __post_init__(self):
+        p1, p2 = operator.index(self.p1), operator.index(self.p2)
+        r = None if self.r is None else operator.index(self.r)
         if p1 < 2 or p2 < 2:
             raise ValueError(f"need p1, p2 >= 2, got ({p1}, {p2})")
-        if r is not None:
-            r = int(r)
-            if not (p1 / p2 + p2 / p1 < r <= p1 * p2):
-                raise ValueError(
-                    f"rank r={r} outside ({p1 / p2 + p2 / p1}, {p1 * p2}]"
-                )
-        self.p1, self.p2, self.r = p1, p2, r
+        if r is not None and not (p1 / p2 + p2 / p1 < r <= p1 * p2):
+            raise ValueError(f"rank r={r} outside ({p1 / p2 + p2 / p1}, {p1 * p2}]")
+        # store Python ints, so numpy integer input gives the same repr
+        for name, value in (("p1", p1), ("p2", p2), ("r", r)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self):
         return self.p1 * self.p2
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dims)
-            and (self.p1, self.p2, self.r) == (other.p1, other.p2, other.r)
-        )
-
-    def __repr__(self):
-        return f"Dims(p1={self.p1}, p2={self.p2}, r={self.r})"
 
 
 def vec(m):

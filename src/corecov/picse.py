@@ -105,6 +105,7 @@ class FitConfig:
     def __post_init__(self):
         if not self.tol > 0 or self.max_iter < 1:
             raise ValueError("need tol > 0 and max_iter >= 1")
+        kcd.check_h_kind(self.h_kind)
 
 
 @dataclass

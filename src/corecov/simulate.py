@@ -73,9 +73,14 @@ class ExperimentConfig:
             raise ValueError("lambda must lie in (0, 1)")
         if self.reps < 1 or any(n < 2 for n in self.n_list):
             raise ValueError("need reps >= 1 and every n >= 2")
+        for name in ("n_list", "h_kinds"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be non-empty without repeats: {values!r}")
         picse.check_rank(self.dims)
         core_geometry.check_dense_size(self.dims.p, self.dims.r)
-        picse.FitConfig(tol=self.tol, max_iter=self.max_iter)
+        for kind in self.h_kinds:
+            picse.FitConfig(tol=self.tol, max_iter=self.max_iter, h_kind=kind)
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ def gen_truth(model, dims, lam, seed):
     a = core_geometry.random_core_factor(dims, _seq(seed, _CORE_FACTOR))
     if model == "m2":
         dtil = np.diag(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0), dims.p)))
-        d = kcd.core(dtil, dims, SquareRootKind.SYMMETRIC)
+        d = kcd.kcd(dtil, dims, SquareRootKind.SYMMETRIC).c
         d = np.diag(np.diag(d))  # the core of a diagonal matrix is diagonal
     else:
         d = np.eye(dims.p)

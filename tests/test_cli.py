@@ -165,6 +165,51 @@ def test_fit_nan_tol_exit_code_before_init(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_repeated_n_exit_code_before_truth(tmp_path, monkeypatch, capsys):
+    # a repeated --n used to write every row twice
+    _forbid_estimators(monkeypatch)
+    rc = cli.main([
+        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
+        "--lambda", "0.3", "--n", "12", "--n", "12", "--reps", "1",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 2
+    assert "n_list must be non-empty without repeats" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unusable_out_exit_code_before_computation(tmp_path, monkeypatch, capsys):
+    def ran(*args):
+        raise AssertionError("computation started before --out was checked")
+
+    monkeypatch.setattr(picse, "fit", ran)
+    monkeypatch.setattr(simulate, "run_experiment", ran)
+    monkeypatch.setattr(cli, "run_kcd", ran)
+    data, sigma = tmp_path / "data.csv", tmp_path / "sigma.csv"
+    write_data_csv(data, np.random.default_rng(27).standard_normal((8, 2, 2)))
+    np.savetxt(sigma, rand_spd(4, np.random.default_rng(28)), delimiter=",")
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    fit = ["fit", "--input", str(data), "--p1", "2", "--p2", "2", "--rank", "3"]
+    dec = ["kcd", "--input", str(sigma), "--p1", "2", "--p2", "2"]
+    sim = [
+        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
+        "--lambda", "0.3", "--n", "8", "--reps", "1",
+    ]
+    missing = str(tmp_path / "missing" / "o.json")
+    for argv, message in [
+        (fit + ["--out", missing], "cannot write the output file"),
+        (fit + ["--out", str(tmp_path)], "cannot write the output file"),
+        (dec + ["--out", missing], "cannot write the output file"),
+        (sim + ["--out", str(taken)], "File exists"),
+        (sim + ["--out", str(taken / "x")], "Not a directory"),
+    ]:
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_kcd_command(tmp_path):
     rng = np.random.default_rng(31)
     sigma = rand_spd(6, rng)

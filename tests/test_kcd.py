@@ -108,19 +108,19 @@ class TestKcd:
     def test_core_of_separable_is_identity(self, kind, rng):
         sigma = matops.kron(rand_spd(2, rng), rand_spd(3, rng))
         np.testing.assert_allclose(
-            kcd.core(sigma, matops.Dims(3, 2), kind), np.eye(6), atol=1e-8
+            kcd.kcd(sigma, matops.Dims(3, 2), kind).c, np.eye(6), atol=1e-8
         )
 
     def test_core_is_fixed_point(self, rng):
         sigma = rand_spd(6, rng)
-        c = kcd.core(sigma, DIMS32, SquareRootKind.SYMMETRIC)
+        c = kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC).c
         np.testing.assert_allclose(
-            kcd.core(c, DIMS32, SquareRootKind.SYMMETRIC), c, atol=1e-8
+            kcd.kcd(c, DIMS32, SquareRootKind.SYMMETRIC).c, c, atol=1e-8
         )
 
     def test_k_of_core_is_identity(self, rng):
         sigma = rand_spd(6, rng)
-        c = kcd.core(sigma, DIMS32, SquareRootKind.CHOLESKY)
+        c = kcd.kcd(sigma, DIMS32, SquareRootKind.CHOLESKY).c
         np.testing.assert_allclose(
             kcd.kronecker_mle(c, DIMS32).matrix, np.eye(6), atol=1e-6
         )
@@ -131,6 +131,16 @@ class TestKcd:
         dec = kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC)
         w = np.linalg.eigvalsh(dec.c)
         assert (w > 1e-10 * w[-1]).sum() == 4
+
+
+    @pytest.mark.parametrize("h_kind", ["chol", "bogus"])
+    def test_rejects_unknown_root_kind_before_flip_flop(self, h_kind, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the flip-flop ran before the root kind was checked")
+
+        monkeypatch.setattr(kcd, "kronecker_mle", ran)
+        with pytest.raises(ValueError, match="must be a SquareRootKind"):
+            kcd.kcd(np.eye(6), DIMS32, h_kind)
 
 
 class TestDh:
@@ -192,20 +202,21 @@ class TestRcOperator:
         s1 /= np.linalg.det(s1) ** 0.5
         s2 = rand_spd(2, rng)
         w1, w2 = self._tangent(s1, rng)
-        x1, x2 = kcd.rc_apply(np.eye(4), s1, s2, w1, w2, DIMS22)
+        x1, x2 = kcd.rc_operator(np.eye(4), s1, s2, DIMS22)(w1, w2)
         np.testing.assert_allclose(x1, w1, atol=1e-12)
         np.testing.assert_allclose(x2, w2, atol=1e-12)
 
     def test_zero(self, rng):
         c, s1, s2 = self._base(rng)
-        x1, x2 = kcd.rc_apply(c, s1, s2, np.zeros((2, 2)), np.zeros((2, 2)), DIMS22)
+        x1, x2 = kcd.rc_operator(c, s1, s2, DIMS22)(np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.abs(x1).max() == 0.0 and np.abs(x2).max() == 0.0
 
     def test_solve_round_trip(self, rng):
         c, s1, s2 = self._base(rng)
+        r_c = kcd.rc_operator(c, s1, s2, DIMS22)
         for _ in range(5):
             w1, w2 = self._tangent(s1, rng)
-            m1, m2 = kcd.rc_apply(c, s1, s2, w1, w2, DIMS22)
+            m1, m2 = r_c(w1, w2)
             u1, u2 = kcd.rc_solve(c, s1, s2, m1, m2, DIMS22)
             assert np.abs(u1 - w1).max() < 1e-8
             assert np.abs(u2 - w2).max() < 1e-8
@@ -213,7 +224,7 @@ class TestRcOperator:
     def test_preserves_tangency(self, rng):
         c, s1, s2 = self._base(rng)
         w1, w2 = self._tangent(s1, rng)
-        x1, _ = kcd.rc_apply(c, s1, s2, w1, w2, DIMS22)
+        x1, _ = kcd.rc_operator(c, s1, s2, DIMS22)(w1, w2)
         assert abs(np.trace(np.linalg.solve(s1, x1))) < 1e-10
 
 
@@ -283,8 +294,8 @@ class TestDcDg:
         v = rand_sym(4, rng)
         eps = 1e-5
         fd = (
-            kcd.core(sigma + eps * v, DIMS22, kind)
-            - kcd.core(sigma - eps * v, DIMS22, kind)
+            kcd.kcd(sigma + eps * v, DIMS22, kind).c
+            - kcd.kcd(sigma - eps * v, DIMS22, kind).c
         ) / (2 * eps)
         np.testing.assert_allclose(kcd.dc(sigma, v, DIMS22, kind), fd, atol=1e-5)
 

@@ -19,6 +19,17 @@ def test_dims_validation():
     assert matops.Dims(2, 2, 3).r == 3
 
 
+def test_dims_integer_sizes():
+    # float sizes used to be truncated: Dims(4.7, 3.2, 3.9) was Dims(4, 3, 3)
+    for bad in [(4.7, 3.2, 3.9), (4.0, 3), (4, 3, 3.0)]:
+        with pytest.raises(TypeError):
+            matops.Dims(*bad)
+    d = matops.Dims(np.int64(4), np.int32(3), np.int64(3))
+    assert d == matops.Dims(4, 3, 3) and d != matops.Dims(4, 3)
+    assert repr(d) == "Dims(p1=4, p2=3, r=3)"
+    assert type(d.p1) is int and type(d.r) is int
+
+
 def test_vec_column_stacking():
     m = np.array([[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(matops.vec(m), [1.0, 2.0, 3.0, 4.0])

@@ -46,10 +46,8 @@ def block_step(block, sc):
 def tangent_for(theta, tau, seed):
     rng = np.random.default_rng(seed)
     if theta == "a":
-        basis = cg.tangent_basis_rank(tau.a, tau.dims)
-        return (basis @ rng.standard_normal(basis.shape[1])).reshape(
-            tau.a.shape, order="F"
-        )
+        space = cg.RankTangentSpace(tau.a, tau.dims)
+        return space.tangent(rng.standard_normal(space.basis.shape[1]))
     q = tau.dims.p1 if theta == "k1bar" else tau.dims.p2
     if tau.h_kind is SquareRootKind.CHOLESKY:
         return rand_lower(q, rng)
@@ -174,17 +172,20 @@ def base_of(tau, theta):
 class TestABlockMatchesOperator:
     @pytest.mark.parametrize("dims", [matops.Dims(3, 2, 3), matops.Dims(4, 3, 5)])
     def test_gradient_and_hessian_columns(self, dims):
-        # the fitter's Riemannian gradient and Hessian matrix are the public
-        # fixed-rank operator in the block's tangent basis
+        # the fitter's Riemannian gradient and Hessian matrix are the fixed-rank
+        # operator of a tangent space built afresh at A, in the block's basis
         tau = make_tau(SquareRootKind.SYMMETRIC, 45, dims=dims)
         sc = SampleCov.from_data(make_data(46, n=10, dims=dims), dims)
         block = picse._ABlock(tau, sc)
         basis = block.space.basis
         rgrad, _, h_mat = block.derivatives()
+        space = cg.RankTangentSpace(tau.a, dims)
+        w = space.normal_weights(block.egrad)
         for i in range(basis.shape[1]):
             v = basis[:, i].reshape(tau.a.shape, order="F")
-            rg, rh = cg.rgrad_hess_rank(tau.a, block.egrad, block.hess(v), v, dims)
+            rh = space.tangent(space.hess_coords(block.hess(v), v, w))
             assert np.abs(h_mat[:, i] - basis.T @ matops.vec(rh)).max() < 1e-10
+        rg = space.tangent(space.coords(block.egrad))
         assert np.abs(rgrad - rg).max() < 1e-10
 
 
@@ -487,10 +488,9 @@ class TestRetraction:
 
     def test_result_is_core_factor(self):
         a = cg.random_core_factor(DIMS, seed=52)
-        basis = cg.tangent_basis_rank(a, DIMS)
-        v = (basis @ np.random.default_rng(53).standard_normal(basis.shape[1])).reshape(
-            a.shape, order="F"
-        )
+        space = cg.RankTangentSpace(a, DIMS)
+        coef = np.random.default_rng(53).standard_normal(space.basis.shape[1])
+        v = space.tangent(coef)
         out = picse.retract_core_factor(a, 0.1 * v, DIMS)
         cg.check_core_factor(out, DIMS)
 
@@ -498,10 +498,9 @@ class TestRetraction:
         # retraction velocity at t = 0 matches the tangent, up to rotation:
         # compare at the Gram level where rotations cancel
         a = cg.random_core_factor(DIMS, seed=54)
-        basis = cg.tangent_basis_rank(a, DIMS)
-        v = (basis @ np.random.default_rng(55).standard_normal(basis.shape[1])).reshape(
-            a.shape, order="F"
-        )
+        space = cg.RankTangentSpace(a, DIMS)
+        coef = np.random.default_rng(55).standard_normal(space.basis.shape[1])
+        v = space.tangent(coef)
         eps = 1e-6
         gp = picse.retract_core_factor(a, eps * v, DIMS)
         gm = picse.retract_core_factor(a, -eps * v, DIMS)
@@ -762,6 +761,13 @@ class TestFit:
         with pytest.raises(ValueError, match="need tol > 0"):
             FitConfig(tol=tol)
 
+    @pytest.mark.parametrize("h_kind", ["chol", "bogus", None])
+    def test_config_rejects_unknown_root_kind(self, h_kind):
+        # a value that is not a SquareRootKind member used to fit the
+        # symmetric root, even for "chol"
+        with pytest.raises(ValueError, match="must be a SquareRootKind"):
+            FitConfig(h_kind=h_kind)
+
     def test_capacity_checked_before_init(self, monkeypatch):
         # p*r = 70*59 = 4130 exceeds the dense-J limit: rejected from the
         # shape alone, before the initialization runs
@@ -872,6 +878,6 @@ class TestBaselines:
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, SquareRootKind.SYMMETRIC)
         est = picse.sigma_from_params(tau)
-        c_est = kcd.core(est, DIMS, SquareRootKind.SYMMETRIC)
+        c_est = kcd.kcd(est, DIMS, SquareRootKind.SYMMETRIC).c
         expect = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         assert np.abs(c_est - expect).max() < 1e-8

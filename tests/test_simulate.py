@@ -149,3 +149,17 @@ class TestRunExperiment:
             ExperimentConfig(
                 model="m1", dims=matops.Dims(2, 2, 4), lam=0.5, n_list=(8,), reps=1, seed=0
             )
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_list", (), "n_list must be non-empty without repeats"),
+        ("n_list", (8, 12, 8), "n_list must be non-empty without repeats"),
+        ("h_kinds", (), "h_kinds must be non-empty without repeats"),
+        ("h_kinds", (SquareRootKind.CHOLESKY,) * 2, "h_kinds must be non-empty"),
+        ("h_kinds", ("chol",), "must be a SquareRootKind"),
+        ("h_kinds", (SquareRootKind.SYMMETRIC, "bogus"), "must be a SquareRootKind"),
+    ], ids=["empty-n", "repeated-n", "empty-kinds", "repeated-kind", "chol-str", "bogus"])
+    def test_config_rejects_bad_lists(self, field, value, match):
+        # a repeated n used to write every row twice and summarize the copies
+        config = dict(model="m1", dims=DIMS, lam=0.5, n_list=(8,), reps=1, seed=0)
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{**config, field: value})
