@@ -42,8 +42,8 @@ def build_parser():
     sim.add_argument("--reps", type=int, default=20)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--sqrt", choices=["sym", "chol", "both"], default="sym")
-    sim.add_argument("--tol", type=float, default=1e-6)
-    sim.add_argument("--max-iter", type=int, default=200)
+    sim.add_argument("--tol", type=float, default=picse.FitConfig.tol)
+    sim.add_argument("--max-iter", type=int, default=picse.FitConfig.max_iter)
     sim.add_argument("--out", required=True, help="output directory")
 
     fit = sub.add_parser("fit", help="fit PICSE to vec-rows CSV data")
@@ -53,8 +53,8 @@ def build_parser():
     fit.add_argument("--p2", type=int, required=True)
     fit.add_argument("--rank", type=int, required=True)
     fit.add_argument("--sqrt", choices=["sym", "chol"], default="sym")
-    fit.add_argument("--tol", type=float, default=1e-6)
-    fit.add_argument("--max-iter", type=int, default=200)
+    fit.add_argument("--tol", type=float, default=picse.FitConfig.tol)
+    fit.add_argument("--max-iter", type=int, default=picse.FitConfig.max_iter)
     fit.add_argument("--out", required=True, help="output JSON file")
 
     dec = sub.add_parser("kcd", help="Kronecker-core decomposition of a matrix")

@@ -22,12 +22,11 @@ _MAX_PR = 4096
 # _BALANCE_MAX_ITER passes.
 _BALANCE_TOL = 1e-12
 _BALANCE_MAX_ITER = 200
-# Singular values below this relative threshold are truncated when forming
-# the null-space basis and the pseudoinverse of J, keeping I - J^+ J an exact
-# projection at the operator's known rank.
-_J_RTOL = 1e-10
-# Largest constraint residual a validated core or core factor may show.
-_CONSTRAINT_TOL = 1e-8
+# Relative singular-value floor: singular values at most this fraction of the
+# largest count as zero, both in the rank of J (its null-space basis and
+# pseudoinverse, keeping I - J^+ J an exact projection at the operator's known
+# rank) and in the full column rank of a core factor.
+_SV_RTOL = 1e-10
 # Slice entries larger than this in magnitude are edges of the slice graph.
 _ZERO_TOL = 1e-12
 # Relative spread of the trailing eigenvalues of a partially isotropic core.
@@ -75,10 +74,12 @@ def check_core_factor(a, dims):
     if a.shape != (dims.p, dims.r):
         raise ValueError(f"expected {dims.p}x{dims.r}, got {a.shape}")
     res = gram_residual(row_gram(a, dims), col_gram(a, dims), gram_targets(dims))
-    if res > _CONSTRAINT_TOL:
-        raise StructureError(f"core-factor residual {res:.3e} > {_CONSTRAINT_TOL:.1e}")
+    if res > matops.RESIDUAL_TOL:
+        raise StructureError(
+            f"core-factor residual {res:.3e} > {matops.RESIDUAL_TOL:.1e}"
+        )
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
+    if s[-1] <= _SV_RTOL * s[0]:
         raise StructureError("core factor is column-rank deficient")
     return a
 
@@ -88,8 +89,10 @@ def check_core_matrix(c, dims):
     c = matops.sym(np.asarray(c, dtype=float))
     traces = matops.partial_trace_1(c, dims), matops.partial_trace_2(c, dims)
     res = gram_residual(*traces, gram_targets(dims))
-    if res > _CONSTRAINT_TOL:
-        raise StructureError(f"partial-trace residual {res:.3e} > {_CONSTRAINT_TOL:.1e}")
+    if res > matops.RESIDUAL_TOL:
+        raise StructureError(
+            f"partial-trace residual {res:.3e} > {matops.RESIDUAL_TOL:.1e}"
+        )
     return c
 
 
@@ -142,7 +145,7 @@ def j_operator(a, dims):
 
 class RankTangentSpace:
     """The tangent space N(J(A)) of the core-factor manifold at A, from one
-    full SVD of J(A) cut off at _J_RTOL * sigma_max: the rank of J, an
+    full SVD of J(A) cut off at _SV_RTOL * sigma_max: the rank of J, an
     orthonormal basis B (pr x m) and J^+.  coords and hess_coords give, in B,
     the Euclidean-metric Riemannian gradient P vec(egrad) and Hessian
     P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad), P = I - J^+ J = B B^T."""
@@ -152,7 +155,7 @@ class RankTangentSpace:
         self.shape, self.dims = a.shape, dims
         self.j = j_operator(a, dims)
         u, s, vt = np.linalg.svd(self.j, full_matrices=True)
-        self.rank = n_keep = int(np.sum(s > _J_RTOL * s[0]))
+        self.rank = n_keep = int(np.sum(s > _SV_RTOL * s[0]))
         self.jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
         self.basis = vt[n_keep:].T
 
@@ -220,30 +223,18 @@ def horizontal_project(a, w):
 # decomposability test, dimensions, sampling
 # ---------------------------------------------------------------------------
 
-def is_connected_bipartite(slbs, p=None, q=None):
+def is_connected_bipartite(slbs):
     """Necessary-condition test for canonical indecomposability.
 
     Builds the bipartite graph on row vertices s_1..s_{p1} and column
-    vertices q_1..q_{p2} with an edge (s_j, q_k) iff some transformed slice
-    P A_i Q^-1 has |entry (j, k)| > _ZERO_TOL, and returns its connectivity.
-    A disconnection certifies canonical decomposability at (P, Q);
-    connectivity at one (P, Q) is only necessary for indecomposability.
+    vertices q_1..q_{p2} of the (r, p1, p2) slices, with an edge (s_j, q_k)
+    iff some slice has |entry (j, k)| > _ZERO_TOL, and returns its
+    connectivity.  Pass the slices P A_i Q^-1 to test at (P, Q): a
+    disconnection certifies canonical decomposability there; connectivity
+    at one (P, Q) is only necessary for indecomposability.
     """
     t = np.asarray(slbs, dtype=float)
-    if t.ndim == 2:
-        t = t[None]
     _, p1, p2 = t.shape
-    if p is not None:
-        p = np.asarray(p, dtype=float)
-        if abs(np.linalg.det(p)) < 1e-12:
-            raise ValueError("P is singular")
-        t = np.einsum("ab,ibc->iac", p, t)
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        if abs(np.linalg.det(q)) < 1e-12:
-            raise ValueError("Q is singular")
-        t = np.einsum("ibc,cd->ibd", t, np.linalg.inv(q))
-
     adj = (np.abs(t) > _ZERO_TOL).any(axis=0)
     # grow the rows reached from row 0 through their columns until stable
     rows = np.arange(p1) == 0
@@ -322,9 +313,6 @@ def random_core_factor(dims, seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         a = rng.standard_normal((dims.p, dims.r))
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= 1e-6 * s[0]:
-            continue
         try:
             a = balance_core_factor(a, dims)
         except (DefinitenessError, StructureError):
@@ -332,7 +320,7 @@ def random_core_factor(dims, seed):
         if not is_connected_bipartite(slices(a, dims)):
             continue
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
+        if s[-1] <= _SV_RTOL * s[0]:
             continue
         return a
     raise StructureError("random_core_factor failed after 5 redraws")

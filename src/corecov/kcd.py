@@ -50,6 +50,7 @@ class SeparableCovariance:
 
     def sqrt_factors(self, h_kind):
         """Factor pair (h1, h2) with h(K) = h2 (x) h1 per the square-root kind."""
+        check_h_kind(h_kind)
         if h_kind is SquareRootKind.CHOLESKY:
             return matops.chol(self.k1), matops.chol(self.k2)
         return matops.sym_sqrt(self.k1), matops.sym_sqrt(self.k2)
@@ -101,7 +102,7 @@ def kronecker_mle(sigma, dims, psd_check=True):
     sigma = matops.sym(sigma)
     if psd_check:
         w = np.linalg.eigvalsh(sigma)
-        if w[0] < -1e-8 * max(w[-1], 1.0):
+        if w[0] < -matops.RESIDUAL_TOL * max(w[-1], 1.0):
             raise DefinitenessError("input to kronecker_mle is not PSD")
         if w[-1] <= 0.0:
             raise DefinitenessError("input to kronecker_mle is zero")
@@ -181,6 +182,7 @@ def dh(sep, u1, u2, h_kind):
     Cholesky branch: (L2 (x) L1) (I (x) L1^-1 U1 L1^-T + L2^-1 U2 L2^-T (x) I)_{1/2}.
     Symmetric branch: the solution R of the Sylvester system h(K) R + R h(K) = U.
     """
+    check_h_kind(h_kind)
     u1 = matops.sym(u1)
     u2 = matops.sym(u2)
     if h_kind is SquareRootKind.CHOLESKY:

@@ -1,6 +1,5 @@
-"""Structural matrix operators: vec/mat, Kronecker and commutation calculus,
-block partitions, partial traces, triangular splits, SPD square roots and
-whitening.
+"""Structural matrix operators: vec/mat, Kronecker calculus, partial traces,
+triangular splits, SPD square roots and whitening.
 
 Conventions used everywhere in this package:
   - vec() stacks columns (so vec(B X A^T) = (A (x) B) vec(X)).
@@ -15,9 +14,14 @@ import numpy as np
 
 from .errors import DefinitenessError
 
-# Relative eigenvalue threshold below which a symmetric matrix is rejected
-# as not positive definite.
+# Relative eigenvalue floor: a symmetric matrix whose smallest (for a rank-r
+# check, r-th largest) eigenvalue is at most this fraction of its largest is
+# not positive definite (not of rank r).
 PD_RTOL = 1e-10
+# Largest residual a validated structure may show: the constraint residual of
+# a core or core factor, |det - 1| and the relative asymmetry of a K-bar
+# factor, and the relative depth of a negative eigenvalue still taken as PSD.
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,28 +69,6 @@ def mat(u, p1, p2):
 def kron(b, a):
     """Kronecker product with block [i, j] = b[i, j] * a."""
     return np.kron(np.asarray(b), np.asarray(a))
-
-
-def commutation_matrix(m, n):
-    """Dense commutation matrix K_{m,n} with K_{m,n} vec(B^T) = vec(B)."""
-    return np.eye(m * n)[np.arange(m * n).reshape(m, n).T.ravel()]
-
-
-def block_partition(m, dims):
-    """Partition a p x p matrix into its p2 x p2 grid of p1 x p1 blocks.
-
-    Returns an array of shape (p2, p2, p1, p1) with [i, j] the block M_[i,j].
-    """
-    m = _check_square(m, dims.p)
-    p1, p2 = dims.p1, dims.p2
-    return m.reshape(p2, p1, p2, p1).transpose(0, 2, 1, 3).copy()
-
-
-def assemble_blocks(blocks):
-    """Reassemble the output of block_partition into the p x p matrix."""
-    blocks = np.asarray(blocks)
-    p2, _, p1, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(p2 * p1, p2 * p1).copy()
 
 
 def partial_trace_1(m, dims):

@@ -13,6 +13,7 @@ retraction).
 """
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +27,6 @@ from .kcd import SquareRootKind
 _LAMBDA_BRACKET = (1e-4, 1.0 - 1e-4)
 # Step halvings before a block step gives up on a candidate or on descent.
 _MAX_HALVINGS = 30
-# Every top-r eigenvalue of a core kept as a factor must exceed this fraction
-# of the largest.
-_TOP_EIG_RTOL = 1e-10
-# Largest |det - 1| and relative asymmetry of a validated K-bar factor.
-_KBAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,11 +48,11 @@ class PicseParams:
             k = getattr(self, name)
             if self.h_kind is SquareRootKind.CHOLESKY:
                 spd_geometry.check_chol_point(k)
-            elif np.abs(k - k.T).max() > _KBAR_TOL * np.abs(k).max():
+            elif np.abs(k - k.T).max() > matops.RESIDUAL_TOL * np.abs(k).max():
                 raise StructureError(f"{name} is not symmetric")
             else:
                 matops.spd_eigh(k, what=name)
-            if abs(np.linalg.det(k) - 1.0) > _KBAR_TOL:
+            if abs(np.linalg.det(k) - 1.0) > matops.RESIDUAL_TOL:
                 raise StructureError(f"{name} determinant differs from 1")
         if not (0.0 < self.lam < 1.0):
             raise StructureError(f"lambda {self.lam} outside (0, 1)")
@@ -96,14 +92,16 @@ class SampleCov:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings of the alternating-minimization fit."""
+    """Settings of the alternating-minimization fit.  max_iter is an integer
+    (operator.index).  The tol and max_iter defaults here are the only ones:
+    simulate.ExperimentConfig and the CLI read them from this class."""
 
     tol: float = 1e-6
     max_iter: int = 200
     h_kind: SquareRootKind = SquareRootKind.SYMMETRIC
 
     def __post_init__(self):
-        if not self.tol > 0 or self.max_iter < 1:
+        if not self.tol > 0 or operator.index(self.max_iter) < 1:
             raise ValueError("need tol > 0 and max_iter >= 1")
         kcd.check_h_kind(self.h_kind)
 
@@ -420,7 +418,7 @@ def _top_core_factor(core, dims):
     w, q = np.linalg.eigh(core)
     w = w[::-1][: dims.r]
     q = q[:, ::-1][:, : dims.r]
-    if w.min() <= _TOP_EIG_RTOL * max(w.max(), 1e-300):
+    if w.min() <= matops.PD_RTOL * max(w.max(), 1e-300):
         raise StructureError("top-r core spectrum not positive")
     return core_geometry.balance_core_factor(q * np.sqrt(w), dims)
 
@@ -498,7 +496,7 @@ def init(sample_cov, h_kind):
     w, q = np.linalg.eigh(dec.c)
     w = w[::-1]
     q = q[:, ::-1]
-    if w[r - 1] <= 1e-12 * max(w[0], 1e-300):
+    if w[r - 1] <= matops.PD_RTOL * max(w[0], 1e-300):
         raise StructureError(f"sample core has rank below r={r}")
     lam0 = (dims.p - float(w[:r].sum())) / (dims.p - r)
     lam0 = min(max(lam0, _LAMBDA_BRACKET[0]), _LAMBDA_BRACKET[1])

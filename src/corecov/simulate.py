@@ -9,6 +9,7 @@ independent, order-insensitive, and byte-stable across runs.
 """
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -63,16 +64,21 @@ class ExperimentConfig:
     reps: int
     seed: int
     h_kinds: tuple = (SquareRootKind.SYMMETRIC,)
-    tol: float = 1e-6
-    max_iter: int = 200
+    tol: float = picse.FitConfig.tol
+    max_iter: int = picse.FitConfig.max_iter
 
     def __post_init__(self):
         if self.model not in ("m1", "m2"):
             raise ValueError(f"unknown model {self.model!r}")
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lambda must lie in (0, 1)")
-        if self.reps < 1 or any(n < 2 for n in self.n_list):
+        # integers (operator.index), stored as Python ints for summary.json
+        reps = operator.index(self.reps)
+        n_list = tuple(map(operator.index, self.n_list))
+        if reps < 1 or any(n < 2 for n in n_list):
             raise ValueError("need reps >= 1 and every n >= 2")
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "n_list", n_list)
         for name in ("n_list", "h_kinds"):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
@@ -100,7 +106,6 @@ class ResultRecord:
 @dataclass(frozen=True)
 class TruthBundle:
     sigma: np.ndarray
-    k_sqrt: np.ndarray
     k: np.ndarray
     a: np.ndarray
     d: np.ndarray  # isotropy replacement core in M2, None in M1
@@ -137,7 +142,6 @@ def gen_truth(model, dims, lam, seed):
     sigma = matops.sym(k_sqrt @ core_part @ k_sqrt.T)
     return TruthBundle(
         sigma=sigma,
-        k_sqrt=k_sqrt,
         k=matops.sym(k_sqrt @ k_sqrt.T),
         a=a,
         d=d if model == "m2" else None,

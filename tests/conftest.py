@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples: a seed derived from each test, and no
+# replay of examples saved by earlier runs.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def rand_spd(q, rng, ridge=0.3):

@@ -379,14 +379,6 @@ class TestConnectivity:
             n_connected += expected
         assert 300 < n_connected < 2700
 
-    def test_transformation_arguments(self, rng):
-        slices = np.stack([rng.standard_normal((2, 2)) for _ in range(3)])
-        p = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        q = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        assert isinstance(cg.is_connected_bipartite(slices, p, q), bool)
-        with pytest.raises(ValueError):
-            cg.is_connected_bipartite(slices, np.zeros((2, 2)), None)
-
 
 class TestManifoldDims:
     def test_reference_values(self):

@@ -173,6 +173,19 @@ class TestDh:
         fd = (h_at(eps) - h_at(-eps)) / (2 * eps)
         np.testing.assert_allclose(kcd.dh(sep, u1, u2, kind), fd, atol=1e-6)
 
+    @pytest.mark.parametrize("h_kind", ["chol", None])
+    def test_rejects_unknown_root_kind(self, h_kind, rng):
+        # any value but CHOLESKY used to give the symmetric root, even "chol"
+        sep = kcd.SeparableCovariance(k1=np.eye(2), k2=rand_spd(3, rng))
+        u1, u2 = rand_sym(2, rng), rand_sym(3, rng)
+        for call in (
+            lambda: kcd.dh(sep, u1, u2, h_kind),
+            lambda: sep.h_matrix(h_kind),
+            lambda: sep.sqrt_factors(h_kind),
+        ):
+            with pytest.raises(ValueError, match="must be a SquareRootKind"):
+                call()
+
     def test_defining_equation(self, rng):
         # h(K) R^T + R h(K)^T = U for both branches
         k1 = rand_spd(3, rng)

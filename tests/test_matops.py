@@ -64,32 +64,6 @@ def test_kron_basics(rng):
     )
 
 
-def test_commutation_matrix(rng):
-    k22 = matops.commutation_matrix(2, 2)
-    np.testing.assert_array_equal(k22 @ np.array([1.0, 2, 3, 4]), [1.0, 3, 2, 4])
-    np.testing.assert_array_equal(matops.commutation_matrix(1, 5), np.eye(5))
-    b = rng.standard_normal((2, 3))
-    np.testing.assert_allclose(
-        matops.commutation_matrix(2, 3) @ matops.vec(b.T), matops.vec(b)
-    )
-    # orthogonality: K_{m,n} K_{n,m} = I
-    np.testing.assert_allclose(
-        matops.commutation_matrix(2, 3) @ matops.commutation_matrix(3, 2), np.eye(6)
-    )
-    # permutation structure
-    assert (k22.sum(axis=0) == 1).all() and (k22.sum(axis=1) == 1).all()
-
-
-def test_block_partition_round_trip(rng):
-    dims = matops.Dims(3, 2)
-    m = rand_sym(6, rng)
-    blocks = matops.block_partition(m, dims)
-    assert blocks.shape == (2, 2, 3, 3)
-    np.testing.assert_array_equal(matops.assemble_blocks(blocks), m)
-    # symmetric source: M_[i,j] = M_[j,i]^T
-    np.testing.assert_allclose(blocks[0, 1], blocks[1, 0].T)
-
-
 def test_partial_traces_identity():
     dims = matops.Dims(3, 2)
     np.testing.assert_allclose(matops.partial_trace_1(np.eye(6), dims), 2 * np.eye(3))
@@ -103,12 +77,14 @@ def test_partial_traces_kron(rng):
     m = matops.kron(b, a)
     np.testing.assert_allclose(matops.partial_trace_1(m, dims), np.trace(b) * a)
     np.testing.assert_allclose(matops.partial_trace_2(m, dims), np.trace(a) * b)
-    # brute-force block sums
-    blocks = matops.block_partition(m, dims)
+    # brute-force block sums over the p1 x p1 blocks M_[i,j], sliced directly
+    p1 = dims.p1
+    blocks = [[m[i * p1 : (i + 1) * p1, j * p1 : (j + 1) * p1] for j in range(2)]
+              for i in range(2)]
     np.testing.assert_allclose(
-        matops.partial_trace_1(m, dims), blocks[0, 0] + blocks[1, 1]
+        matops.partial_trace_1(m, dims), blocks[0][0] + blocks[1][1]
     )
-    t2 = np.array([[np.trace(blocks[i, j]) for j in range(2)] for i in range(2)])
+    t2 = np.array([[np.trace(blocks[i][j]) for j in range(2)] for i in range(2)])
     np.testing.assert_allclose(matops.partial_trace_2(m, dims), t2)
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
 from corecov import spd_geometry as sg
@@ -662,6 +664,18 @@ class TestInit:
             with pytest.raises(ValueError, match="r < p"):
                 picse.base_estimator(data, dims, kind)
 
+    def test_sample_core_rank_uses_the_eigenvalue_floor(self):
+        # the 4th eigenvalue is 1.7e-11 of the largest: under PD_RTOL, so the
+        # rank check rejects it; its old 1e-12 floor let it through to fail
+        # later in the top-r factor with "top-r core spectrum not positive"
+        a = cg.random_core_factor(matops.Dims(4, 3, 3), 0)
+        d = 1e-10
+        c = (1.0 - d) * (a @ a.T) + d * np.eye(12)
+        sc = SampleCov(s=c, n=24, dims=matops.Dims(4, 3, 4))
+        for kind in SquareRootKind:
+            with pytest.raises(StructureError, match="sample core has rank below r=4"):
+                picse.init(sc, kind)
+
     def test_consistency_smoke(self):
         # at n = 50 p the assembled initialization is close to the truth; the
         # rank-r truncation of the sample core leaves a small lambda-scaled
@@ -761,6 +775,13 @@ class TestFit:
         with pytest.raises(ValueError, match="need tol > 0"):
             FitConfig(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0])
+    def test_config_rejects_non_integer_max_iter(self, max_iter):
+        # a float used to pass, then fail in range() after init had run
+        with pytest.raises(TypeError):
+            FitConfig(max_iter=max_iter)
+        assert FitConfig(max_iter=np.int64(3)).max_iter == 3
+
     @pytest.mark.parametrize("h_kind", ["chol", "bogus", None])
     def test_config_rejects_unknown_root_kind(self, h_kind):
         # a value that is not a SquareRootKind member used to fit the
@@ -828,6 +849,37 @@ class TestFit:
                 lam_hats[lam] = tau.lam
             hits += lam_hats[0.2] < lam_hats[0.8]
         assert hits >= 18
+
+    @settings(deadline=None, max_examples=16)
+    @given(
+        p1=st.integers(2, 4), p2=st.integers(2, 4), data=st.data(),
+        model=st.sampled_from(["m1", "m2"]), kind=st.sampled_from(list(SquareRootKind)),
+    )
+    def test_invariants_over_the_valid_regime(self, p1, p2, data, model, kind):
+        # every r with p1/p2 + p2/p1 < r < p, and n below and above p; the
+        # sweep cap bounds the time of the slow n < p fits, and the invariants
+        # hold after every sweep
+        p = p1 * p2
+        r = data.draw(st.integers(math.floor(p1 / p2 + p2 / p1) + 1, p - 1), label="r")
+        n = data.draw(st.sampled_from([math.ceil(p / 2), 2 * p]), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        dims = matops.Dims(p1, p2, r)
+        truth = simulate.gen_truth(model, dims, 0.4, seed=seed)
+        sample = simulate.gen_data(truth.sigma, n, seed=seed + 1, dims=dims)
+        try:
+            tau, sigma_hat, trace = picse.fit(
+                sample, dims, FitConfig(max_iter=20, h_kind=kind)
+            )
+        except NUMERICAL_ERRORS:
+            # only the initialization may raise
+            with pytest.raises(NUMERICAL_ERRORS):
+                picse.init(SampleCov.from_data(sample, dims), kind)
+            return
+        obj = np.asarray(trace.objectives)
+        assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
+        tau.validate()
+        assert np.array_equal(sigma_hat, sigma_hat.T)
+        assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
 
 
 class TestBaselines:

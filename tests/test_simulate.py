@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,9 @@ class TestGenTruth:
         truth = simulate.gen_truth("m2", DIMS, 0.2, seed=9)
         w = np.linalg.eigvalsh(truth.sigma)
         assert w.min() > 0
-        w1 = np.linalg.eigvalsh(truth.k_sqrt)
-        assert w1.max() / w1.min() <= 50.0 * 50.0  # kron of two cond<=50 factors
+        w1 = np.linalg.eigvalsh(truth.k)
+        # the square of a kron of two cond<=50 factors
+        assert w1.max() / w1.min() <= (50.0 * 50.0) ** 2
 
 
 class TestGenData:
@@ -163,3 +166,22 @@ class TestRunExperiment:
         config = dict(model="m1", dims=DIMS, lam=0.5, n_list=(8,), reps=1, seed=0)
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**{**config, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("reps", 1.5), ("n_list", (24.5,)), ("n_list", (8, 12.0)),
+    ])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        # fractional counts used to pass, then fail inside run_experiment
+        # (a fractional n only after gen_truth had run)
+        config = dict(model="m1", dims=DIMS, lam=0.5, n_list=(8,), reps=1, seed=0)
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{**config, field: value})
+
+    def test_config_stores_python_ints(self):
+        # numpy counts used to reach summary.json, which cannot encode them
+        config = ExperimentConfig(
+            model="m1", dims=DIMS, lam=0.5, n_list=[np.int64(8)], reps=np.int32(2), seed=0
+        )
+        assert config.n_list == (8,) and type(config.n_list[0]) is int
+        assert type(config.reps) is int
+        json.dumps(simulate._summarize(config, []))
