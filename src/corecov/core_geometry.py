@@ -34,9 +34,16 @@ _ISOTROPY_RTOL = 1e-6
 
 
 def slices(a, dims):
-    """View the columns of A as p1 x p2 matrices, shape (r, p1, p2)."""
-    a = np.asarray(a, dtype=float)
-    return a.reshape(dims.p1, dims.p2, a.shape[1], order="F").transpose(2, 0, 1)
+    """View the columns of A as p1 x p2 matrices, shape (r, p1, p2); a
+    (k, p, r) stack gives (k, r, p1, p2)."""
+    t = np.asarray(a, dtype=float).swapaxes(-1, -2)
+    return t.reshape(*t.shape[:-1], dims.p2, dims.p1).swapaxes(-1, -2)
+
+
+def _vecs(x):
+    """vec() of a p x r matrix, or of each matrix of a (k, p, r) stack."""
+    t = np.asarray(x, dtype=float).swapaxes(-1, -2)
+    return t.reshape(*t.shape[:-2], -1)
 
 
 def from_slices(slbs):
@@ -118,28 +125,32 @@ def j_operator(a, dims):
     analogue, and the trace itself; N(J) is the tangent space of the
     core-factor manifold.  Only the three structural diagonals of J1 and J2
     are written, by adding into zeros, so every zero of J is +0.0.
+    A (k, p, r) stack of factors gives the (k, p1^2 + p2^2 + 1, p*r) stack
+    of their J, each with the bits of its own call.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
-    r = a.shape[1]
+    lead, r = a.shape[:-2], a.shape[-1]
     check_dense_size(p, r)
     tp = slices(a, dims) / p
-    avec = a.reshape(-1, order="F")
-    aic = avec.reshape(r, p2, p1)  # A_i[c, b] on the column axes (i, b, c)
-    j = np.zeros((p1 * p1 + p2 * p2 + 1, p * r))
+    tp_x, tp_y = tp.swapaxes(-3, -2), np.moveaxis(tp, -1, -3)  # (x, i, b), (y, i, c)
+    avec = _vecs(a)
+    # A_i[c, b] on the column axes (i, b, c), broadcast over the row axis
+    aic = avec.reshape(*lead, 1, r, p2, p1)
+    j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r))
     # rows (x, y), columns (i, b, c) of vec(B_i)[c + b p1]; J1 = (A_i[x, b]
     # d_yc + A_i[y, b] d_xc)/p - c1 d_xy A_i[c, b], J2 = (d_xb A_i[c, y] +
     # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b]; on x == y == c, a/p + a/p has
     # the bits of (a + a)/p
-    j1 = j[: p1 * p1].reshape(p1, p1, r, p2, p1)
-    np.einsum("xcibc->xcib", j1)[...] += tp.transpose(1, 0, 2)[:, None]
-    np.einsum("cyibc->cyib", j1)[...] += tp.transpose(1, 0, 2)[None]
-    np.einsum("xxibc->xibc", j1)[...] -= (2.0 / (p1**2 * p2)) * aic
-    j2 = j[p1 * p1 : -1].reshape(p2, p2, r, p2, p1)
-    np.einsum("xyixc->xyic", j2)[...] += tp.transpose(2, 0, 1)[None]
-    np.einsum("xyiyc->xyic", j2)[...] += tp.transpose(2, 0, 1)[:, None]
-    np.einsum("xxibc->xibc", j2)[...] -= (2.0 / (p1 * p2**2)) * aic
-    j[-1] += 2.0 * avec
+    j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
+    np.einsum("...xcibc->...xcib", j1)[...] += tp_x[..., :, None, :, :]
+    np.einsum("...cyibc->...cyib", j1)[...] += tp_x[..., None, :, :, :]
+    np.einsum("...xxibc->...xibc", j1)[...] -= (2.0 / (p1**2 * p2)) * aic
+    j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
+    np.einsum("...xyixc->...xyic", j2)[...] += tp_y[..., None, :, :, :]
+    np.einsum("...xyiyc->...xyic", j2)[...] += tp_y[..., :, None, :, :]
+    np.einsum("...xxibc->...xibc", j2)[...] -= (2.0 / (p1 * p2**2)) * aic
+    j[..., -1, :] += 2.0 * avec
     return j
 
 
@@ -172,9 +183,15 @@ class RankTangentSpace:
         return self.jp.T @ (self.jp @ (self.j @ egrad.reshape(-1, order="F")))
 
     def hess_coords(self, ehess_v, v, w):
-        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V."""
+        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V.
+
+        On (k, p, r) stacks of V and ehess_v it gives the (k, m) coordinates,
+        each row with the bits of its own call: both products stay one
+        matrix-vector product per matrix of the stack.
+        """
         jv = j_operator(v, self.dims)
-        return self.basis.T @ (ehess_v.reshape(-1, order="F") - jv.T @ w)
+        x = _vecs(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
+        return (self.basis.T @ x[..., None])[..., 0]
 
 
 def tangent_project_full(v, dims):

@@ -123,12 +123,6 @@ def half(m):
     return np.tril(m, -1) + diag_part(m) / 2.0
 
 
-def lower(m):
-    """L(M) = strict lower triangle plus the diagonal (np.tril)."""
-    m = _check_square(m)
-    return np.tril(m)
-
-
 def spd_eigh(s, what="matrix"):
     """Eigendecomposition (w, q) of the symmetrized input; DefinitenessError
     unless its smallest eigenvalue exceeds PD_RTOL times the largest."""

@@ -27,6 +27,10 @@ from .kcd import SquareRootKind
 _LAMBDA_BRACKET = (1e-4, 1.0 - 1e-4)
 # Step halvings before a block step gives up on a candidate or on descent.
 _MAX_HALVINGS = 30
+# Bytes of the largest temporary a block Hessian may build over a stack of
+# basis elements; the basis goes through in chunks that fit (at least one
+# element each), which bounds the peak memory the stacks add.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ class _KBlock:
             self._grad_hess = spd_geometry.chol_grad_hess
             self._proj = spd_geometry.proj_unitdet_chol
             self._exp = spd_geometry.chol_exp
-            self.f = matops.lower
+            self.f = np.tril
         else:
             self.basis = spd_geometry.ai_unitdet_basis(self.point)
             self._inner = spd_geometry.ai_inner
@@ -249,30 +253,37 @@ class _KBlock:
         return out + self.c1 * self.f(cross)
 
     def hess(self, v):
-        """Euclidean Hessian of the likelihood in the factor, applied to V."""
+        """Euclidean Hessian of the likelihood in the factor, applied to V.
+
+        A (k, q, q) stack of V gives the stack of actions, each with the bits
+        of its own call; it builds a (k, n, q, q') temporary.
+        """
         ki = self.kb_inv
         ki_t = ki.T
         v = np.asarray(v, dtype=float)
+        vt = v.swapaxes(-1, -2)
         term1 = self.c0 * self.f(
-            ki_t @ v.T @ ki_t @ self.q_mat
-            + self.kq @ v.T @ ki_t
+            ki_t @ vt @ ki_t @ self.q_mat
+            + self.kq @ vt @ ki_t
             + self.kk @ v @ self.q_mat
         )
         kv = ki @ v
-        s = np.einsum("jab,nab->jn", self.umats, np.einsum("ab,nbc->nac", kv, self.e))
-        h_acc = np.einsum("jn,nab->jab", s, self.e)
+        s = np.einsum(
+            "jab,...nab->...jn", self.umats, np.einsum("...ab,nbc->...nac", kv, self.e)
+        )
+        h_acc = np.einsum("...jn,nab->...jab", s, self.e)
         term2 = -self.c1 * self.f(
             np.einsum(
-                "j,jab->ab",
+                "j,...jab->...ab",
                 self.alpha,
-                np.einsum("ab,jbc,jdc->jad", ki_t, self.umats, h_acc),
+                np.einsum("ab,jbc,...jdc->...jad", ki_t, self.umats, h_acc),
             )
         )
-        part_a = np.einsum("ab,jbc,jdc->jad", ki_t @ v.T, self.ku, self.g_acc)
-        kvg = np.einsum("ab,jbc->jac", kv, self.g_acc)
-        part_b = np.einsum("jab,jcb->jac", self.ku, kvg)
+        part_a = np.einsum("...ab,jbc,jdc->...jad", ki_t @ vt, self.ku, self.g_acc)
+        kvg = np.einsum("...ab,jbc->...jac", kv, self.g_acc)
+        part_b = np.einsum("jab,...jcb->...jac", self.ku, kvg)
         term3 = -self.c1 * self.f(
-            np.einsum("j,jab->ab", self.alpha, part_a + part_b)
+            np.einsum("j,...jab->...ab", self.alpha, part_a + part_b)
         )
         return term1 + term2 + term3
 
@@ -282,10 +293,15 @@ class _KBlock:
     def derivatives(self):
         """Riemannian gradient, its coordinates in the basis, and the
         Riemannian Hessian in the basis, row i the image of basis[i]."""
-        ehess = np.array([self.hess(b) for b in self.basis])
+        ehess = np.empty_like(self.basis)
+        for rows in _chunks(len(self.basis), self.e.nbytes):
+            ehess[rows] = self.hess(self.basis[rows])
         rgrad, rhess = self._grad_hess(self.point, self.egrad, ehess, self.basis)
         rgrad, rhess = self._proj(self.point, rgrad), self._proj(self.point, rhess)
-        h_mat = np.array([self._inner(self.point, h, self.basis) for h in rhess])
+        # each row of h_mat pairs one image with the whole basis
+        h_mat = np.empty((len(rhess), len(self.basis)))
+        for rows in _chunks(len(rhess), self.basis.nbytes):
+            h_mat[rows] = self._inner(self.point, rhess[rows, None], self.basis)
         return rgrad, self._inner(self.point, rgrad, self.basis), h_mat
 
     def tangent(self, coef):
@@ -316,11 +332,13 @@ class _ABlock:
         return -2.0 * (1.0 - self.tau.lam) * (self.isia - self.ia)
 
     def hess(self, v):
-        """Euclidean Hessian of the likelihood in A, applied to V."""
+        """Euclidean Hessian of the likelihood in A, applied to V.  A
+        (k, p, r) stack of V gives the stack of actions, each with the bits
+        of its own call."""
         inv = self.spec.inv_apply
         a, lam = self.tau.a, self.tau.lam
         v = np.asarray(v, dtype=float)
-        p_mat = a @ v.T + v @ a.T
+        p_mat = a @ v.swapaxes(-1, -2) + v @ a.T
         iv, ipia = inv(v), inv(p_mat @ self.ia)
         out = -2.0 * (1.0 - lam) * inv(self.stil @ iv)
         out += 2.0 * (1.0 - lam) * iv
@@ -337,11 +355,14 @@ class _ABlock:
         Riemannian Hessian in the basis B, column i its action on B[:, i]."""
         coef = self.space.coords(self.egrad)
         w = self.space.normal_weights(self.egrad)
-        m = self.space.basis.shape[1]
+        basis, (p, r) = self.space.basis, self.tau.a.shape
+        m = basis.shape[1]
         h_mat = np.empty((m, m))
-        for i in range(m):
-            v = self.space.basis[:, i].reshape(self.tau.a.shape, order="F")
-            h_mat[:, i] = self.space.hess_coords(self.hess(v), v, w)
+        # hess_coords builds one dense J(V) per column
+        for cols in _chunks(m, self.space.j.nbytes):
+            # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
+            v = basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
+            h_mat[:, cols] = self.space.hess_coords(self.hess(v), v, w).T
         return self.space.tangent(coef), coef, h_mat
 
     def tangent(self, coef):
@@ -350,6 +371,13 @@ class _ABlock:
     def retract(self, v):
         a_new = retract_core_factor(self.tau.a, v, self.tau.dims)
         return dataclasses.replace(self.tau, a=a_new)
+
+
+def _chunks(m, item_bytes):
+    """Slices that cover range(m) with at most _STACK_BYTES // item_bytes
+    elements each (at least one)."""
+    step = max(1, _STACK_BYTES // item_bytes)
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
 def _newton_coeffs(h_mat, g_vec):

@@ -163,15 +163,18 @@ def lower_basis(q):
 
 
 def _gram_schmidt(cands, inner):
-    out = []
-    for c in cands:
-        w = c.copy()
-        for b in out:
-            w = w - inner(w, b) * b
-        nrm = inner(w, w)
+    """Right-looking modified Gram-Schmidt over a (m, q, q) stack: each
+    accepted vector leaves all later candidates in one broadcast inner
+    product, so every candidate meets the accepted ones in order."""
+    w = np.array(cands, dtype=float)
+    keep = []
+    for i in range(len(w)):
+        nrm = inner(w[i], w[i])
         if nrm > _GS_TOL:
-            out.append(w / np.sqrt(nrm))
-    return np.array(out)
+            w[i] = w[i] / np.sqrt(nrm)
+            keep.append(i)
+            w[i + 1 :] = w[i + 1 :] - inner(w[i + 1 :], w[i])[:, None, None] * w[i]
+    return w[keep]
 
 
 def ai_unitdet_basis(sigma):

@@ -182,6 +182,13 @@ class TestJOperator:
         j, expected = cg.j_operator(a, dims), kron_j_reference(a, dims)
         assert np.array_equal(j, expected)
         assert j[expected != 0].tobytes() == expected[expected != 0].tobytes()
+        # a (k, p, r) stack gives each factor's J with the bits of its own call
+        k = data.draw(st.integers(1, 3), label="k")
+        stack = signed_zeros(rng.standard_normal((k, dims.p, r)), rng.uniform(0.0, 0.5), rng)
+        js = cg.j_operator(stack, dims)
+        assert js.shape == (k, *j.shape)
+        for ji, ai in zip(js, stack):
+            assert ji.tobytes() == cg.j_operator(ai, dims).tobytes()
 
 
 class TestTangentProjectFull:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -194,17 +195,21 @@ class TestABlockMatchesOperator:
 class TestKBlockMatchesOperator:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
-    def test_derivatives_match_scalar_calls(self, kind, dims):
-        # derivatives() batches over the basis; each entry keeps the bits of
-        # the scalar operator calls made one basis pair at a time
+    def test_derivatives_match_scalar_calls(self, kind, dims, monkeypatch):
+        # derivatives() batches over the basis, under the default budget and
+        # in chunks of 1 and 2 rows of the metric matrix; each entry keeps the
+        # bits of the scalar operator calls made one basis pair at a time
         if kind is SquareRootKind.CHOLESKY:
             inner, grad_hess, proj = sg.chol_inner, sg.chol_grad_hess, sg.proj_unitdet_chol
         else:
             inner, grad_hess, proj = sg.ai_inner, sg.ai_grad_hess, sg.proj_unitdet_spd
         tau = make_tau(kind, 47, dims=dims)
         data = make_data(48, n=10, dims=dims)
-        for side in (1, 2):
+        default = picse._STACK_BYTES
+        for side, rows in itertools.product((1, 2), (None, 1, 2)):
             block = picse._KBlock(tau, data, side)
+            budget = default if rows is None else rows * block.basis.nbytes
+            monkeypatch.setattr(picse, "_STACK_BYTES", budget)
             x = block.point
             q = x.shape[0]
             assert block.basis.shape == (q * (q + 1) // 2 - 1, q, q)
@@ -272,9 +277,24 @@ def k_hess_reference(block, v):
     return term1 + term2 + term3
 
 
+def a_hess_matrix_reference(block):
+    """_ABlock.derivatives' Hessian matrix, one column per hess_coords call."""
+    space = block.space
+    w = space.normal_weights(block.egrad)
+    cols = []
+    for i in range(space.basis.shape[1]):
+        v = space.basis[:, i].reshape(block.tau.a.shape, order="F")
+        cols.append(space.hess_coords(block.hess(v), v, w))
+    return np.array(cols).T
+
+
+BLOCK_DIMS = [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3), matops.Dims(3, 5, 4)]
+
+
 class TestBlockDerivativeBits:
-    # the blocks form their base-point factors once; every gradient and
-    # Hessian column keeps the bits of the formulas evaluated in place
+    # the blocks form their base-point factors once and take stacks of basis
+    # elements; every gradient and Hessian column keeps the bits of the
+    # formulas evaluated in place, one basis element at a time
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
     def test_a_block(self, kind, dims):
@@ -288,15 +308,36 @@ class TestBlockDerivativeBits:
             assert block.hess(v).tobytes() == a_hess_reference(block, v).tobytes()
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
-    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_k_blocks(self, kind, dims):
         tau = make_tau(kind, 51, dims=dims)
         data = make_data(52, n=10, dims=dims)
         for side in (1, 2):
             block = picse._KBlock(tau, data, side)
             assert block.egrad.tobytes() == k_grad_reference(block).tobytes()
-            for b in block.basis:
-                assert block.hess(b).tobytes() == k_hess_reference(block, b).tobytes()
+            stacked = block.hess(block.basis)
+            assert stacked.shape == block.basis.shape
+            for h, b in zip(stacked, block.basis):
+                assert h.tobytes() == k_hess_reference(block, b).tobytes()
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
+    def test_a_hessian_matrix_in_chunks(self, kind, dims, monkeypatch):
+        # the whole basis in one stack, and chunks of 1 to 4 columns (at
+        # least one size with a ragged last chunk), give the one-column
+        # loop's matrix
+        tau = make_tau(kind, 55, dims=dims)
+        sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
+        block = picse._ABlock(tau, sc)
+        m = block.space.basis.shape[1]
+        sizes = (1, 2, 3, 4)
+        assert any(m % size for size in sizes)
+        expected = a_hess_matrix_reference(block).tobytes()
+        assert block.derivatives()[2].tobytes() == expected
+        for size in sizes:
+            monkeypatch.setattr(picse, "_STACK_BYTES", size * block.space.j.nbytes)
+            assert len(picse._chunks(m, block.space.j.nbytes)) == -(-m // size)
+            assert block.derivatives()[2].tobytes() == expected
 
     def test_a_hess_applies_ctilde_inverse_five_times(self):
         dims = matops.Dims(4, 3, 3)
@@ -310,8 +351,9 @@ class TestBlockDerivativeBits:
             return inv_apply(m)
 
         block.spec.inv_apply = counting
-        v = block.space.basis[:, 0].reshape(tau.a.shape, order="F")
-        block.hess(v)
+        # the whole basis as one (m, p, r) stack of columns
+        basis = block.space.basis
+        block.hess(basis.T.reshape(-1, tau.a.shape[1], tau.a.shape[0]).swapaxes(-1, -2))
         assert len(calls) == 5
         block.grad()
         assert len(calls) == 5
@@ -880,6 +922,39 @@ class TestFit:
         tau.validate()
         assert np.array_equal(sigma_hat, sigma_hat.T)
         assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
+
+
+EQUIVARIANCE_SHAPES = [
+    (p1, p2, r)
+    for p1 in (2, 3)
+    for p2 in (2, 3)
+    for r in range(math.floor(p1 / p2 + p2 / p1) + 1, p1 * p2)
+]
+
+
+class TestEquivariance:
+    # Fitting P Y Q^T with P, Q orthogonal gives (Q (x) P) Sigma_hat (Q (x) P)^T:
+    # the symmetric root and the affine-invariant metric are invariant under
+    # orthogonal P and Q, and at tol=1e-10 both fits end at the optimum.  The
+    # Cholesky root is equivariant under lower-triangular P and Q, but its
+    # metric is not invariant under them, so two default fits stop at
+    # different points short of the optimum; that case waits for fits that
+    # stop on stationarity.
+    @pytest.mark.parametrize("p1, p2, r", EQUIVARIANCE_SHAPES)
+    @settings(deadline=None, max_examples=2)
+    @given(model=st.sampled_from(["m1", "m2"]), seed=st.integers(0, 2**16))
+    def test_orthogonal_transform_of_the_data(self, p1, p2, r, model, seed):
+        dims = matops.Dims(p1, p2, r)
+        truth = simulate.gen_truth(model, dims, 0.4, seed=seed)
+        y = simulate.gen_data(truth.sigma, 2 * dims.p, seed=seed + 1, dims=dims)
+        rng = np.random.default_rng(seed + 2)
+        pm = np.linalg.qr(rng.standard_normal((p1, p1)))[0]
+        qm = np.linalg.qr(rng.standard_normal((p2, p2)))[0]
+        config = FitConfig(tol=1e-10)
+        _, sigma_hat, _ = picse.fit(y, dims, config)
+        _, sigma_rot, _ = picse.fit(pm @ y @ qm.T, dims, config)
+        t = np.kron(qm, pm)
+        assert simulate.rel_spec_norm(sigma_rot, t @ sigma_hat @ t.T) < 1e-6
 
 
 class TestBaselines:

@@ -3,7 +3,10 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import same_outputs  # noqa: E402
 
@@ -35,6 +38,21 @@ def test_tree_without_corecov_exits_2_fast(tmp_path, capsys):
     assert same_outputs.main([str(tree) for tree in trees]) == 2
     assert time.perf_counter() - t0 < 30.0
     assert "failed" in capsys.readouterr().err
+
+
+def test_workload_option_runs_only_the_named_workload(capsys):
+    # fit-large is one operation; the repeated name runs once
+    src = os.path.join(ROOT, "src")
+    argv = ["--workload", "fit-large", "--workload", "fit-large", src, src]
+    assert same_outputs.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 of 1 operations bit-identical"]
+
+
+def test_workload_option_rejects_unknown_names(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        same_outputs.main(["--workload", "fit-huge", str(tmp_path), str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def _study_digest(tmp_path, name, summary):

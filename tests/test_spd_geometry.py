@@ -205,6 +205,37 @@ def test_bases_are_orthonormal(rng):
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
 
 
+def left_looking_gram_schmidt(cands, inner):
+    """Gram-Schmidt with one loop per candidate over the accepted vectors."""
+    out = []
+    for c in cands:
+        w = c.copy()
+        for b in out:
+            w = w - inner(w, b) * b
+        nrm = inner(w, w)
+        if nrm > sg._GS_TOL:
+            out.append(w / np.sqrt(nrm))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_unitdet_bases_match_left_looking_gram_schmidt(rng, q):
+    # the right-looking elimination meets every candidate with the accepted
+    # vectors in the same order, so each basis keeps the loop's bits; the
+    # unit-determinant projection leaves one candidate dependent, dropped
+    s = unit_det_spd(q, rng)
+    l = unit_det_chol(q, rng)
+    for basis, cands, inner in (
+        (sg.ai_unitdet_basis(s), sg.proj_unitdet_spd(s, sg.sym_basis(q)),
+         lambda a, b: sg.ai_inner(s, a, b)),
+        (sg.chol_unitdet_basis(l), sg.proj_unitdet_chol(l, sg.lower_basis(q)),
+         lambda a, b: sg.chol_inner(l, a, b)),
+    ):
+        assert len(cands) == q * (q + 1) // 2
+        assert basis.shape == (q * (q + 1) // 2 - 1, q, q)
+        assert basis.tobytes() == left_looking_gram_schmidt(cands, inner).tobytes()
+
+
 def loop_sym_basis(q):
     basis = [np.diag(np.eye(q)[i]) for i in range(q)]
     for i in range(q):

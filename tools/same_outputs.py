@@ -1,12 +1,13 @@
 """Check that two source trees give bit-identical benchmark outputs.
 
-    python3 tools/same_outputs.py OLD_SRC NEW_SRC
+    python3 tools/same_outputs.py [--workload NAME ...] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `corecov` package, such as
-the `src/` of two checkouts.  Each tree runs all operations of the three
-benchmark workloads in benchmarks/bench_workloads.py once, in the pool order
-of seed 0, in its own process with one BLAS thread.  Each output is reduced
-to SHA-256 digests of its bytes:
+the `src/` of two checkouts.  Each tree runs all operations of the benchmark
+workloads in benchmarks/bench_workloads.py once, in the pool order of seed 0,
+in its own process with one BLAS thread: all three workloads, or those named
+by --workload (repeatable).  Each output is reduced to SHA-256 digests of its
+bytes:
 
   fit-small       objectives, step norms, termination, K1bar, K2bar, nu, A,
                   lambda and sigma_hat of each `picse.fit` call
@@ -84,8 +85,8 @@ def _digest(fields):
     return {k: hashlib.sha256(v).hexdigest() for k, v in fields.items()}
 
 
-def digest_tree(src, out):
-    """Run every benchmark operation on the tree at `src`; write
+def digest_tree(src, out, workloads=WORKLOADS):
+    """Run every operation of `workloads` on the tree at `src`; write
     {workload/key: {field: sha256}} as JSON to `out`."""
     sys.path[:0] = [src, BENCH]
     import corecov
@@ -96,7 +97,7 @@ def digest_tree(src, out):
     digests = {}
     workdir = tempfile.mkdtemp(prefix="same-outputs-")
     try:
-        for workload in WORKLOADS:
+        for workload in workloads:
             for op in bw.workload(workload).build(SEED, workdir):
                 try:
                     fields = _fields(workload, op.run())
@@ -129,13 +130,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        dest="workloads", metavar="NAME",
+                        help="check only this workload (repeatable; default: all "
+                             f"of {', '.join(WORKLOADS)})")
     args = parser.parse_args(argv)
     trees = (args.old_src, args.new_src)
+    workloads = list(dict.fromkeys(args.workloads or WORKLOADS))
 
     # Each tree gets a fresh interpreter, so the two corecov packages never
     # meet in one process and BLAS starts with one thread.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
-    child = "import sys, same_outputs; same_outputs.digest_tree(*sys.argv[1:])"
+    child = ("import sys, same_outputs; "
+             "same_outputs.digest_tree(sys.argv[1], sys.argv[2], sys.argv[3:])")
     tmp = tempfile.mkdtemp(prefix="same-outputs-")
     try:
         outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
@@ -143,7 +150,7 @@ def main(argv=None):
         for src, out in zip(trees, outs):
             with open(out + ".log", "w") as log:
                 procs.append(subprocess.Popen(
-                    [sys.executable, "-c", child, os.path.abspath(src), out],
+                    [sys.executable, "-c", child, os.path.abspath(src), out, *workloads],
                     cwd=HERE, env=env, stderr=log))
         codes = [proc.wait() for proc in procs]
         for src, out, code in zip(trees, outs, codes):
