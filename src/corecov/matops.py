@@ -67,8 +67,14 @@ def mat(u, p1, p2):
 
 
 def kron(b, a):
-    """Kronecker product with block [i, j] = b[i, j] * a."""
-    return np.kron(np.asarray(b), np.asarray(a))
+    """Kronecker product of two matrices, with block [i, j] = b[i, j] * a.
+
+    One broadcast product: each entry is the single product b[i, j] a[k, l],
+    so the bytes and the layout are those of np.kron, without its overhead.
+    """
+    b, a = np.asarray(b), np.asarray(a)
+    (m, n), (p, q) = b.shape, a.shape
+    return (b[:, None, :, None] * a[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace_1(m, dims):

@@ -13,6 +13,7 @@ retraction).
 """
 
 import dataclasses
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -46,8 +47,17 @@ class PicseParams:
     dims: matops.Dims
 
     def validate(self):
-        """ValueError unless K-bar factors have the square-root kind's structure
-        and unit determinant, lambda lies in (0, 1), nu > 0 and A is a core factor."""
+        """ValueError unless every entry is finite, K-bar factors have the
+        square-root kind's structure and unit determinant, lambda lies in
+        (0, 1), nu > 0 and A is a core factor.  The entry and scalar checks
+        run before any decomposition."""
+        for name in ("k1bar", "k2bar", "a"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise StructureError(f"{name} has non-finite entries")
+        if not (0.0 < self.lam < 1.0):
+            raise StructureError(f"lambda {self.lam} outside (0, 1)")
+        if not (0.0 < self.nu < np.inf):
+            raise StructureError(f"nu {self.nu} is not positive and finite")
         for name in ("k1bar", "k2bar"):
             k = getattr(self, name)
             if self.h_kind is SquareRootKind.CHOLESKY:
@@ -58,10 +68,6 @@ class PicseParams:
                 matops.spd_eigh(k, what=name)
             if abs(np.linalg.det(k) - 1.0) > matops.RESIDUAL_TOL:
                 raise StructureError(f"{name} determinant differs from 1")
-        if not (0.0 < self.lam < 1.0):
-            raise StructureError(f"lambda {self.lam} outside (0, 1)")
-        if self.nu <= 0.0:
-            raise StructureError("nu must be positive")
         core_geometry.check_core_factor(self.a, self.dims)
         return self
 
@@ -160,15 +166,91 @@ class _CtildeSpectral:
         )
 
 
+class _ParamPoint:
+    """A parameter point tau with the pieces that its objective, its
+    closed-form updates and the block steps taken from it read, each formed
+    at most once, when first read:
+
+      stil   S~ = sym(Kbar^-1 S Kbar^-T), with Kbar = kron(K2bar, K1bar)
+      spec   the spectral form of Ctilde(A, lambda)
+      trace  tr(S~ Ctilde^-1)
+
+    replace() moves to another point and keeps every formed piece whose
+    inputs did not change, so each value keeps the float operations of a
+    fresh point.  nll, update_nu and update_lambda are these methods at a
+    fresh point.
+    """
+
+    # the fields of tau each piece is formed from
+    _INPUTS = {
+        "stil": {"k1bar", "k2bar"},
+        "spec": {"a", "lam"},
+        "trace": {"k1bar", "k2bar", "a", "lam"},
+    }
+
+    def __init__(self, tau, sample_cov):
+        self.tau = tau
+        self.sample_cov = sample_cov
+
+    @functools.cached_property
+    def stil(self):
+        return matops.whiten(self.tau.kbar, self.sample_cov.s)
+
+    @functools.cached_property
+    def spec(self):
+        return _CtildeSpectral(self.tau.a, self.tau.lam)
+
+    @functools.cached_property
+    def trace(self):
+        spec = self.spec  # a lambda outside (0, 1) raises before the whitening
+        return spec.inv_quad_trace(self.stil)
+
+    def replace(self, **changes):
+        """The point dataclasses.replace(tau, **changes), with every formed
+        piece that none of the changed fields enters."""
+        new = _ParamPoint(dataclasses.replace(self.tau, **changes), self.sample_cov)
+        for piece, inputs in self._INPUTS.items():
+            if piece in self.__dict__ and not inputs & changes.keys():
+                new.__dict__[piece] = self.__dict__[piece]
+        return new
+
+    def nll(self):
+        tau = self.tau
+        tr_term = self.trace / tau.nu**2
+        return tr_term + self.spec.logdet() + 2.0 * tau.dims.p * np.log(tau.nu)
+
+    def update_nu(self):
+        return float(np.sqrt(self.trace / self.tau.dims.p))
+
+    def update_lambda(self):
+        tau, spec = self.tau, self.spec
+        lo, hi = _LAMBDA_BRACKET
+        m = self.stil / tau.nu**2
+        mj = np.einsum("pj,pq,qj->j", spec.u, m, spec.u)
+        rest = float(np.trace(m) - mj.sum())
+        p, r = tau.dims.p, tau.dims.r
+
+        def objective(lam):
+            d = (1.0 - lam) * spec.sig2 + lam
+            return float(
+                np.sum(mj / d + np.log(d)) + rest / lam + (p - r) * np.log(lam)
+            )
+
+        res = minimize_scalar(
+            objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
+        )
+        best = float(res.x)
+        if objective(tau.lam) < objective(best):
+            best = tau.lam
+        return min(max(best, lo), hi)
+
+
 def nll(tau, sample_cov):
     """Per-datum negative log-likelihood (additive constants dropped):
 
     tr(Kbar^-1 S Kbar^-T Ctilde^-1) / nu^2 + log|Ctilde| + 2 p log nu.
     """
-    spec = _CtildeSpectral(tau.a, tau.lam)
-    m = matops.whiten(tau.kbar, sample_cov.s)
-    tr_term = spec.inv_quad_trace(m) / tau.nu**2
-    return tr_term + spec.logdet() + 2.0 * tau.dims.p * np.log(tau.nu)
+    return _ParamPoint(tau, sample_cov).nll()
 
 
 def sigma_from_params(tau):
@@ -193,8 +275,8 @@ class _KBlock:
     vectors of A; side 2 with their transposes.
     """
 
-    def __init__(self, tau, data, side):
-        self.tau = tau
+    def __init__(self, base, data, side):
+        self.base, tau = base, base.tau
         self.name = "k1bar" if side == 1 else "k2bar"
         self.point = getattr(tau, self.name)
         if tau.h_kind is SquareRootKind.CHOLESKY:
@@ -220,7 +302,7 @@ class _KBlock:
         z = z.reshape(dims.p1, n, dims.p2).transpose(1, 0, 2)
         z = np.linalg.solve(tau.k2bar, z.transpose(0, 2, 1)).transpose(0, 2, 1)
 
-        spec = _CtildeSpectral(tau.a, tau.lam)
+        spec = base.spec
         # contiguous: einsum's summation order, so its rounding, follows layout
         umats = np.ascontiguousarray(core_geometry.slices(spec.u, dims))
         if side == 2:
@@ -309,7 +391,7 @@ class _KBlock:
 
     def retract(self, v):
         point = self._exp(self.point, v, 1.0, unit_det=True)
-        return dataclasses.replace(self.tau, **{self.name: point})
+        return self.base.replace(**{self.name: point})
 
 
 class _ABlock:
@@ -317,10 +399,10 @@ class _ABlock:
     manifold under the Euclidean metric, coordinates in an orthonormal basis
     of N(J(A)), and the eigen-truncated core retraction."""
 
-    def __init__(self, tau, sample_cov):
-        self.tau = tau
-        self.spec = _CtildeSpectral(tau.a, tau.lam)
-        self.stil = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
+    def __init__(self, base):
+        self.base, tau = base, base.tau
+        self.spec = base.spec
+        self.stil = base.stil / tau.nu**2
         self.space = core_geometry.RankTangentSpace(tau.a, tau.dims)
         # V-free factors of grad() and hess(): Ctilde^-1 A, Ctilde^-1 S~ Ctilde^-1 A
         self.ia = self.spec.inv_apply(tau.a)
@@ -329,14 +411,14 @@ class _ABlock:
 
     def grad(self):
         """Euclidean gradient of the likelihood in A."""
-        return -2.0 * (1.0 - self.tau.lam) * (self.isia - self.ia)
+        return -2.0 * (1.0 - self.base.tau.lam) * (self.isia - self.ia)
 
     def hess(self, v):
         """Euclidean Hessian of the likelihood in A, applied to V.  A
         (k, p, r) stack of V gives the stack of actions, each with the bits
         of its own call."""
         inv = self.spec.inv_apply
-        a, lam = self.tau.a, self.tau.lam
+        a, lam = self.base.tau.a, self.base.tau.lam
         v = np.asarray(v, dtype=float)
         p_mat = a @ v.swapaxes(-1, -2) + v @ a.T
         iv, ipia = inv(v), inv(p_mat @ self.ia)
@@ -355,7 +437,7 @@ class _ABlock:
         Riemannian Hessian in the basis B, column i its action on B[:, i]."""
         coef = self.space.coords(self.egrad)
         w = self.space.normal_weights(self.egrad)
-        basis, (p, r) = self.space.basis, self.tau.a.shape
+        basis, (p, r) = self.space.basis, self.base.tau.a.shape
         m = basis.shape[1]
         h_mat = np.empty((m, m))
         # hess_coords builds one dense J(V) per column
@@ -369,8 +451,8 @@ class _ABlock:
         return self.space.tangent(coef)
 
     def retract(self, v):
-        a_new = retract_core_factor(self.tau.a, v, self.tau.dims)
-        return dataclasses.replace(self.tau, a=a_new)
+        tau = self.base.tau
+        return self.base.replace(a=retract_core_factor(tau.a, v, tau.dims))
 
 
 def _chunks(m, item_bytes):
@@ -385,7 +467,7 @@ def _newton_coeffs(h_mat, g_vec):
     return coef
 
 
-def _block_step(block, sample_cov, current):
+def _block_step(block, current):
     """One decrease-checked Riemannian Newton step in one parameter block.
 
     Tries the Newton direction -Hess^+[grad] first, then steepest descent
@@ -394,14 +476,13 @@ def _block_step(block, sample_cov, current):
     whose retraction raises is halved (Newton at most _MAX_HALVINGS times,
     descent up to e = 2 _MAX_HALVINGS); so is a descent step that fails the
     decrease check while e < _MAX_HALVINGS, and no step is tried twice.
-    Returns (tau, nll, step_norm), the norm of the tangent retracted, at the
-    base point; when the gradient vanishes or nothing helps, tau is unchanged
-    and the norm is 0.
+    Returns (point, nll, step_norm), the norm of the tangent retracted, at the
+    base point; when the gradient vanishes or nothing helps, the point is the
+    block's base point and the norm is 0.
     """
-    tau = block.tau
     rgrad, g_coef, h_mat = block.derivatives()
     if np.linalg.norm(g_coef) < 1e-13:
-        return tau, current, 0.0
+        return block.base, current, 0.0
     v_newton = block.tangent(_newton_coeffs(h_mat, g_coef))
     # (first step, last e, a failed decrease check halves it while e < this)
     ladders = [(-rgrad, 2 * _MAX_HALVINGS, _MAX_HALVINGS)]
@@ -415,14 +496,14 @@ def _block_step(block, sample_cov, current):
             except NUMERICAL_ERRORS:
                 continue
             try:
-                value = nll(cand, sample_cov)
+                value = cand.nll()
             except NUMERICAL_ERRORS:
                 value = np.nan
             if np.isfinite(value) and value <= current:
                 return cand, value, block.norm(step)
             if e >= retry_below:
                 break
-    return tau, current, 0.0
+    return block.base, current, 0.0
 
 
 def retract_core_factor(a, v, dims):
@@ -457,9 +538,7 @@ def _top_core_factor(core, dims):
 
 def update_nu(tau, sample_cov):
     """Exact minimizer nu = sqrt(tr(Kbar^-1 S Kbar^-T Ctilde^-1) / p)."""
-    spec = _CtildeSpectral(tau.a, tau.lam)
-    m = matops.whiten(tau.kbar, sample_cov.s)
-    return float(np.sqrt(spec.inv_quad_trace(m) / tau.dims.p))
+    return _ParamPoint(tau, sample_cov).update_nu()
 
 
 def update_lambda(tau, sample_cov):
@@ -469,26 +548,7 @@ def update_lambda(tau, sample_cov):
     whitened data energy along the j-th left singular vector of A, the objective
     is sum_j [m_j/d_j + log d_j] over the spiked block plus the isotropic rest.
     """
-    lo, hi = _LAMBDA_BRACKET
-    spec = _CtildeSpectral(tau.a, tau.lam)
-    m = matops.whiten(tau.kbar, sample_cov.s) / tau.nu**2
-    mj = np.einsum("pj,pq,qj->j", spec.u, m, spec.u)
-    rest = float(np.trace(m) - mj.sum())
-    p, r = tau.dims.p, tau.dims.r
-
-    def objective(lam):
-        d = (1.0 - lam) * spec.sig2 + lam
-        return float(
-            np.sum(mj / d + np.log(d)) + rest / lam + (p - r) * np.log(lam)
-        )
-
-    res = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-    )
-    best = float(res.x)
-    if objective(tau.lam) < objective(best):
-        best = tau.lam
-    return min(max(best, lo), hi)
+    return _ParamPoint(tau, sample_cov).update_lambda()
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +619,29 @@ def fit(data, dims, config=None, initial=None):
             raise ValueError(f"invalid initial parameters: {exc}") from exc
     tau = init(sample_cov, config.h_kind) if initial is None else initial
 
-    value = nll(tau, sample_cov)
+    # each update reads the pieces its predecessor formed (_ParamPoint)
+    point = _ParamPoint(tau, sample_cov)
+    value = point.nll()
     trace = FitTrace(objectives=[value], step_norms=[], termination="max_iter")
     for _ in range(config.max_iter):
         prev_value = value
         steps = {}
         try:
             for side in (1, 2):
-                block = _KBlock(tau, data, side)
-                tau, value, steps[block.name] = _block_step(block, sample_cov, value)
+                block = _KBlock(point, data, side)
+                point, value, steps[block.name] = _block_step(block, value)
 
-            nu_new = update_nu(tau, sample_cov)
-            steps["nu"] = abs(nu_new - tau.nu)
-            tau = dataclasses.replace(tau, nu=nu_new)
-            value = nll(tau, sample_cov)
+            nu_new = point.update_nu()
+            steps["nu"] = abs(nu_new - point.tau.nu)
+            point = point.replace(nu=nu_new)
+            value = point.nll()
 
-            block = _ABlock(tau, sample_cov)
-            tau, value, steps["a"] = _block_step(block, sample_cov, value)
+            point, value, steps["a"] = _block_step(_ABlock(point), value)
 
-            lam_new = update_lambda(tau, sample_cov)
-            steps["lambda"] = abs(lam_new - tau.lam)
-            tau = dataclasses.replace(tau, lam=lam_new)
-            value = nll(tau, sample_cov)
+            lam_new = point.update_lambda()
+            steps["lambda"] = abs(lam_new - point.tau.lam)
+            point = point.replace(lam=lam_new)
+            value = point.nll()
         except NUMERICAL_ERRORS:
             trace.termination = "numerical"
             break
@@ -589,7 +650,7 @@ def fit(data, dims, config=None, initial=None):
         if abs(prev_value - value) / max(abs(value), 1e-300) < config.tol:
             trace.termination = "converged"
             break
-    return tau, sigma_from_params(tau), trace
+    return point.tau, sigma_from_params(point.tau), trace
 
 
 def kmle_estimator(data, dims):

@@ -218,15 +218,15 @@ def test_criterion_06_derivative_oracles():
                 assert np.abs((egp - egm) / (2 * eps) - ehv).max() < tol
 
             # Riemannian gradient pairings along exact geodesics / retraction
-            kblock = picse._KBlock(tau, data, 1)
+            kblock = calc_for("k1bar", tau, data)
             tang = kblock.basis[point % len(kblock.basis)]
             rg, _, _ = kblock.derivatives()
-            taup = kblock.retract(eps * tang)
-            taum = kblock.retract(-eps * tang)
-            fd_r = (picse.nll(taup, sc) - picse.nll(taum, sc)) / (2 * eps)
+            fd_r = (
+                kblock.retract(eps * tang).nll() - kblock.retract(-eps * tang).nll()
+            ) / (2 * eps)
             assert abs(kblock._inner(kblock.point, rg, tang) - fd_r) < tol
 
-            ablock = picse._ABlock(tau, sc)
+            ablock = calc_for("a", tau, data)
             basis = ablock.space.basis
             avec = basis[:, point % basis.shape[1]].reshape(
                 tau.a.shape, order="F"

@@ -64,6 +64,23 @@ def test_kron_basics(rng):
     )
 
 
+def test_kron_bytes_match_numpy(rng):
+    # the broadcast product forms each entry b[i, j] * a[k, l] once, as
+    # np.kron does: same bytes, signed zeros, infinities and nan included,
+    # and the same shape and layout
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+    for k in range(400):
+        shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(2)]
+        b, a = (rng.standard_normal(s) for s in shapes)
+        if k % 2:
+            b, a = (np.where(rng.random(m.shape) < 0.4, rng.choice(specials, m.shape), m)
+                    for m in (b, a))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            expected, got = np.kron(b, a), matops.kron(b, a)
+        assert got.shape == expected.shape and got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_partial_traces_identity():
     dims = matops.Dims(3, 2)
     np.testing.assert_allclose(matops.partial_trace_1(np.eye(6), dims), 2 * np.eye(3))

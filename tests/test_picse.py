@@ -36,14 +36,25 @@ def make_data(seed, n=8, dims=DIMS):
     return np.random.default_rng(seed).standard_normal((n, dims.p1, dims.p2))
 
 
+def a_block(tau, sc):
+    return picse._ABlock(picse._ParamPoint(tau, sc))
+
+
+def k_block(tau, data, side):
+    base = picse._ParamPoint(tau, SampleCov.from_data(data, tau.dims))
+    return picse._KBlock(base, data, side)
+
+
 def calc_for(theta, tau, data):
     if theta == "a":
-        return picse._ABlock(tau, SampleCov.from_data(data, tau.dims))
-    return picse._KBlock(tau, data, 1 if theta == "k1bar" else 2)
+        return a_block(tau, SampleCov.from_data(data, tau.dims))
+    return k_block(tau, data, 1 if theta == "k1bar" else 2)
 
 
-def block_step(block, sc):
-    return picse._block_step(block, sc, picse.nll(block.tau, sc))
+def block_step(block):
+    """_block_step from the block's base point, as (tau, value, step norm)."""
+    point, value, step = picse._block_step(block, block.base.nll())
+    return point.tau, value, step
 
 
 def tangent_for(theta, tau, seed):
@@ -80,6 +91,19 @@ class TestValidate:
         for tau in bad:
             with pytest.raises(ValueError):
                 tau.validate()
+
+    def test_non_finite_entries_rejected(self):
+        # nu = nan passed (nan <= 0 is false) and nu = inf made a fit start at
+        # +inf; non-finite K-bar or A entries reached eigh and the SVD
+        tau = make_tau(SquareRootKind.SYMMETRIC, 64, dims=matops.Dims(4, 3, 3))
+        for field in ("nu", "k1bar", "k2bar", "a"):
+            for bad in (np.nan, np.inf):
+                value = bad
+                if field != "nu":
+                    value = getattr(tau, field).copy()
+                    value[1, 0] = bad
+                with pytest.raises(StructureError, match=f"^{field} "):
+                    dataclasses.replace(tau, **{field: value}).validate()
 
 
 class TestNll:
@@ -161,7 +185,7 @@ class TestEuclidCalculus:
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=10, dims=DIMS)
-        assert np.abs(picse._ABlock(tau, sc).grad()).max() < 1e-12
+        assert np.abs(a_block(tau, sc).grad()).max() < 1e-12
 
 
 def theta_attr(theta):
@@ -179,7 +203,7 @@ class TestABlockMatchesOperator:
         # operator of a tangent space built afresh at A, in the block's basis
         tau = make_tau(SquareRootKind.SYMMETRIC, 45, dims=dims)
         sc = SampleCov.from_data(make_data(46, n=10, dims=dims), dims)
-        block = picse._ABlock(tau, sc)
+        block = a_block(tau, sc)
         basis = block.space.basis
         rgrad, _, h_mat = block.derivatives()
         space = cg.RankTangentSpace(tau.a, dims)
@@ -207,7 +231,7 @@ class TestKBlockMatchesOperator:
         data = make_data(48, n=10, dims=dims)
         default = picse._STACK_BYTES
         for side, rows in itertools.product((1, 2), (None, 1, 2)):
-            block = picse._KBlock(tau, data, side)
+            block = k_block(tau, data, side)
             budget = default if rows is None else rows * block.basis.nbytes
             monkeypatch.setattr(picse, "_STACK_BYTES", budget)
             x = block.point
@@ -225,14 +249,14 @@ class TestKBlockMatchesOperator:
 
 def a_grad_reference(block):
     """_ABlock.grad as its formula reads, every Ctilde^-1 applied in place."""
-    inv, lam = block.spec.inv_apply, block.tau.lam
-    x1 = inv(block.tau.a)
+    inv, lam = block.spec.inv_apply, block.base.tau.lam
+    x1 = inv(block.base.tau.a)
     return -2.0 * (1.0 - lam) * (inv(block.stil @ x1) - x1)
 
 
 def a_hess_reference(block, v):
     """_ABlock.hess as its formula reads, every Ctilde^-1 applied in place."""
-    inv, a, lam = block.spec.inv_apply, block.tau.a, block.tau.lam
+    inv, a, lam = block.spec.inv_apply, block.base.tau.a, block.base.tau.lam
     p_mat = a @ v.T + v @ a.T
     ia = inv(a)
     isia = inv(block.stil @ ia)
@@ -283,7 +307,7 @@ def a_hess_matrix_reference(block):
     w = space.normal_weights(block.egrad)
     cols = []
     for i in range(space.basis.shape[1]):
-        v = space.basis[:, i].reshape(block.tau.a.shape, order="F")
+        v = space.basis[:, i].reshape(block.base.tau.a.shape, order="F")
         cols.append(space.hess_coords(block.hess(v), v, w))
     return np.array(cols).T
 
@@ -300,7 +324,7 @@ class TestBlockDerivativeBits:
     def test_a_block(self, kind, dims):
         tau = make_tau(kind, 49, dims=dims)
         sc = SampleCov.from_data(make_data(50, n=10, dims=dims), dims)
-        block = picse._ABlock(tau, sc)
+        block = a_block(tau, sc)
         assert block.grad().tobytes() == a_grad_reference(block).tobytes()
         assert block.egrad.tobytes() == a_grad_reference(block).tobytes()
         for i in range(block.space.basis.shape[1]):
@@ -313,7 +337,7 @@ class TestBlockDerivativeBits:
         tau = make_tau(kind, 51, dims=dims)
         data = make_data(52, n=10, dims=dims)
         for side in (1, 2):
-            block = picse._KBlock(tau, data, side)
+            block = k_block(tau, data, side)
             assert block.egrad.tobytes() == k_grad_reference(block).tobytes()
             stacked = block.hess(block.basis)
             assert stacked.shape == block.basis.shape
@@ -328,7 +352,7 @@ class TestBlockDerivativeBits:
         # loop's matrix
         tau = make_tau(kind, 55, dims=dims)
         sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
-        block = picse._ABlock(tau, sc)
+        block = a_block(tau, sc)
         m = block.space.basis.shape[1]
         sizes = (1, 2, 3, 4)
         assert any(m % size for size in sizes)
@@ -342,7 +366,7 @@ class TestBlockDerivativeBits:
     def test_a_hess_applies_ctilde_inverse_five_times(self):
         dims = matops.Dims(4, 3, 3)
         tau = make_tau(SquareRootKind.SYMMETRIC, 53, dims=dims)
-        block = picse._ABlock(tau, SampleCov.from_data(make_data(54, dims=dims), dims))
+        block = a_block(tau, SampleCov.from_data(make_data(54, dims=dims), dims))
         calls = []
         inv_apply = block.spec.inv_apply
 
@@ -367,12 +391,12 @@ class TestNewtonDirection:
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
         sc = SampleCov(s=matops.sym(s), n=6, dims=DIMS)
-        block = picse._ABlock(tau, sc)
+        block = a_block(tau, sc)
         rgrad, coef, _ = block.derivatives()
         assert np.abs(rgrad).max() < 1e-10
         assert np.linalg.norm(coef) < 1e-13
         block.retract = None  # a tried candidate would fail here
-        new_tau, _, step = block_step(block, sc)
+        new_tau, _, step = block_step(block)
         assert new_tau is tau and step == 0.0
 
     def test_raising_retraction_halves_the_candidate(self, monkeypatch):
@@ -381,7 +405,7 @@ class TestNewtonDirection:
         truth = simulate.gen_truth("m1", DIMS, 0.4, seed=201)
         data = simulate.gen_data(truth.sigma, 30, seed=202, dims=DIMS)
         sc = SampleCov.from_data(data, DIMS)
-        block = picse._ABlock(picse.init(sc, SquareRootKind.SYMMETRIC), sc)
+        block = a_block(picse.init(sc, SquareRootKind.SYMMETRIC), sc)
         _, g_coef, h_mat = block.derivatives()
         v = block.tangent(picse._newton_coeffs(h_mat, g_coef))
         retract = picse.retract_core_factor
@@ -394,11 +418,11 @@ class TestNewtonDirection:
             return retract(a, step, dims)
 
         monkeypatch.setattr(picse, "retract_core_factor", flaky)
-        new_tau, new_value, step = block_step(block, sc)
+        new_tau, new_value, step = block_step(block)
         assert len(tried) == 3
         for k, step_tried in enumerate(tried):
             np.testing.assert_array_equal(step_tried, v / 2**k)
-        assert new_value < picse.nll(block.tau, sc)
+        assert new_value < picse.nll(block.base.tau, sc)
         assert step == np.linalg.norm(v) / 4
 
     @pytest.mark.parametrize("theta", ["k1bar", "k2bar", "a"])
@@ -414,8 +438,8 @@ class TestNewtonDirection:
             raise StructureError("infeasible step")
 
         block.retract = infeasible
-        new_tau, _, step = block_step(block, SampleCov.from_data(data, DIMS))
-        assert new_tau is block.tau and step == 0.0
+        new_tau, _, step = block_step(block)
+        assert new_tau is block.base.tau and step == 0.0
         assert len(tried) == (picse._MAX_HALVINGS + 1) + (2 * picse._MAX_HALVINGS + 1)
 
     def test_descent_skips_failed_step_sizes(self, monkeypatch):
@@ -428,7 +452,7 @@ class TestNewtonDirection:
         values = {2: 2.0, 3: None, 4: np.inf, 5: 0.5, 6: 0.25}
 
         class Block:
-            tau = "base"
+            base = "base"
 
             def __init__(self):
                 self.tried = []
@@ -444,17 +468,18 @@ class TestNewtonDirection:
                 self.tried.append(e)
                 if e < 2:
                     raise StructureError("infeasible step")
-                return e
+                return picse._ParamPoint(e, None)
 
             def norm(self, v):
                 return float(np.linalg.norm(v))
 
-        def objective(e, sample_cov):
+        def objective(point):
+            e = point.tau
             if values[e] is None:
                 raise DefinitenessError("not positive definite")
             return values[e]
 
-        def retrying_step(block, sample_cov, current):
+        def retrying_step(block, current):
             # the descent loop that retried failed step sizes
             rgrad = block.derivatives()[0]
             for k in range(picse._MAX_HALVINGS + 1):
@@ -468,17 +493,18 @@ class TestNewtonDirection:
                 else:
                     continue
                 try:
-                    value = picse.nll(cand, sample_cov)
+                    value = cand.nll()
                 except NUMERICAL_ERRORS:
                     continue
                 if np.isfinite(value) and value <= current:
-                    return cand, value, block.norm(v)
-            return block.tau, current, 0.0
+                    return cand.tau, value, block.norm(v)
+            return block.base, current, 0.0
 
-        monkeypatch.setattr(picse, "nll", objective)
+        monkeypatch.setattr(picse._ParamPoint, "nll", objective)
         old_block, new_block = Block(), Block()
-        old = retrying_step(old_block, None, current)
-        new = picse._block_step(new_block, None, current)
+        old = retrying_step(old_block, current)
+        point, *rest = picse._block_step(new_block, current)
+        new = (point.tau, *rest)
         assert new == old == (5, 0.5, np.linalg.norm(rgrad) / 32)
         assert new_block.tried == [0, 1, 2, 3, 4, 5]
         assert len(old_block.tried) > len(new_block.tried)
@@ -505,11 +531,12 @@ class TestNewtonDirection:
             tau = make_tau(kind, 43)
             value = picse.nll(tau, sc)
             for make_block in (
-                lambda t: picse._KBlock(t, data, 1),
-                lambda t: picse._KBlock(t, data, 2),
-                lambda t: picse._ABlock(t, sc),
+                lambda t: k_block(t, data, 1),
+                lambda t: k_block(t, data, 2),
+                lambda t: a_block(t, sc),
             ):
-                new_tau, new_value, step = picse._block_step(make_block(tau), sc, value)
+                point, new_value, step = picse._block_step(make_block(tau), value)
+                new_tau = point.tau
                 assert np.isfinite(step) and step >= 0.0
                 assert new_value <= value
                 assert new_value == picse.nll(new_tau, sc)
@@ -561,8 +588,8 @@ class TestUpdateK:
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, kind)
         for side, name in ((1, "k1bar"), (2, "k2bar")):
-            block = picse._KBlock(tau, data, side)
-            new_k = getattr(block_step(block, sc)[0], name)
+            block = k_block(tau, data, side)
+            new_k = getattr(block_step(block)[0], name)
             assert abs(np.linalg.det(new_k) - 1.0) <= 1e-8
 
     def test_stationary_point_unchanged(self):
@@ -575,8 +602,8 @@ class TestUpdateK:
         sc = SampleCov.from_data(data, DIMS)
         assert np.abs(sc.s - s).max() < 1e-10  # the columns tile S exactly
         for side, name in ((1, "k1bar"), (2, "k2bar")):
-            block = picse._KBlock(tau, data, side)
-            new_k = getattr(block_step(block, sc)[0], name)
+            block = k_block(tau, data, side)
+            new_k = getattr(block_step(block)[0], name)
             base = getattr(tau, name)
             assert np.abs(new_k - base).max() < 1e-6
 
@@ -586,9 +613,9 @@ class TestUpdateK:
         sc = SampleCov.from_data(data, DIMS)
         tau = picse.init(sc, SquareRootKind.SYMMETRIC)
         before = picse.nll(tau, sc)
-        tau = block_step(picse._KBlock(tau, data, 1), sc)[0]
+        tau = block_step(k_block(tau, data, 1))[0]
         mid = picse.nll(tau, sc)
-        tau = block_step(picse._KBlock(tau, data, 2), sc)[0]
+        tau = block_step(k_block(tau, data, 2))[0]
         after = picse.nll(tau, sc)
         assert mid <= before and after <= mid
 
@@ -601,7 +628,7 @@ class TestUpdateA:
         root = matops.sym_sqrt(s)
         data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
         sc = SampleCov.from_data(data, DIMS)
-        new_a = block_step(picse._ABlock(tau, sc), sc)[0].a
+        new_a = block_step(a_block(tau, sc))[0].a
         assert np.abs(new_a @ new_a.T - tau.a @ tau.a.T).max() < 1e-8
 
     def test_result_is_core_factor_and_monotone(self):
@@ -613,7 +640,7 @@ class TestUpdateA:
             sc = SampleCov.from_data(data, DIMS)
             tau = make_tau(SquareRootKind.SYMMETRIC, 900 + seed)
             before = picse.nll(tau, sc)
-            new_tau, after, step = block_step(picse._ABlock(tau, sc), sc)
+            new_tau, after, step = block_step(a_block(tau, sc))
             cg.check_core_factor(new_tau.a, DIMS)
             assert after <= before
             rejected += step == 0.0
@@ -871,10 +898,34 @@ class TestFit:
         def ran(*args):
             raise AssertionError("the fit ran past the check of its start")
 
-        monkeypatch.setattr(picse, "nll", ran)
+        monkeypatch.setattr(picse._ParamPoint, "nll", ran)
         for initial, config in bad_starts:
             with pytest.raises(ValueError, match="initial"):
                 picse.fit(data, dims, config, initial=initial)
+
+    @pytest.mark.parametrize("field", ["nu", "k1bar", "a"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected_before_any_decomposition(
+        self, field, bad, monkeypatch
+    ):
+        # nu = nan used to reach LAPACK ("DLASCL parameter number 4") and end
+        # the fit "numerical" after 0 sweeps; nu = inf, a "converged" fit
+        dims = matops.Dims(4, 3, 3)
+        data = make_data(63, n=24, dims=dims)
+        start = make_tau(SquareRootKind.SYMMETRIC, 64, dims=dims)
+        value = bad
+        if field != "nu":
+            value = getattr(start, field).copy()
+            value[0, 0] = bad
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a decomposition or the objective ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", ran)
+        monkeypatch.setattr(np.linalg, "svd", ran)
+        monkeypatch.setattr(picse._ParamPoint, "nll", ran)
+        with pytest.raises(ValueError, match="invalid initial parameters"):
+            picse.fit(data, dims, initial=dataclasses.replace(start, **{field: value}))
 
     def test_lambda_ordering_across_truths(self):
         # lam = 0.2 versus 0.8 at n = 2p: the fitted level tracks the truth
@@ -930,6 +981,86 @@ EQUIVARIANCE_SHAPES = [
     for p2 in (2, 3)
     for r in range(math.floor(p1 / p2 + p2 / p1) + 1, p1 * p2)
 ]
+
+
+def instrumented_fit(kind, dims, monkeypatch):
+    """A fit from the initialization, recording each whitening of S (by its
+    K-bar bytes), each Ctilde spectral form (by A's bytes and lambda), and
+    each point's objective and closed-form updates as (tau, value)."""
+    truth = simulate.gen_truth("m2", dims, 0.2, seed=5)
+    data = simulate.gen_data(truth.sigma, dims.p, seed=6, dims=dims)
+    start = picse.init(SampleCov.from_data(data, dims), kind)
+    rec = {"whiten": [], "spec": [], "nll": [], "update_nu": [], "update_lambda": []}
+    in_retraction = []
+    whiten, retract, spectral = matops.whiten, picse.retract_core_factor, picse._CtildeSpectral
+
+    def counting_whiten(h, m):
+        if not in_retraction:  # the retraction whitens its own matrix
+            rec["whiten"].append(h.tobytes())
+        return whiten(h, m)
+
+    def flagged_retract(*args):
+        in_retraction.append(True)
+        try:
+            return retract(*args)
+        finally:
+            in_retraction.pop()
+
+    class CountingSpectral(spectral):
+        def __init__(self, a, lam):
+            rec["spec"].append((a.tobytes(), lam))
+            super().__init__(a, lam)
+
+    def recording(name):
+        method = getattr(picse._ParamPoint, name)
+
+        def wrapper(point):
+            value = method(point)
+            rec[name].append((point.tau, value))
+            return value
+
+        return wrapper
+
+    monkeypatch.setattr(matops, "whiten", counting_whiten)
+    monkeypatch.setattr(picse, "retract_core_factor", flagged_retract)
+    monkeypatch.setattr(picse, "_CtildeSpectral", CountingSpectral)
+    for name in ("nll", "update_nu", "update_lambda"):
+        monkeypatch.setattr(picse._ParamPoint, name, recording(name))
+    _, _, trace = picse.fit(data, dims, FitConfig(h_kind=kind), initial=start)
+    monkeypatch.undo()
+    assert trace.termination == "converged" and trace.n_sweeps >= 3
+    return SampleCov.from_data(data, dims), rec
+
+
+SHARING_DIMS = [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)]
+
+
+class TestSharedPointPieces:
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", SHARING_DIMS)
+    def test_each_point_whitened_and_decomposed_once(self, kind, dims, monkeypatch):
+        # S is whitened once per distinct K-bar point the fit evaluates, and
+        # Ctilde decomposed once per distinct (A, lambda) point
+        _, rec = instrumented_fit(kind, dims, monkeypatch)
+        taus = [tau for tau, _ in rec["nll"]]
+        kbars = {matops.kron(t.k2bar, t.k1bar).tobytes() for t in taus}
+        cores = {(t.a.tobytes(), t.lam) for t in taus}
+        assert sorted(rec["whiten"]) == sorted(kbars)
+        assert sorted(rec["spec"]) == sorted(cores)
+        # fewer than one of each per objective evaluation
+        assert len(rec["whiten"]) < len(taus) and len(rec["spec"]) < len(taus)
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("dims", SHARING_DIMS)
+    def test_shared_values_equal_fresh_calls(self, kind, dims, monkeypatch):
+        # every objective and update the fit reads off shared pieces has the
+        # bits of the public function called afresh at the same tau
+        sc, rec = instrumented_fit(kind, dims, monkeypatch)
+        for name in ("nll", "update_nu", "update_lambda"):
+            fresh = getattr(picse, name)
+            assert rec[name]
+            for tau, value in rec[name]:
+                assert value == fresh(tau, sc), name
 
 
 class TestEquivariance:
