@@ -40,19 +40,6 @@ def slices(a, dims):
     return t.reshape(*t.shape[:-1], dims.p2, dims.p1).swapaxes(-1, -2)
 
 
-def _vecs(x):
-    """vec() of a p x r matrix, or of each matrix of a (k, p, r) stack."""
-    t = np.asarray(x, dtype=float).swapaxes(-1, -2)
-    return t.reshape(*t.shape[:-2], -1)
-
-
-def from_slices(slbs):
-    """Inverse of slices(): stack the mats back into a p x r matrix."""
-    t = np.asarray(slbs, dtype=float)
-    r, p1, p2 = t.shape
-    return t.transpose(1, 2, 0).reshape(p1 * p2, r, order="F").copy()
-
-
 def row_gram(a, dims):
     """sum_i A_i A_i^T = tr_1(A A^T)."""
     t = slices(a, dims)
@@ -134,7 +121,7 @@ def j_operator(a, dims):
     check_dense_size(p, r)
     tp = slices(a, dims) / p
     tp_x, tp_y = tp.swapaxes(-3, -2), np.moveaxis(tp, -1, -3)  # (x, i, b), (y, i, c)
-    avec = _vecs(a)
+    avec = matops.vec(a)
     # A_i[c, b] on the column axes (i, b, c), broadcast over the row axis
     aic = avec.reshape(*lead, 1, r, p2, p1)
     j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r))
@@ -172,7 +159,7 @@ class RankTangentSpace:
 
     def coords(self, x):
         """B^T vec(X)."""
-        return self.basis.T @ x.reshape(-1, order="F")
+        return self.basis.T @ matops.vec(x)
 
     def tangent(self, coef):
         """The p x r matrix with vec B coef."""
@@ -180,7 +167,7 @@ class RankTangentSpace:
 
     def normal_weights(self, egrad):
         """w = (J^+)^T J^+ J vec(egrad), the weights of the Hessian's normal term."""
-        return self.jp.T @ (self.jp @ (self.j @ egrad.reshape(-1, order="F")))
+        return self.jp.T @ (self.jp @ (self.j @ matops.vec(egrad)))
 
     def hess_coords(self, ehess_v, v, w):
         """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V.
@@ -190,7 +177,7 @@ class RankTangentSpace:
         matrix-vector product per matrix of the stack.
         """
         jv = j_operator(v, self.dims)
-        x = _vecs(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
+        x = matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
         return (self.basis.T @ x[..., None])[..., 0]
 
 

@@ -179,24 +179,25 @@ def dh(sep, u1, u2, h_kind):
     """Differential of the square-root map h at K = K2 (x) K1 along the
     separable tangent U = U2 (x) K1 + K2 (x) U1.
 
-    Cholesky branch: (L2 (x) L1) (I (x) L1^-1 U1 L1^-T + L2^-1 U2 L2^-T (x) I)_{1/2}.
-    Symmetric branch: the solution R of the Sylvester system h(K) R + R h(K) = U.
+    h is separable, h(K) = h2 (x) h1, so the product rule gives
+    R2 (x) h1 + h2 (x) R1 with R_i the differential of the factor root at
+    K_i along U_i.
     """
     check_h_kind(h_kind)
-    u1 = matops.sym(u1)
-    u2 = matops.sym(u2)
+    h1, h2 = sep.sqrt_factors(h_kind)
+    r1 = _droot(h1, u1, h_kind)
+    r2 = _droot(h2, u2, h_kind)
+    return matops.kron(r2, h1) + matops.kron(h2, r1)
+
+
+def _droot(h, u, h_kind):
+    """Differential of the root h of K = h h^T along a symmetric U: the
+    solution R of h R + R h = U for the symmetric root, L (L^-1 U L^-T)_{1/2}
+    for the Cholesky root L."""
+    u = matops.sym(u)
     if h_kind is SquareRootKind.CHOLESKY:
-        l1 = matops.chol(sep.k1)
-        l2 = matops.chol(sep.k2)
-        m1 = matops.whiten(l1, u1)
-        m2 = matops.whiten(l2, u2)
-        inner = matops.kron(np.eye(sep.k2.shape[0]), m1) + matops.kron(
-            m2, np.eye(sep.k1.shape[0])
-        )
-        return matops.kron(l2, l1) @ matops.half(inner)
-    return core_geometry.sylvester_solve(
-        sep.h_matrix(SquareRootKind.SYMMETRIC), separable_tangent(sep, u1, u2)
-    )
+        return h @ matops.half(matops.whiten(h, u))
+    return core_geometry.sylvester_solve(h, u)
 
 
 def rc_operator(c, s1, s2, dims):
@@ -259,17 +260,17 @@ def dk(sigma, v, dims):
 
 
 def _dk(sep, sigma, v, dims):
-    """dk at the Kronecker MLE sep of Sigma, for symmetric Sigma and V."""
-    s1_half, s2_half = sep.sqrt_factors(SquareRootKind.SYMMETRIC)
-    h = matops.kron(s2_half, s1_half)
-    c_sym = matops.whiten(h, sigma)
-    vtil = matops.whiten(h, v)
-
-    t1 = matops.partial_trace_1(vtil, dims)
-    t2 = matops.partial_trace_2(vtil, dims)
-    tr_all = float(np.trace(vtil))
-    m1 = s1_half @ (t1 - tr_all / dims.p1 * np.eye(dims.p1)) @ s1_half / dims.p2
-    m2 = s2_half @ t2 @ s2_half / dims.p1
+    """dk at the Kronecker MLE sep of Sigma, for symmetric Sigma and V: R_C
+    solved against the flip-flop updates linearized along V,
+      M1 = (wpt_1(V, K2^-1) - tr(K^-1 V) K1 / p1) / p2,
+      M2 = wpt_2(V, K1^-1) / p1,
+    with wpt_i the weighted partial traces."""
+    k1_inv, k2_inv = np.linalg.inv(sep.k1), np.linalg.inv(sep.k2)
+    w1 = matops.weighted_partial_trace_1(v, k2_inv, dims)
+    tr_all = float(np.trace(k1_inv @ w1))  # tr(K^-1 V)
+    m1 = (w1 - tr_all * sep.k1 / dims.p1) / dims.p2
+    m2 = matops.weighted_partial_trace_2(v, k1_inv, dims) / dims.p1
+    c_sym = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
     return rc_solve(c_sym, sep.k1, sep.k2, m1, m2, dims)
 
 

@@ -54,8 +54,10 @@ class Dims:
 
 
 def vec(m):
-    """Column-stack a matrix into a vector."""
-    return np.asarray(m).reshape(-1, order="F").copy()
+    """Column-stack a matrix into a vector; a (..., p, r) stack gives the
+    (..., p*r) stack of the vec of each matrix."""
+    t = np.asarray(m).swapaxes(-1, -2)
+    return t.reshape(*t.shape[:-2], -1)
 
 
 def mat(u, p1, p2):

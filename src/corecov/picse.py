@@ -75,13 +75,17 @@ class PicseParams:
     def kbar(self):
         return matops.kron(self.k2bar, self.k1bar)
 
+    @property
+    def ctilde(self):
+        """The full-rank core Ctilde = (1-lambda) A A^T + lambda I."""
+        return (1.0 - self.lam) * (self.a @ self.a.T) + self.lam * np.eye(self.dims.p)
+
 
 @dataclass(frozen=True)
 class SampleCov:
     """Sample covariance S = (1/n) sum vec(Y_i) vec(Y_i)^T of matrix data."""
 
     s: np.ndarray
-    n: int
     dims: matops.Dims
 
     @classmethod
@@ -97,22 +101,24 @@ class SampleCov:
         if not np.isfinite(data).all():
             raise ValueError("data contain non-finite values")
         ymat = data.transpose(0, 2, 1).reshape(n, -1)
-        return cls(s=matops.sym(ymat.T @ ymat / n), n=n, dims=dims)
+        return cls(s=matops.sym(ymat.T @ ymat / n), dims=dims)
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings of the alternating-minimization fit.  max_iter is an integer
-    (operator.index).  The tol and max_iter defaults here are the only ones:
-    simulate.ExperimentConfig and the CLI read them from this class."""
+    """Settings of the alternating-minimization fit.  tol is finite and
+    positive, max_iter an integer (operator.index) of at least 1.  The tol
+    and max_iter defaults here are the only ones: simulate.ExperimentConfig
+    and the CLI read them from this class."""
 
     tol: float = 1e-6
     max_iter: int = 200
     h_kind: SquareRootKind = SquareRootKind.SYMMETRIC
 
     def __post_init__(self):
-        if not self.tol > 0 or operator.index(self.max_iter) < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1")
+        # inf would stop every fit after one sweep as converged
+        if not 0 < self.tol < np.inf or operator.index(self.max_iter) < 1:
+            raise ValueError("need tol > 0 and max_iter >= 1, with tol finite")
         kcd.check_h_kind(self.h_kind)
 
 
@@ -256,8 +262,7 @@ def nll(tau, sample_cov):
 def sigma_from_params(tau):
     """Assemble nu^2 Kbar ((1-lambda) A A^T + lambda I) Kbar^T."""
     kbar = tau.kbar
-    ctil = (1.0 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(tau.dims.p)
-    return tau.nu**2 * matops.sym(kbar @ ctil @ kbar.T)
+    return tau.nu**2 * matops.sym(kbar @ tau.ctilde @ kbar.T)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,7 @@ class _KBlock:
         return sum(c * b for c, b in zip(coef, self.basis))
 
     def retract(self, v):
-        point = self._exp(self.point, v, 1.0, unit_det=True)
+        point = self._exp(self.point, v, unit_det=True)
         return self.base.replace(**{self.name: point})
 
 
@@ -524,12 +529,20 @@ def retract_core_factor(a, v, dims):
 
 def _top_core_factor(core, dims):
     """Balanced core factor from the top-r eigenpairs of a core matrix."""
-    w, q = np.linalg.eigh(core)
-    w = w[::-1][: dims.r]
-    q = q[:, ::-1][:, : dims.r]
-    if w.min() <= matops.PD_RTOL * max(w.max(), 1e-300):
-        raise StructureError("top-r core spectrum not positive")
+    w, q = _top_eigenpairs(core, dims.r, "core")
     return core_geometry.balance_core_factor(q * np.sqrt(w), dims)
+
+
+def _top_eigenpairs(core, r, what):
+    """The top-r eigenpairs (w, q) of a core matrix, in decreasing order;
+    StructureError unless the r-th eigenvalue exceeds PD_RTOL times the
+    largest."""
+    w, q = np.linalg.eigh(core)
+    w = w[::-1][:r]
+    q = q[:, ::-1][:, :r]
+    if w[-1] <= matops.PD_RTOL * max(w[0], 1e-300):
+        raise StructureError(f"{what} has rank below r={r}")
+    return w, q
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +594,11 @@ def init(sample_cov, h_kind):
     k2bar = h2 / det2
     nu0 = float(det1 * det2)
 
-    w, q = np.linalg.eigh(dec.c)
-    w = w[::-1]
-    q = q[:, ::-1]
-    if w[r - 1] <= matops.PD_RTOL * max(w[0], 1e-300):
-        raise StructureError(f"sample core has rank below r={r}")
-    lam0 = (dims.p - float(w[:r].sum())) / (dims.p - r)
+    w, q = _top_eigenpairs(dec.c, r, "sample core")
+    lam0 = (dims.p - float(w.sum())) / (dims.p - r)
     lam0 = min(max(lam0, _LAMBDA_BRACKET[0]), _LAMBDA_BRACKET[1])
 
-    trunc = matops.sym((q[:, :r] * w[:r]) @ q[:, :r].T)
+    trunc = matops.sym((q * w) @ q.T)
     a0 = _top_core_factor(kcd.kcd(trunc, dims, h_kind).c, dims)
     return PicseParams(
         k1bar=k1bar, k2bar=k2bar, nu=nu0, a=a0, lam=lam0, h_kind=h_kind, dims=dims

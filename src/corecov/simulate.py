@@ -11,7 +11,7 @@ independent, order-insensitive, and byte-stable across runs.
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,18 +27,6 @@ _OBS = 3
 
 # Condition-number cap of the truth's Kronecker factors.
 _COND_CAP = 50.0
-
-CSV_HEADER = [
-    "estimator",
-    "rep",
-    "n",
-    "metric_sigma",
-    "metric_k",
-    "metric_c",
-    "lambda_hat",
-    "termination",
-    "failed",
-]
 
 
 def _seq(seed, *key):
@@ -73,11 +61,14 @@ class ExperimentConfig:
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lambda must lie in (0, 1)")
         # integers (operator.index), stored as Python ints for summary.json
-        reps = operator.index(self.reps)
+        reps, seed = operator.index(self.reps), operator.index(self.seed)
         n_list = tuple(map(operator.index, self.n_list))
         if reps < 1 or any(n < 2 for n in n_list):
             raise ValueError("need reps >= 1 and every n >= 2")
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_list", n_list)
         for name in ("n_list", "h_kinds"):
             values = getattr(self, name)
@@ -101,6 +92,10 @@ class ResultRecord:
     wall_time_s: float = 0.0
     termination: str = ""
     failed: bool = False
+
+
+# results.csv columns: the record without its wall time (see write_results_csv)
+CSV_HEADER = [f.name for f in fields(ResultRecord) if f.name != "wall_time_s"]
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,7 @@ def _base(data, config, kind):
 def _picse(data, config, kind):
     fit_config = picse.FitConfig(tol=config.tol, max_iter=config.max_iter, h_kind=kind)
     tau, sigma_hat, trace = picse.fit(data, config.dims, fit_config)
-    c_hat = (1.0 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(config.dims.p)
-    return sigma_hat, c_hat, tau.lam, trace.termination
+    return sigma_hat, tau.ctilde, tau.lam, trace.termination
 
 
 def run_experiment(config):

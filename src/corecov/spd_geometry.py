@@ -45,8 +45,8 @@ def _ai_inner_inv(si, u, v):
     return np.trace(si @ u @ si @ v, axis1=-2, axis2=-1)
 
 
-def ai_exp(sigma, v, t=1.0, unit_det=False):
-    """Geodesic point Sigma^(1/2) expm(t Sigma^(-1/2) V Sigma^(-1/2)) Sigma^(1/2).
+def ai_exp(sigma, v, unit_det=False):
+    """Geodesic point Sigma^(1/2) expm(Sigma^(-1/2) V Sigma^(-1/2)) Sigma^(1/2).
 
     With unit_det=True the tangent is first projected onto the trace-free
     (det-preserving) subspace and the result is renormalized to determinant 1,
@@ -59,7 +59,7 @@ def ai_exp(sigma, v, t=1.0, unit_det=False):
         v = proj_unitdet_spd(sigma, v)
     inner = matops.sym(s_ihalf @ v @ s_ihalf)
     wi, qi = np.linalg.eigh(inner)
-    e = (qi * np.exp(t * wi)) @ qi.T
+    e = (qi * np.exp(wi)) @ qi.T
     out = matops.sym(s_half @ e @ s_half)
     if unit_det:
         out = out / np.linalg.det(out) ** (1.0 / out.shape[0])
@@ -101,15 +101,15 @@ def _chol_inner_d2(dl2, low, u, v):
     return off + np.sum(_diag(u) * _diag(v) / dl2, axis=-1)
 
 
-def chol_exp(l, v, t=1.0, unit_det=False):
-    """Geodesic point floor(L) + t floor(V) + D(L) expm(t D(V) D(L)^-1)."""
+def chol_exp(l, v, unit_det=False):
+    """Geodesic point floor(L) + floor(V) + D(L) expm(D(V) D(L)^-1)."""
     l = check_chol_point(l)
     v = np.tril(np.asarray(v, dtype=float))
     if unit_det:
         v = proj_unitdet_chol(l, v)
     dl = np.diag(l)
     dv = np.diag(v)
-    out = np.tril(l, -1) + t * np.tril(v, -1) + np.diag(dl * np.exp(t * dv / dl))
+    out = np.tril(l, -1) + np.tril(v, -1) + np.diag(dl * np.exp(dv / dl))
     if unit_det:
         out = out / np.prod(np.diag(out)) ** (1.0 / out.shape[0])
     return out

@@ -81,7 +81,7 @@ def test_criterion_04_rank_dimension_suite():
         expect = cg.manifold_dims(dims).j_rank
         assert cg.RankTangentSpace(a, dims).rank == expect
     dims33 = matops.Dims(3, 3, 3)
-    a_bad = cg.from_slices(rotation_example_tuple())
+    a_bad = matops.vec(rotation_example_tuple()).T
     assert cg.RankTangentSpace(a_bad, dims33).rank < 11
     _report(4, "rank(J) = binom(p1+1,2)+binom(p2+1,2)-1 at 100 points; "
                "deficient on the rotation family")

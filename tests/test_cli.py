@@ -145,24 +145,39 @@ def test_simulate_fit_settings_exit_code_before_truth(tmp_path, monkeypatch, cap
         "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
         "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
     ]
-    for bad in (["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"]):
+    for bad in (["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"]):
         assert cli.main(base + bad) == 2
         assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
 def test_fit_nan_tol_exit_code_before_init(tmp_path, monkeypatch, capsys):
-    # NaN fails every comparison, so a `tol <= 0` test let it through
+    # NaN fails every comparison, so a `tol <= 0` test let it through; every
+    # relative change is below inf, so that tol stopped a fit after one sweep
     _forbid_estimators(monkeypatch)
     src = tmp_path / "data.csv"
     write_data_csv(src, np.random.default_rng(26).standard_normal((8, 2, 2)))
+    for tol in ("nan", "inf"):
+        rc = cli.main([
+            "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "3",
+            "--tol", tol, "--out", str(tmp_path / "o.json"),
+        ])
+        assert rc == 2
+        assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+
+def test_negative_seed_exit_code_before_out(tmp_path, monkeypatch, capsys):
+    # numpy used to reject the seed only after --out had been created
+    _forbid_estimators(monkeypatch)
     rc = cli.main([
-        "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "3",
-        "--tol", "nan", "--out", str(tmp_path / "o.json"),
+        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
+        "--lambda", "0.3", "--n", "8", "--reps", "1", "--seed", "-1",
+        "--out", str(tmp_path / "x"),
     ])
     assert rc == 2
-    assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "o.json").exists()
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_repeated_n_exit_code_before_truth(tmp_path, monkeypatch, capsys):

@@ -78,7 +78,7 @@ class TestSlices:
         a = rng.standard_normal((6, 4))
         t = cg.slices(a, DIMS324)
         assert t.shape == (4, 3, 2)
-        np.testing.assert_array_equal(cg.from_slices(t), a)
+        np.testing.assert_array_equal(matops.vec(t).T, a)
         np.testing.assert_array_equal(t[1], matops.mat(a[:, 1], 3, 2))
 
 
@@ -94,7 +94,7 @@ class TestJOperator:
 
     def test_rank_deficient_on_rotation_family(self):
         dims = matops.Dims(3, 3, 3)
-        a = cg.from_slices(rotation_example_tuple())
+        a = matops.vec(rotation_example_tuple()).T
         # the tuple satisfies both Gram constraints exactly
         cg.check_core_factor(a, dims)
         grams = cg.row_gram(a, dims), cg.col_gram(a, dims)
@@ -406,6 +406,28 @@ class TestManifoldDims:
             cg.manifold_dims(matops.Dims(2, 2))
 
 
+class TestCheckCoreFactor:
+    def test_rejects_wrong_shape(self):
+        a = cg.random_core_factor(DIMS223, seed=5)
+        with pytest.raises(ValueError, match=r"expected 4x3, got \(4, 2\)"):
+            cg.check_core_factor(a[:, :2], DIMS223)
+
+    def test_rejects_gram_residual(self):
+        # scaling by 1 + 1e-6 moves both Grams by about 2e-6 of their targets
+        a = cg.random_core_factor(DIMS223, seed=5)
+        with pytest.raises(StructureError, match="core-factor residual"):
+            cg.check_core_factor((1.0 + 1e-6) * a, DIMS223)
+
+    def test_rejects_column_rank_deficiency(self):
+        # splitting the last column into two halves of 1/sqrt(2) keeps A A^T,
+        # so both Grams, but leaves r = 4 columns of rank 3
+        a = cg.random_core_factor(DIMS223, seed=5)
+        half = a[:, -1:] / np.sqrt(2.0)
+        split = np.hstack([a[:, :-1], half, half])
+        with pytest.raises(StructureError, match="column-rank deficient"):
+            cg.check_core_factor(split, matops.Dims(2, 2, 4))
+
+
 class TestBalanceCoreFactor:
     @pytest.mark.parametrize(
         "shape", [(4, 3, 3), (6, 4, 3), (5, 4, 3), (3, 5, 4), (12, 10, 6)]
@@ -455,7 +477,7 @@ class TestBalanceCoreFactor:
         t = cg.slices(np.random.default_rng(9).standard_normal((12, 3)), dims)
         t[zero] = 0.0
         with pytest.raises(DefinitenessError, match=what):
-            cg.balance_core_factor(cg.from_slices(t), dims)
+            cg.balance_core_factor(matops.vec(t).T, dims)
 
 
 class TestRandomCoreFactor:

@@ -66,6 +66,22 @@ class TestKroneckerMle:
         with pytest.raises(DefinitenessError):
             kcd.kronecker_mle(np.diag([1.0, 1.0, 1.0, -1.0]), DIMS22)
 
+    def test_rejects_zero(self):
+        with pytest.raises(DefinitenessError, match="zero"):
+            kcd.kronecker_mle(np.zeros((6, 6)), DIMS32)
+
+    def test_condition_limit(self):
+        # K2 = diag(1, 1e-14) has condition number 1e14, past _COND_LIMIT
+        # (1e12): the flip-flop reports it as a collapsing iterate.  At 1e10
+        # and 1e11 it stays under the limit and the separable input is
+        # reproduced; a limit 100x looser or tighter fails one of the cases
+        with pytest.raises(NoKroneckerMle, match="condition number"):
+            kcd.kronecker_mle(matops.kron(np.diag([1.0, 1e-14]), np.eye(3)), DIMS32)
+        for small in (1e-10, 1e-11):
+            sigma = matops.kron(np.diag([1.0, small]), np.eye(3))
+            sep = kcd.kronecker_mle(sigma, DIMS32)
+            np.testing.assert_allclose(sep.matrix, sigma, rtol=0, atol=1e-12)
+
     def test_converging_run_skips_objective(self, rng, monkeypatch):
         # the objective is read only to classify a run that hits the sweep cap
         calls = []
@@ -186,17 +202,40 @@ class TestDh:
             with pytest.raises(ValueError, match="must be a SquareRootKind"):
                 call()
 
-    def test_defining_equation(self, rng):
-        # h(K) R^T + R h(K)^T = U for both branches
-        k1 = rand_spd(3, rng)
-        k2 = rand_spd(2, rng)
+    @pytest.mark.parametrize("p1, p2", [(3, 2), (4, 3), (6, 4)])
+    def test_defining_equation(self, p1, p2, rng):
+        # h(K) R^T + R h(K)^T = U for both branches, with factors of two sizes
+        k1 = rand_spd(p1, rng)
+        k2 = rand_spd(p2, rng)
         sep = kcd.SeparableCovariance(k1=k1, k2=k2)
-        u1, u2 = rand_sym(3, rng), rand_sym(2, rng)
+        u1, u2 = rand_sym(p1, rng), rand_sym(p2, rng)
         u = kcd.separable_tangent(sep, u1, u2)
         for kind in SquareRootKind:
             h = sep.h_matrix(kind)
             r = kcd.dh(sep, u1, u2, kind)
             np.testing.assert_allclose(h @ r.T + r @ h.T, u, atol=1e-9)
+
+    def test_solves_only_factor_sized_systems(self, rng, monkeypatch):
+        # the product rule differentiates each factor root on its own: no
+        # p x p Sylvester system and no Kronecker product with an identity
+        sizes = []
+        sylvester, kron = core_geometry.sylvester_solve, matops.kron
+
+        def sized_sylvester(e, v):
+            sizes.append(len(e))
+            return sylvester(e, v)
+
+        def no_identity_kron(b, a):
+            for m in (b, a):
+                assert not np.array_equal(m, np.eye(len(m))), "kron with an identity"
+            return kron(b, a)
+
+        monkeypatch.setattr(core_geometry, "sylvester_solve", sized_sylvester)
+        monkeypatch.setattr(matops, "kron", no_identity_kron)
+        sep = kcd.SeparableCovariance(k1=rand_spd(3, rng), k2=rand_spd(2, rng))
+        for kind in SquareRootKind:
+            kcd.dh(sep, rand_sym(3, rng), rand_sym(2, rng), kind)
+        assert sorted(sizes) == [2, 3]
 
 
 class TestRcOperator:

@@ -105,19 +105,25 @@ class TestValidate:
                 with pytest.raises(StructureError, match=f"^{field} "):
                     dataclasses.replace(tau, **{field: value}).validate()
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, np.nan])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        tau = make_tau(SquareRootKind.SYMMETRIC, 64, dims=matops.Dims(4, 3, 3))
+        with pytest.raises(StructureError, match="^lambda "):
+            dataclasses.replace(tau, lam=lam).validate()
+
 
 class TestNll:
     def test_perfect_fit_value(self):
         tau = make_tau(SquareRootKind.SYMMETRIC, 1)
         tau = dataclasses.replace(tau, k1bar=np.eye(3), k2bar=np.eye(2), nu=1.0)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
-        sc = SampleCov(s=ctil, n=10, dims=DIMS)
+        sc = SampleCov(s=ctil, dims=DIMS)
         expect = 6.0 + np.linalg.slogdet(ctil)[1]
         assert abs(picse.nll(tau, sc) - expect) < 1e-10
 
     def test_degenerate_sample(self):
         tau = make_tau(SquareRootKind.SYMMETRIC, 2)
-        sc = SampleCov(s=np.zeros((6, 6)), n=1, dims=DIMS)
+        sc = SampleCov(s=np.zeros((6, 6)), dims=DIMS)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         expect = np.linalg.slogdet(ctil)[1] + 12.0 * np.log(tau.nu)
         assert abs(picse.nll(tau, sc) - expect) < 1e-10
@@ -184,7 +190,7 @@ class TestEuclidCalculus:
         tau = make_tau(SquareRootKind.SYMMETRIC, 31)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
-        sc = SampleCov(s=matops.sym(s), n=10, dims=DIMS)
+        sc = SampleCov(s=matops.sym(s), dims=DIMS)
         assert np.abs(a_block(tau, sc).grad()).max() < 1e-12
 
 
@@ -390,7 +396,7 @@ class TestNewtonDirection:
         tau = make_tau(SquareRootKind.SYMMETRIC, 41)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T
-        sc = SampleCov(s=matops.sym(s), n=6, dims=DIMS)
+        sc = SampleCov(s=matops.sym(s), dims=DIMS)
         block = a_block(tau, sc)
         rgrad, coef, _ = block.derivatives()
         assert np.abs(rgrad).max() < 1e-10
@@ -652,7 +658,7 @@ class TestClosedFormUpdates:
         tau = make_tau(SquareRootKind.SYMMETRIC, 61)
         tau = dataclasses.replace(tau, k1bar=np.eye(3), k2bar=np.eye(2), nu=2.0)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
-        sc = SampleCov(s=ctil, n=10, dims=DIMS)
+        sc = SampleCov(s=ctil, dims=DIMS)
         assert abs(picse.update_nu(tau, sc) - 1.0) < 1e-10
 
     def test_nu_stationarity(self):
@@ -668,7 +674,7 @@ class TestClosedFormUpdates:
     def test_nu_scaling(self):
         tau = make_tau(SquareRootKind.SYMMETRIC, 64)
         sc = SampleCov.from_data(make_data(65, n=10), DIMS)
-        sc4 = SampleCov(s=4.0 * sc.s, n=sc.n, dims=DIMS)
+        sc4 = SampleCov(s=4.0 * sc.s, dims=DIMS)
         assert abs(picse.update_nu(tau, sc4) - 2.0 * picse.update_nu(tau, sc)) < 1e-10
 
     def test_lambda_plant_and_recover(self):
@@ -679,7 +685,7 @@ class TestClosedFormUpdates:
                 k1bar=np.eye(3), k2bar=np.eye(2), nu=1.0, a=a0, lam=0.5,
                 h_kind=SquareRootKind.SYMMETRIC, dims=DIMS,
             )
-            sc = SampleCov(s=ctil, n=10, dims=DIMS)
+            sc = SampleCov(s=ctil, dims=DIMS)
             assert abs(picse.update_lambda(tau, sc) - lam_star) < 1e-6
 
     def test_lambda_never_worse_and_in_bracket(self):
@@ -736,11 +742,11 @@ class TestInit:
     def test_sample_core_rank_uses_the_eigenvalue_floor(self):
         # the 4th eigenvalue is 1.7e-11 of the largest: under PD_RTOL, so the
         # rank check rejects it; its old 1e-12 floor let it through to fail
-        # later in the top-r factor with "top-r core spectrum not positive"
+        # later, in the top-r factor of the truncated core
         a = cg.random_core_factor(matops.Dims(4, 3, 3), 0)
         d = 1e-10
         c = (1.0 - d) * (a @ a.T) + d * np.eye(12)
-        sc = SampleCov(s=c, n=24, dims=matops.Dims(4, 3, 4))
+        sc = SampleCov(s=c, dims=matops.Dims(4, 3, 4))
         for kind in SquareRootKind:
             with pytest.raises(StructureError, match="sample core has rank below r=4"):
                 picse.init(sc, kind)
@@ -829,6 +835,28 @@ class TestFit:
             assert dist > 1e-3
             assert abs(trace.step_norms[0][name] - dist) <= 1e-8 * dist
 
+    def test_numerical_failure_mid_sweep_stops_the_fit(self, monkeypatch):
+        # the third lambda update fails: the fit keeps its two whole sweeps,
+        # stops as "numerical" and returns the point the third sweep reached
+        dims = matops.Dims(4, 3, 3)
+        truth = simulate.gen_truth("m2", dims, 0.2, seed=5)
+        data = simulate.gen_data(truth.sigma, 24, seed=6, dims=dims)
+        update_lambda, calls = picse._ParamPoint.update_lambda, []
+
+        def fails_third(point):
+            calls.append(point)
+            if len(calls) == 3:
+                raise DefinitenessError("injected failure")
+            return update_lambda(point)
+
+        monkeypatch.setattr(picse._ParamPoint, "update_lambda", fails_third)
+        tau, _, trace = picse.fit(data, dims)
+        assert trace.termination == "numerical"
+        assert trace.n_sweeps == 2 and len(trace.objectives) == 3
+        tau.validate()
+        value = picse.nll(tau, SampleCov.from_data(data, dims))
+        assert value <= trace.objectives[-1]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             picse.fit(np.zeros((1, 3, 2)), DIMS)
@@ -843,6 +871,12 @@ class TestFit:
     def test_config_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError, match="need tol > 0"):
             FitConfig(tol=tol)
+
+    def test_config_rejects_infinite_tol(self):
+        # every relative change is below inf, so the fit used to stop after
+        # one sweep and report it as converged
+        with pytest.raises(ValueError, match="tol finite"):
+            FitConfig(tol=np.inf)
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0])
     def test_config_rejects_non_integer_max_iter(self, max_iter):
@@ -1118,7 +1152,7 @@ class TestBaselines:
         est = picse.kmle_estimator(data, dims)
         assert simulate.rel_spec_norm(est, sigma) < 0.15
         # on exactly separable sample covariance the KMLE reproduces it
-        sc = SampleCov(s=sigma, n=10, dims=dims)
+        sc = SampleCov(s=sigma, dims=dims)
         sep = kcd.kronecker_mle(sc.s, dims)
         np.testing.assert_allclose(sep.matrix, sigma, atol=1e-10)
 

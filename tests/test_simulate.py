@@ -177,6 +177,15 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             ExperimentConfig(**{**config, field: value})
 
+    def test_config_rejects_bad_seed(self):
+        # seed 1.5 used to run the study with seed 1 while summary.json said 1.5
+        config = dict(model="m1", dims=DIMS, lam=0.5, n_list=(8,), reps=1)
+        with pytest.raises(TypeError):
+            ExperimentConfig(**config, seed=1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            ExperimentConfig(**config, seed=-1)
+        assert type(ExperimentConfig(**config, seed=np.uint8(3)).seed) is int
+
     def test_config_stores_python_ints(self):
         # numpy counts used to reach summary.json, which cannot encode them
         config = ExperimentConfig(

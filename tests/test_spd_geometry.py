@@ -20,26 +20,26 @@ def unit_det_chol(q, rng):
 class TestAiExp:
     def test_zero_velocity(self, rng):
         s = rand_spd(4, rng)
-        np.testing.assert_allclose(sg.ai_exp(s, np.zeros((4, 4)), 0.7), s, atol=1e-12)
+        np.testing.assert_allclose(sg.ai_exp(s, np.zeros((4, 4))), s, atol=1e-12)
 
     def test_identity_base(self, rng):
         v = rand_sym(3, rng)
         w, q = np.linalg.eigh(v)
         expm_v = (q * np.exp(w)) @ q.T
-        np.testing.assert_allclose(sg.ai_exp(np.eye(3), v, 1.0), expm_v, atol=1e-12)
+        np.testing.assert_allclose(sg.ai_exp(np.eye(3), v), expm_v, atol=1e-12)
 
     def test_initial_velocity(self, rng):
         s = rand_spd(4, rng)
         v = rand_sym(4, rng)
         eps = 1e-5
-        fd = (sg.ai_exp(s, v, eps) - sg.ai_exp(s, v, -eps)) / (2 * eps)
+        fd = (sg.ai_exp(s, eps * v) - sg.ai_exp(s, -eps * v)) / (2 * eps)
         assert np.abs(fd - v).max() < 1e-6
 
     def test_unit_det_stays(self, rng):
         s = unit_det_spd(4, rng)
         v = sg.proj_unitdet_spd(s, rand_sym(4, rng))
         for t in (0.2, 0.6, 1.0):
-            out = sg.ai_exp(s, v, t, unit_det=True)
+            out = sg.ai_exp(s, t * v, unit_det=True)
             assert abs(np.linalg.det(out) - 1.0) <= 1e-8
 
 
@@ -61,8 +61,8 @@ class TestAiGradHess:
         g, _ = sg.ai_grad_hess(s, np.linalg.inv(s), np.zeros((4, 4)), v)
         eps = 1e-5
         fd = (
-            np.linalg.slogdet(sg.ai_exp(s, v, eps))[1]
-            - np.linalg.slogdet(sg.ai_exp(s, v, -eps))[1]
+            np.linalg.slogdet(sg.ai_exp(s, eps * v))[1]
+            - np.linalg.slogdet(sg.ai_exp(s, -eps * v))[1]
         ) / (2 * eps)
         assert abs(sg.ai_inner(s, g, v) - fd) < 1e-6
 
@@ -102,30 +102,30 @@ class TestProjUnitdetSpd:
 class TestCholExp:
     def test_zero_velocity(self, rng):
         l = np.linalg.cholesky(rand_spd(4, rng))
-        np.testing.assert_allclose(sg.chol_exp(l, np.zeros((4, 4)), 0.3), l)
+        np.testing.assert_allclose(sg.chol_exp(l, np.zeros((4, 4))), l)
 
     def test_identity_base(self, rng):
         v = rand_lower(3, rng)
         expect = np.tril(v, -1) + np.diag(np.exp(np.diag(v)))
-        np.testing.assert_allclose(sg.chol_exp(np.eye(3), v, 1.0), expect)
+        np.testing.assert_allclose(sg.chol_exp(np.eye(3), v), expect)
 
     def test_initial_velocity(self, rng):
         l = np.linalg.cholesky(rand_spd(4, rng))
         v = rand_lower(4, rng)
         eps = 1e-5
-        fd = (sg.chol_exp(l, v, eps) - sg.chol_exp(l, v, -eps)) / (2 * eps)
+        fd = (sg.chol_exp(l, eps * v) - sg.chol_exp(l, -eps * v)) / (2 * eps)
         assert np.abs(fd - v).max() < 1e-6
 
     def test_positive_diagonal_always(self, rng):
         l = np.linalg.cholesky(rand_spd(3, rng))
         v = 5.0 * rand_lower(3, rng)
         for t in (-1.0, 0.5, 1.0):
-            assert np.diag(sg.chol_exp(l, v, t)).min() > 0
+            assert np.diag(sg.chol_exp(l, t * v)).min() > 0
 
     def test_unit_det_stays(self, rng):
         l = unit_det_chol(4, rng)
         v = sg.proj_unitdet_chol(l, rand_lower(4, rng))
-        out = sg.chol_exp(l, v, 1.0, unit_det=True)
+        out = sg.chol_exp(l, v, unit_det=True)
         assert abs(np.linalg.det(out) - 1.0) <= 1e-8
 
 
@@ -150,7 +150,7 @@ class TestCholGradHess:
             return float(np.sum(np.log(np.diag(x))))
 
         eps = 1e-5
-        fd = (f(sg.chol_exp(l, v, eps)) - f(sg.chol_exp(l, v, -eps))) / (2 * eps)
+        fd = (f(sg.chol_exp(l, eps * v)) - f(sg.chol_exp(l, -eps * v))) / (2 * eps)
         assert abs(sg.chol_inner(l, g, v) - fd) < 1e-6
 
     def test_hessian_symmetric_form(self, rng):
