@@ -1,7 +1,8 @@
 """Geometry of Kronecker-core covariance manifolds and the partial-isotropy
 core shrinkage estimator for matrix-variate data."""
 
-from .errors import CapacityError, DefinitenessError, NoKroneckerMle, StructureError
+from .errors import (CapacityError, ConfigError, DefinitenessError, NoKroneckerMle,
+                     StructureError)
 from .matops import Dims
 from .kcd import KcdResult, SeparableCovariance, SquareRootKind, kronecker_mle
 from .picse import (
@@ -27,6 +28,7 @@ from .simulate import (
 
 __all__ = [
     "CapacityError",
+    "ConfigError",
     "DefinitenessError",
     "Dims",
     "ExperimentConfig",

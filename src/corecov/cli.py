@@ -1,8 +1,9 @@
 """Command-line interface: `simulate` (replication studies), `fit` (PICSE on
 a data file), and `kcd` (Kronecker-core decomposition of a single matrix).
 
-Exit codes: 0 success, 2 invalid input or configuration (rejected before any
-computation), 3 numerical failure (anything raised during computation).
+Exit codes by exception type: 0 success, 2 on ConfigError or OSError (an
+argument, file or output path is rejected), 3 on NUMERICAL_ERRORS (a
+computation failed on valid input).  Any other exception propagates.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import matops, picse, simulate
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, ConfigError
 from .kcd import SquareRootKind, kcd as run_kcd
 
 
@@ -30,37 +31,34 @@ def build_parser():
         "core shrinkage estimator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--p1", type=int, required=True)
+    shape.add_argument("--p2", type=int, required=True)
+    fitting = argparse.ArgumentParser(add_help=False, parents=[shape])
+    fitting.add_argument("--rank", type=int, required=True)
+    fitting.add_argument("--tol", type=float, default=picse.FitConfig.tol)
+    fitting.add_argument("--max-iter", type=int, default=picse.FitConfig.max_iter)
 
-    sim = sub.add_parser("simulate", help="run a seeded replication study")
+    sim = sub.add_parser("simulate", parents=[fitting],
+                         help="run a seeded replication study")
     sim.add_argument("--model", choices=["m1", "m2"], required=True)
-    sim.add_argument("--p1", type=int, required=True)
-    sim.add_argument("--p2", type=int, required=True)
-    sim.add_argument("--rank", type=int, required=True)
     sim.add_argument("--lambda", dest="lam", type=float, required=True)
     sim.add_argument("--n", type=int, action="append", required=True,
                      help="sample size (repeatable)")
     sim.add_argument("--reps", type=int, default=20)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--sqrt", choices=["sym", "chol", "both"], default="sym")
-    sim.add_argument("--tol", type=float, default=picse.FitConfig.tol)
-    sim.add_argument("--max-iter", type=int, default=picse.FitConfig.max_iter)
     sim.add_argument("--out", required=True, help="output directory")
 
-    fit = sub.add_parser("fit", help="fit PICSE to vec-rows CSV data")
+    fit = sub.add_parser("fit", parents=[fitting], help="fit PICSE to vec-rows CSV data")
     fit.add_argument("--input", required=True,
                      help="CSV, n rows x p columns, row i = vec(Y_i) column-stacked")
-    fit.add_argument("--p1", type=int, required=True)
-    fit.add_argument("--p2", type=int, required=True)
-    fit.add_argument("--rank", type=int, required=True)
     fit.add_argument("--sqrt", choices=["sym", "chol"], default="sym")
-    fit.add_argument("--tol", type=float, default=picse.FitConfig.tol)
-    fit.add_argument("--max-iter", type=int, default=picse.FitConfig.max_iter)
     fit.add_argument("--out", required=True, help="output JSON file")
 
-    dec = sub.add_parser("kcd", help="Kronecker-core decomposition of a matrix")
+    dec = sub.add_parser("kcd", parents=[shape],
+                         help="Kronecker-core decomposition of a matrix")
     dec.add_argument("--input", required=True, help="CSV holding a p x p matrix")
-    dec.add_argument("--p1", type=int, required=True)
-    dec.add_argument("--p2", type=int, required=True)
     dec.add_argument("--sqrt", choices=["sym", "chol"], default="sym")
     dec.add_argument("--out", required=True, help="output JSON file")
     return parser
@@ -86,18 +84,21 @@ def _cmd_simulate(args):
 
 
 def _check_out_file(path):
-    """ValueError unless path is no directory and its directory exists."""
+    """ConfigError unless path is no directory and its directory exists."""
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise ValueError(f"cannot write the output file {path}")
+        raise ConfigError(f"cannot write the output file {path}")
 
 
 def _load_csv(path):
-    """The rows of a numeric CSV file; ValueError when it holds no data."""
-    with open(path) as fh:
-        lines = [line for line in fh if line.split("#", 1)[0].strip()]
-    if not lines:
-        raise ValueError(f"{path} contains no data")
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
+    """The rows of a numeric CSV file; ConfigError when it is empty or unparsable."""
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh if line.split("#", 1)[0].strip()]
+        if lines:
+            return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    raise ConfigError(f"{path} contains no data")
 
 
 def _cmd_fit(args):
@@ -105,7 +106,7 @@ def _cmd_fit(args):
     rows = _load_csv(args.input)
     dims = matops.Dims(args.p1, args.p2, args.rank)
     if rows.shape[1] != dims.p:
-        raise ValueError(f"expected {dims.p} columns, found {rows.shape[1]}")
+        raise ConfigError(f"expected {dims.p} columns, found {rows.shape[1]}")
     data = rows.reshape(-1, dims.p2, dims.p1).transpose(0, 2, 1)
     config = picse.FitConfig(
         tol=args.tol, max_iter=args.max_iter, h_kind=SquareRootKind(args.sqrt)
@@ -134,7 +135,7 @@ def _cmd_kcd(args):
     _check_out_file(args.out)
     sigma = _load_csv(args.input)
     if not np.isfinite(sigma).all():
-        raise ValueError("matrix contains non-finite values")
+        raise ConfigError("matrix contains non-finite values")
     dims = matops.Dims(args.p1, args.p2)
     result = run_kcd(sigma, dims, SquareRootKind(args.sqrt))
     payload = {
@@ -149,20 +150,16 @@ def _cmd_kcd(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {"simulate": _cmd_simulate, "fit": _cmd_fit, "kcd": _cmd_kcd}[
-        args.command
-    ]
-    # The numerical errors subclass ValueError, so they are caught first.
+    args = build_parser().parse_args(argv)
+    handler = {"simulate": _cmd_simulate, "fit": _cmd_fit, "kcd": _cmd_kcd}[args.command]
     try:
         return handler(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
-from .errors import CapacityError, DefinitenessError, StructureError
+from .errors import CapacityError, ConfigError, DefinitenessError, StructureError
 
 # Dense J assembly is (p1^2+p2^2+1) x (p*r); refuse absurd shapes.
 _MAX_PR = 4096
@@ -66,7 +66,7 @@ def check_core_factor(a, dims):
     """Validate the two Gram constraints and full column rank of A."""
     a = np.asarray(a, dtype=float)
     if a.shape != (dims.p, dims.r):
-        raise ValueError(f"expected {dims.p}x{dims.r}, got {a.shape}")
+        raise ConfigError(f"expected {dims.p}x{dims.r}, got {a.shape}")
     res = gram_residual(row_gram(a, dims), col_gram(a, dims), gram_targets(dims))
     if res > matops.RESIDUAL_TOL:
         raise StructureError(
@@ -263,7 +263,7 @@ class ManifoldDims:
 def manifold_dims(dims):
     """Dimension formulas; the factor dimension equals p*r - rank(J)."""
     if dims.r is None:
-        raise ValueError("manifold_dims needs dims with a rank")
+        raise ConfigError("manifold_dims needs dims with a rank")
     b1 = dims.p1 * (dims.p1 + 1) // 2
     b2 = dims.p2 * (dims.p2 + 1) // 2
     bp = dims.p * (dims.p + 1) // 2
@@ -313,7 +313,7 @@ def random_core_factor(dims, seed):
     disconnected slice graph.
     """
     if dims.r is None:
-        raise ValueError("random_core_factor needs dims with a rank")
+        raise ConfigError("random_core_factor needs dims with a rank")
     rng = np.random.default_rng(seed)
     for _ in range(5):
         a = rng.standard_normal((dims.p, dims.r))
@@ -338,7 +338,7 @@ def partial_isotropy_decompose(c, dims):
     eigenpairs with weights sqrt((eig_i - lambda)/(1 - lambda)).
     """
     if dims.r is None:
-        raise ValueError("partial_isotropy_decompose needs dims with a rank")
+        raise ConfigError("partial_isotropy_decompose needs dims with a rank")
     c = matops.sym(np.asarray(c, dtype=float))
     w, q = np.linalg.eigh(c)
     w = w[::-1]

@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types.  ConfigError rejects an argument before any computation;
+NUMERICAL_ERRORS fail a computation on valid input.  The CLI exits 2 on
+ConfigError or OSError, 3 on NUMERICAL_ERRORS, and lets anything else propagate."""
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """An argument is rejected: wrong shape, type or value, or unusable file."""
 
 
 class DefinitenessError(ValueError):
@@ -17,12 +23,11 @@ class StructureError(ValueError):
     trailing eigenvalue block in a partial-isotropy decomposition)."""
 
 
-class CapacityError(ValueError):
+class CapacityError(ConfigError):
     """Problem size exceeds a hard limit of a dense code path."""
 
 
-# Failures of a computation on valid input.  Fits treat them as a failed step
-# or sweep, studies record them per estimator, and the CLI exits 3 on them.
+# Fits treat these as a failed step or sweep; studies record them per estimator.
 NUMERICAL_ERRORS = (
     np.linalg.LinAlgError, DefinitenessError, NoKroneckerMle, StructureError,
     FloatingPointError,

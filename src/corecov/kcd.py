@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core_geometry, matops, spd_geometry
-from .errors import DefinitenessError, NoKroneckerMle
+from .errors import ConfigError, DefinitenessError, NoKroneckerMle
 
 # Flip-flop stopping: NoKroneckerMle when the objective still falls by more
 # than _MLE_TOL (relative) per sweep after _MLE_MAX_ITER sweeps.
@@ -98,7 +98,7 @@ def kronecker_mle(sigma, dims, psd_check=True):
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
-        raise ValueError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")
+        raise ConfigError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")
     sigma = matops.sym(sigma)
     if psd_check:
         w = np.linalg.eigvalsh(sigma)
@@ -143,9 +143,9 @@ def kronecker_mle(sigma, dims, psd_check=True):
 
 
 def check_h_kind(h_kind):
-    """ValueError unless h_kind is a SquareRootKind member."""
+    """ConfigError unless h_kind is a SquareRootKind member."""
     if not isinstance(h_kind, SquareRootKind):
-        raise ValueError(f"square-root kind must be a SquareRootKind, got {h_kind!r}")
+        raise ConfigError(f"square-root kind must be a SquareRootKind, got {h_kind!r}")
 
 
 def kcd(sigma, dims, h_kind):
@@ -183,7 +183,6 @@ def dh(sep, u1, u2, h_kind):
     R2 (x) h1 + h2 (x) R1 with R_i the differential of the factor root at
     K_i along U_i.
     """
-    check_h_kind(h_kind)
     h1, h2 = sep.sqrt_factors(h_kind)
     r1 = _droot(h1, u1, h_kind)
     r2 = _droot(h2, u2, h_kind)

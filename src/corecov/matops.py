@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError
+from .errors import ConfigError, DefinitenessError
 
 # Relative eigenvalue floor: a symmetric matrix whose smallest (for a rank-r
 # check, r-th largest) eigenvalue is at most this fraction of its largest is
@@ -41,9 +41,9 @@ class Dims:
         p1, p2 = operator.index(self.p1), operator.index(self.p2)
         r = None if self.r is None else operator.index(self.r)
         if p1 < 2 or p2 < 2:
-            raise ValueError(f"need p1, p2 >= 2, got ({p1}, {p2})")
+            raise ConfigError(f"need p1, p2 >= 2, got ({p1}, {p2})")
         if r is not None and not (p1 / p2 + p2 / p1 < r <= p1 * p2):
-            raise ValueError(f"rank r={r} outside ({p1 / p2 + p2 / p1}, {p1 * p2}]")
+            raise ConfigError(f"rank r={r} outside ({p1 / p2 + p2 / p1}, {p1 * p2}]")
         # store Python ints, so numpy integer input gives the same repr
         for name, value in (("p1", p1), ("p2", p2), ("r", r)):
             object.__setattr__(self, name, value)
@@ -64,7 +64,7 @@ def mat(u, p1, p2):
     """Inverse of vec: reshape a (p1*p2)-vector into a p1 x p2 matrix."""
     u = np.asarray(u)
     if u.size != p1 * p2:
-        raise ValueError(f"vector of size {u.size} is not {p1}x{p2}")
+        raise ConfigError(f"vector of size {u.size} is not {p1}x{p2}")
     return u.reshape((p1, p2), order="F").copy()
 
 
@@ -115,10 +115,6 @@ def sym(m):
 def skew(m):
     m = np.asarray(m)
     return (m - m.T) / 2.0
-
-
-def strict_lower(m):
-    return np.tril(np.asarray(m), -1)
 
 
 def diag_part(m):
@@ -176,7 +172,7 @@ def whiten(h, m):
 def _check_square(m, size=None):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {m.shape}")
     if size is not None and m.shape[0] != size:
-        raise ValueError(f"expected size {size}, got {m.shape[0]}")
+        raise ConfigError(f"expected size {size}, got {m.shape[0]}")
     return m

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import core_geometry, kcd, matops, spd_geometry
-from .errors import NUMERICAL_ERRORS, DefinitenessError, StructureError
+from .errors import NUMERICAL_ERRORS, ConfigError, DefinitenessError, StructureError
 from .kcd import SquareRootKind
 
 # Search interval of the shrinkage level lambda; also clamps its initial value.
@@ -90,16 +90,16 @@ class SampleCov:
 
     @classmethod
     def from_data(cls, data, dims):
-        """ValueError unless the data are (n, p1, p2), n >= 2, all finite."""
+        """ConfigError unless the data are (n, p1, p2), n >= 2, all finite."""
         data = np.asarray(data, dtype=float)
         p1, p2 = dims.p1, dims.p2
         if data.ndim != 3 or data.shape[1:] != (p1, p2):
-            raise ValueError(f"expected (n, {p1}, {p2}) data, got {data.shape}")
+            raise ConfigError(f"expected (n, {p1}, {p2}) data, got {data.shape}")
         n = data.shape[0]
         if n < 2:
-            raise ValueError("need at least two observations")
+            raise ConfigError("need at least two observations")
         if not np.isfinite(data).all():
-            raise ValueError("data contain non-finite values")
+            raise ConfigError("data contain non-finite values")
         ymat = data.transpose(0, 2, 1).reshape(n, -1)
         return cls(s=matops.sym(ymat.T @ ymat / n), dims=dims)
 
@@ -118,7 +118,7 @@ class FitConfig:
     def __post_init__(self):
         # inf would stop every fit after one sweep as converged
         if not 0 < self.tol < np.inf or operator.index(self.max_iter) < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1, with tol finite")
+            raise ConfigError("need tol > 0 and max_iter >= 1, with tol finite")
         kcd.check_h_kind(self.h_kind)
 
 
@@ -569,10 +569,10 @@ def update_lambda(tau, sample_cov):
 # ---------------------------------------------------------------------------
 
 def check_rank(dims):
-    """ValueError unless dims carry a rank r < p: at r = p the isotropic block
+    """ConfigError unless dims carry a rank r < p: at r = p the isotropic block
     is empty, so lambda is not identified."""
     if dims.r is None or dims.r >= dims.p:
-        raise ValueError(f"PICSE needs a rank r < p = {dims.p}, got r = {dims.r}")
+        raise ConfigError(f"PICSE needs a rank r < p = {dims.p}, got r = {dims.r}")
 
 
 def init(sample_cov, h_kind):
@@ -621,11 +621,11 @@ def fit(data, dims, config=None, initial=None):
     core_geometry.check_dense_size(dims.p, dims.r)
     if initial is not None:
         if initial.dims != dims or initial.h_kind is not config.h_kind:
-            raise ValueError("initial parameters differ from the fit in dims or h_kind")
+            raise ConfigError("initial parameters differ from the fit in dims or h_kind")
         try:
             initial.validate()
         except ValueError as exc:
-            raise ValueError(f"invalid initial parameters: {exc}") from exc
+            raise ConfigError(f"invalid initial parameters: {exc}") from exc
     tau = init(sample_cov, config.h_kind) if initial is None else initial
 
     # each update reads the pieces its predecessor formed (_ParamPoint)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import core_geometry, kcd, matops, picse
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, ConfigError
 from .kcd import SquareRootKind
 
 # spawn-key purpose codes
@@ -57,23 +57,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.model not in ("m1", "m2"):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ConfigError(f"unknown model {self.model!r}")
         if not (0.0 < self.lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
+            raise ConfigError("lambda must lie in (0, 1)")
         # integers (operator.index), stored as Python ints for summary.json
         reps, seed = operator.index(self.reps), operator.index(self.seed)
         n_list = tuple(map(operator.index, self.n_list))
         if reps < 1 or any(n < 2 for n in n_list):
-            raise ValueError("need reps >= 1 and every n >= 2")
+            raise ConfigError("need reps >= 1 and every n >= 2")
         if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_list", n_list)
         for name in ("n_list", "h_kinds"):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
-                raise ValueError(f"{name} must be non-empty without repeats: {values!r}")
+                raise ConfigError(f"{name} must be non-empty without repeats: {values!r}")
         picse.check_rank(self.dims)
         core_geometry.check_dense_size(self.dims.p, self.dims.r)
         for kind in self.h_kinds:
@@ -158,7 +158,7 @@ def rel_spec_norm(est, truth):
     """Spectral norm of the estimation error over that of the truth."""
     denom = np.linalg.norm(np.asarray(truth, dtype=float), 2)
     if denom == 0.0:
-        raise ValueError("truth matrix is zero")
+        raise ConfigError("truth matrix is zero")
     return float(np.linalg.norm(np.asarray(est, dtype=float) - truth, 2) / denom)
 
 

@@ -9,7 +9,7 @@ axes of their tangents; each matrix of a stack gets the bits of its own call.
 import numpy as np
 
 from . import matops
-from .errors import DefinitenessError
+from .errors import ConfigError, DefinitenessError
 
 # Gram-Schmidt drops candidates of at most this squared norm once orthogonalized.
 _GS_TOL = 1e-9
@@ -19,9 +19,9 @@ def check_chol_point(l):
     """Validate a lower-triangular matrix with strictly positive diagonal."""
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ValueError(f"expected square matrix, got {l.shape}")
+        raise ConfigError(f"expected square matrix, got {l.shape}")
     if np.abs(np.triu(l, 1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(l).max()):
-        raise ValueError("strict upper triangle is not zero")
+        raise ConfigError("strict upper triangle is not zero")
     if np.diag(l).min() <= 0.0:
         raise DefinitenessError("Cholesky point needs a strictly positive diagonal")
     return np.tril(l)
@@ -122,10 +122,10 @@ def chol_grad_hess(l, egrad, ehess_v, v):
     Hess[V] = D(L)^2 D(ehess_v) + floor(ehess_v) + D(L) D(egrad) D(V).
     """
     dl = matops.diag_part(l)
-    rgrad = dl @ dl @ matops.diag_part(egrad) + matops.strict_lower(egrad)
+    rgrad = dl @ dl @ matops.diag_part(egrad) + np.tril(egrad, -1)
     rhess = (
         dl @ dl @ matops.diag_part(ehess_v)
-        + matops.strict_lower(ehess_v)
+        + np.tril(ehess_v, -1)
         + dl @ matops.diag_part(egrad) @ matops.diag_part(v)
     )
     return rgrad, rhess

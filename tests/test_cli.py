@@ -334,3 +334,38 @@ def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"1.0,2.0,3.0,4.0\n5.0,abc,7.0,8.0\n",  # a non-numeric cell
+    b"1.0,2.0,3.0,4.0\n5.0,6.0,7.0\n",  # ragged rows
+    b"1.0,2.0,3.0,4.0\n5.0,\xff\xfe,7.0,8.0\n",  # bytes no text encoding decodes
+    None,  # no such file
+], ids=["non-numeric", "ragged", "undecodable", "missing"])
+@pytest.mark.parametrize("command", [
+    ["fit", "--p1", "2", "--p2", "2", "--rank", "3"],
+    ["kcd", "--p1", "2", "--p2", "2"],
+])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
+    src = tmp_path / "in.csv"
+    if content is not None:
+        src.write_bytes(content)
+    rc = cli.main(command + ["--input", str(src), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_unexpected_value_error_propagates(tmp_path, monkeypatch):
+    # only ConfigError and OSError mean bad input; any other ValueError is a bug
+    def buggy(*args):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(picse, "fit", buggy)
+    src = tmp_path / "data.csv"
+    write_data_csv(src, np.random.default_rng(29).standard_normal((8, 2, 2)))
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        cli.main([
+            "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "3",
+            "--out", str(tmp_path / "o.json"),
+        ])
