@@ -105,9 +105,7 @@ def _cmd_fit(args):
     _check_out_file(args.out)
     rows = _load_csv(args.input)
     dims = matops.Dims(args.p1, args.p2, args.rank)
-    if rows.shape[1] != dims.p:
-        raise ConfigError(f"expected {dims.p} columns, found {rows.shape[1]}")
-    data = rows.reshape(-1, dims.p2, dims.p1).transpose(0, 2, 1)
+    data = matops.mat(rows, dims.p1, dims.p2)
     config = picse.FitConfig(
         tol=args.tol, max_iter=args.max_iter, h_kind=SquareRootKind(args.sqrt)
     )
@@ -136,6 +134,9 @@ def _cmd_kcd(args):
     sigma = _load_csv(args.input)
     if not np.isfinite(sigma).all():
         raise ConfigError("matrix contains non-finite values")
+    if sigma.shape == sigma.T.shape and (
+            np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max()):
+        raise ConfigError("matrix is not symmetric")
     dims = matops.Dims(args.p1, args.p2)
     result = run_kcd(sigma, dims, SquareRootKind(args.sqrt))
     payload = {

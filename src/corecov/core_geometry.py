@@ -81,7 +81,8 @@ def check_core_factor(a, dims):
 def check_core_matrix(c, dims):
     """Validate the partial traces of a core matrix, the Grams of its factors."""
     c = matops.sym(np.asarray(c, dtype=float))
-    traces = matops.partial_trace_1(c, dims), matops.partial_trace_2(c, dims)
+    traces = (matops.weighted_partial_trace_1(c, np.eye(dims.p2), dims),
+              matops.weighted_partial_trace_2(c, np.eye(dims.p1), dims))
     res = gram_residual(*traces, gram_targets(dims))
     if res > matops.RESIDUAL_TOL:
         raise StructureError(
@@ -189,8 +190,8 @@ def tangent_project_full(v, dims):
     G(V) = V - (I (x) tr_1(V))/p2 - (tr_2(V) (x) I)/p1 + tr(V)/p I.
     """
     v = matops.sym(np.asarray(v, dtype=float))
-    t1 = matops.partial_trace_1(v, dims)
-    t2 = matops.partial_trace_2(v, dims)
+    t1 = matops.weighted_partial_trace_1(v, np.eye(dims.p2), dims)
+    t2 = matops.weighted_partial_trace_2(v, np.eye(dims.p1), dims)
     return (
         v
         - matops.kron(np.eye(dims.p2), t1) / dims.p2
@@ -318,15 +319,11 @@ def random_core_factor(dims, seed):
     for _ in range(5):
         a = rng.standard_normal((dims.p, dims.r))
         try:
-            a = balance_core_factor(a, dims)
+            a = check_core_factor(balance_core_factor(a, dims), dims)
         except (DefinitenessError, StructureError):
             continue
-        if not is_connected_bipartite(slices(a, dims)):
-            continue
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= _SV_RTOL * s[0]:
-            continue
-        return a
+        if is_connected_bipartite(slices(a, dims)):
+            return a
     raise StructureError("random_core_factor failed after 5 redraws")
 
 

@@ -53,7 +53,7 @@ class SeparableCovariance:
         check_h_kind(h_kind)
         if h_kind is SquareRootKind.CHOLESKY:
             return matops.chol(self.k1), matops.chol(self.k2)
-        return matops.sym_sqrt(self.k1), matops.sym_sqrt(self.k2)
+        return tuple(matops.spd_half_powers(k)[0] for k in (self.k1, self.k2))
 
     def h_matrix(self, h_kind):
         h1, h2 = self.sqrt_factors(h_kind)

@@ -61,11 +61,12 @@ def vec(m):
 
 
 def mat(u, p1, p2):
-    """Inverse of vec: reshape a (p1*p2)-vector into a p1 x p2 matrix."""
+    """Inverse of vec: a (p1*p2)-vector gives a p1 x p2 matrix, a (..., p1*p2)
+    stack the (..., p1, p2) stack of matrices."""
     u = np.asarray(u)
-    if u.size != p1 * p2:
-        raise ConfigError(f"vector of size {u.size} is not {p1}x{p2}")
-    return u.reshape((p1, p2), order="F").copy()
+    if u.shape[-1:] != (p1 * p2,):
+        raise ConfigError(f"expected length-{p1 * p2} vectors, got shape {u.shape}")
+    return u.reshape(*u.shape[:-1], p2, p1).swapaxes(-1, -2).copy()
 
 
 def kron(b, a):
@@ -79,29 +80,17 @@ def kron(b, a):
     return (b[:, None, :, None] * a[None, :, None, :]).reshape(m * p, n * q)
 
 
-def partial_trace_1(m, dims):
-    """tr_1(M) = sum of the diagonal blocks M_[i,i]  (p1 x p1)."""
-    m = _check_square(m, dims.p)
-    v = m.reshape(dims.p2, dims.p1, dims.p2, dims.p1)
-    return np.einsum("iaib->ab", v)
-
-
-def partial_trace_2(m, dims):
-    """tr_2(M)_{ij} = trace(M_[i,j])  (p2 x p2)."""
-    m = _check_square(m, dims.p)
-    v = m.reshape(dims.p2, dims.p1, dims.p2, dims.p1)
-    return np.einsum("iaja->ij", v)
-
-
 def weighted_partial_trace_1(m, w2, dims):
-    """sum_{ij} (w2)_{ji} M_[i,j]; reduces to tr_1 at w2 = identity."""
+    """sum_{ij} (w2)_{ji} M_[i,j]  (p1 x p1); at w2 = identity it is the
+    partial trace tr_1(M), the sum of the diagonal blocks M_[i,i]."""
     m = _check_square(m, dims.p)
     v = m.reshape(dims.p2, dims.p1, dims.p2, dims.p1)
     return np.einsum("iajb,ji->ab", v, np.asarray(w2))
 
 
 def weighted_partial_trace_2(m, w1, dims):
-    """N with N_{ij} = trace(M_[i,j] w1); reduces to tr_2 at w1 = identity."""
+    """N with N_{ij} = trace(M_[i,j] w1)  (p2 x p2); at w1 = identity it is
+    the partial trace tr_2(M), with tr_2(M)_{ij} = trace(M_[i,j])."""
     m = _check_square(m, dims.p)
     v = m.reshape(dims.p2, dims.p1, dims.p2, dims.p1)
     return np.einsum("iajb,ba->ij", v, np.asarray(w1))
@@ -146,15 +135,9 @@ def spd_half_powers(s, what="matrix"):
 
 
 def spd_inv_sqrt(s, what="matrix"):
-    """S^(-1/2) of an SPD matrix from one eigendecomposition."""
+    """S^(-1/2) alone, without spd_half_powers' S^(1/2) product (balancing)."""
     w, q = spd_eigh(s, what=what)
     return (q / np.sqrt(w)) @ q.T
-
-
-def sym_sqrt(s):
-    """Symmetric square root of an SPD matrix (eigendecomposition based)."""
-    w, q = spd_eigh(s, what="sym_sqrt input")
-    return (q * np.sqrt(w)) @ q.T
 
 
 def chol(s):

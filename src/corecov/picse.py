@@ -100,7 +100,7 @@ class SampleCov:
             raise ConfigError("need at least two observations")
         if not np.isfinite(data).all():
             raise ConfigError("data contain non-finite values")
-        ymat = data.transpose(0, 2, 1).reshape(n, -1)
+        ymat = matops.vec(data)
         return cls(s=matops.sym(ymat.T @ ymat / n), dims=dims)
 
 

@@ -146,7 +146,7 @@ def gen_truth(model, dims, lam, seed):
 def gen_data(sigma, n, seed, dims):
     """n observations with vec(Y_i) = Sigma^(1/2) z_i, one Philox stream per
     observation keyed by (seed, i)."""
-    root = matops.sym_sqrt(sigma)
+    root = matops.spd_half_powers(sigma, what="Sigma")[0]
     out = np.empty((n, dims.p1, dims.p2))
     for i in range(n):
         z = _rng(seed, _OBS, i).standard_normal(dims.p)

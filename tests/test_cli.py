@@ -282,6 +282,24 @@ def test_kcd_rejects_non_square_matrix(tmp_path, capsys):
     assert "expected 6x6 input, got (6, 5)" in capsys.readouterr().err
 
 
+def test_kcd_rejects_asymmetric_matrix(tmp_path, capsys):
+    # kcd would decompose sym(M) without a word; asymmetry past the relative
+    # RESIDUAL_TOL is bad input, a rounding-level one is not
+    sigma = rand_spd(6, np.random.default_rng(34))
+    out = tmp_path / "o.json"
+    for bump, code in ((0.1, 2), (1e-12, 0)):
+        bumped = sigma.copy()
+        bumped[0, 1] += bump
+        src = tmp_path / "sigma.csv"
+        np.savetxt(src, bumped, delimiter=",", fmt="%.17g")
+        rc = cli.main([
+            "kcd", "--input", str(src), "--p1", "3", "--p2", "2", "--out", str(out),
+        ])
+        assert rc == code
+        assert out.exists() == (code == 0)
+    assert "error: matrix is not symmetric" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n# only a comment\n"])
 @pytest.mark.parametrize("command", [
     ["fit", "--p1", "3", "--p2", "2", "--rank", "3"],

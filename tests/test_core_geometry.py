@@ -199,8 +199,8 @@ class TestTangentProjectFull:
         dims = matops.Dims(3, 2)
         w = cg.tangent_project_full(rand_sym(6, rng), dims)
         np.testing.assert_allclose(cg.tangent_project_full(w, dims), w, atol=1e-12)
-        assert np.abs(matops.partial_trace_1(w, dims)).max() < 1e-12
-        assert np.abs(matops.partial_trace_2(w, dims)).max() < 1e-12
+        assert np.abs(matops.weighted_partial_trace_1(w, np.eye(2), dims)).max() < 1e-12
+        assert np.abs(matops.weighted_partial_trace_2(w, np.eye(3), dims)).max() < 1e-12
 
     def test_idempotent_orthogonal(self, rng):
         dims = matops.Dims(3, 2)

@@ -297,12 +297,12 @@ class TestDk:
         v = rand_sym(4, rng)
         u1, u2 = kcd.dk(sigma, v, DIMS22)
         s1, s2 = sep.k1, sep.k2
-        r1 = matops.sym_sqrt(s1)
-        r2 = matops.sym_sqrt(s2)
+        r1 = matops.spd_half_powers(s1)[0]
+        r2 = matops.spd_half_powers(s2)[0]
         kih = matops.kron(np.linalg.inv(r2), np.linalg.inv(r1))
         vt = matops.sym(kih @ v @ kih)
-        t1 = matops.partial_trace_1(vt, DIMS22)
-        t2 = matops.partial_trace_2(vt, DIMS22)
+        t1 = matops.weighted_partial_trace_1(vt, np.eye(2), DIMS22)
+        t2 = matops.weighted_partial_trace_2(vt, np.eye(2), DIMS22)
         closed = (
             matops.kron(r2 @ t2 @ r2, s1) / 2.0
             + matops.kron(s2, r1 @ t1 @ r1) / 2.0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from corecov import matops
-from corecov.errors import DefinitenessError
+from corecov.errors import ConfigError, DefinitenessError
+from corecov.kcd import SeparableCovariance, SquareRootKind
 
 from conftest import rand_spd, rand_sym
 
@@ -40,6 +41,18 @@ def test_mat_vec_round_trip(rng):
     assert np.array_equal(matops.mat(matops.vec(m), 3, 2), m)
     with pytest.raises(ValueError):
         matops.mat(np.zeros(5), 2, 3)
+
+
+def test_mat_inverts_vec_on_stacks(rng):
+    stack = rng.standard_normal((7, 3, 2))
+    rows = matops.vec(stack)
+    assert rows.shape == (7, 6)
+    back = matops.mat(rows, 3, 2)
+    assert back.shape == (7, 3, 2) and np.array_equal(back, stack)
+    assert np.array_equal(back[4], matops.mat(rows[4], 3, 2))
+    for bad in (np.zeros((7, 5)), np.zeros((6, 7)), np.float64(1.0)):
+        with pytest.raises(ConfigError, match="expected length-6 vectors"):
+            matops.mat(bad, 3, 2)
 
 
 def test_vec_kron_identity(rng):
@@ -81,10 +94,20 @@ def test_kron_bytes_match_numpy(rng):
         assert got.tobytes() == expected.tobytes()
 
 
+def tr1(m, dims):
+    """The partial trace tr_1: the weighted one at the identity."""
+    return matops.weighted_partial_trace_1(m, np.eye(dims.p2), dims)
+
+
+def tr2(m, dims):
+    """The partial trace tr_2: the weighted one at the identity."""
+    return matops.weighted_partial_trace_2(m, np.eye(dims.p1), dims)
+
+
 def test_partial_traces_identity():
     dims = matops.Dims(3, 2)
-    np.testing.assert_allclose(matops.partial_trace_1(np.eye(6), dims), 2 * np.eye(3))
-    np.testing.assert_allclose(matops.partial_trace_2(np.eye(6), dims), 3 * np.eye(2))
+    np.testing.assert_allclose(tr1(np.eye(6), dims), 2 * np.eye(3))
+    np.testing.assert_allclose(tr2(np.eye(6), dims), 3 * np.eye(2))
 
 
 def test_partial_traces_kron(rng):
@@ -92,17 +115,15 @@ def test_partial_traces_kron(rng):
     a = rand_spd(2, rng)
     b = rand_spd(2, rng)
     m = matops.kron(b, a)
-    np.testing.assert_allclose(matops.partial_trace_1(m, dims), np.trace(b) * a)
-    np.testing.assert_allclose(matops.partial_trace_2(m, dims), np.trace(a) * b)
+    np.testing.assert_allclose(tr1(m, dims), np.trace(b) * a)
+    np.testing.assert_allclose(tr2(m, dims), np.trace(a) * b)
     # brute-force block sums over the p1 x p1 blocks M_[i,j], sliced directly
     p1 = dims.p1
     blocks = [[m[i * p1 : (i + 1) * p1, j * p1 : (j + 1) * p1] for j in range(2)]
               for i in range(2)]
-    np.testing.assert_allclose(
-        matops.partial_trace_1(m, dims), blocks[0][0] + blocks[1][1]
-    )
+    np.testing.assert_allclose(tr1(m, dims), blocks[0][0] + blocks[1][1])
     t2 = np.array([[np.trace(blocks[i][j]) for j in range(2)] for i in range(2)])
-    np.testing.assert_allclose(matops.partial_trace_2(m, dims), t2)
+    np.testing.assert_allclose(tr2(m, dims), t2)
 
 
 def test_trace_consistency(rng):
@@ -110,20 +131,23 @@ def test_trace_consistency(rng):
         dims = matops.Dims(p1, p2)
         m = rand_sym(dims.p, rng)
         t = np.trace(m)
-        assert abs(np.trace(matops.partial_trace_1(m, dims)) - t) <= 1e-12 * abs(t)
-        assert abs(np.trace(matops.partial_trace_2(m, dims)) - t) <= 1e-12 * abs(t)
+        assert abs(np.trace(tr1(m, dims)) - t) <= 1e-12 * abs(t)
+        assert abs(np.trace(tr2(m, dims)) - t) <= 1e-12 * abs(t)
 
 
 def test_weighted_partial_traces_reduce(rng):
+    # at the identity: the sum of the diagonal blocks, the traces of all blocks
     dims = matops.Dims(3, 2)
     m = rand_sym(6, rng)
+    blocks = [[m[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] for j in range(2)]
+              for i in range(2)]
     np.testing.assert_allclose(
         matops.weighted_partial_trace_1(m, np.eye(2), dims),
-        matops.partial_trace_1(m, dims),
+        blocks[0][0] + blocks[1][1],
     )
     np.testing.assert_allclose(
         matops.weighted_partial_trace_2(m, np.eye(3), dims),
-        matops.partial_trace_2(m, dims),
+        [[np.trace(blocks[i][j]) for j in range(2)] for i in range(2)],
     )
 
 
@@ -148,14 +172,19 @@ def test_sym_and_diag_part_act_on_stacks(rng):
     assert np.array_equal(matops.diag_part(stack[0]), np.diag(np.diag(stack[0])))
 
 
+def sqrt(s):
+    """The symmetric square root, the first of spd_half_powers."""
+    return matops.spd_half_powers(s)[0]
+
+
 def test_sqrt_and_chol(rng):
-    np.testing.assert_allclose(matops.sym_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(sqrt(np.eye(4)), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(matops.chol(np.eye(4)), np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(matops.sym_sqrt(4 * np.eye(2)), 2 * np.eye(2))
+    np.testing.assert_allclose(sqrt(4 * np.eye(2)), 2 * np.eye(2))
     s = rand_spd(5, rng)
     l = matops.chol(s)
     assert np.abs(l @ l.T - s).max() <= 1e-10 * np.abs(s).max()
-    r = matops.sym_sqrt(s)
+    r = sqrt(s)
     assert np.abs(r @ r - s).max() <= 1e-10 * np.abs(s).max()
     np.testing.assert_allclose(r, r.T)
 
@@ -177,16 +206,18 @@ def test_half_powers_from_one_eigendecomposition(rng, monkeypatch):
     root, inv_root = matops.spd_half_powers(s)
     assert calls == ["eigh"]
     np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
-    # each single power comes from one eigh too, with the same bits
-    assert np.array_equal(matops.sym_sqrt(s), root)
+    # the symmetric root of each Kronecker factor is the first half power,
+    # and the inverse root alone comes from one eigh too: the same bits
+    factors = SeparableCovariance(k1=s, k2=s).sqrt_factors(SquareRootKind.SYMMETRIC)
+    assert all(np.array_equal(h, root) for h in factors)
     assert np.array_equal(matops.spd_inv_sqrt(s), inv_root)
-    assert calls == ["eigh"] * 3
+    assert calls == ["eigh"] * 4
 
 
 def test_definiteness_errors(rng):
     bad = np.diag([1.0, -0.5])
     with pytest.raises(DefinitenessError):
-        matops.sym_sqrt(bad)
+        sqrt(bad)
     with pytest.raises(DefinitenessError):
         matops.chol(bad)
     with pytest.raises(ValueError):

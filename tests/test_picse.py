@@ -603,8 +603,8 @@ class TestUpdateK:
         tau = make_tau(SquareRootKind.SYMMETRIC, 203)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = matops.sym(tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T)
-        root = matops.sym_sqrt(s)
-        data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
+        root = matops.spd_half_powers(s)[0]
+        data = matops.mat(np.sqrt(6.0) * root.T, 3, 2)  # one observation per column
         sc = SampleCov.from_data(data, DIMS)
         assert np.abs(sc.s - s).max() < 1e-10  # the columns tile S exactly
         for side, name in ((1, "k1bar"), (2, "k2bar")):
@@ -631,8 +631,8 @@ class TestUpdateA:
         tau = make_tau(SquareRootKind.SYMMETRIC, 211)
         ctil = (1 - tau.lam) * (tau.a @ tau.a.T) + tau.lam * np.eye(6)
         s = matops.sym(tau.nu**2 * tau.kbar @ ctil @ tau.kbar.T)
-        root = matops.sym_sqrt(s)
-        data = np.stack([matops.mat(np.sqrt(6.0) * root[:, i], 3, 2) for i in range(6)])
+        root = matops.spd_half_powers(s)[0]
+        data = matops.mat(np.sqrt(6.0) * root.T, 3, 2)  # one observation per column
         sc = SampleCov.from_data(data, DIMS)
         new_a = block_step(a_block(tau, sc))[0].a
         assert np.abs(new_a @ new_a.T - tau.a @ tau.a.T).max() < 1e-8
@@ -783,6 +783,30 @@ class TestFit:
             + np.linalg.slogdet(sigma_hat)[1]
         )
         assert abs(trace.objectives[-1] - direct) < 1e-8
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 3)])
+    def test_ill_conditioned_truths(self, shape, kind):
+        # gen_truth's core between Kronecker factors with log-spaced spectra
+        # of condition 1e2 to 1e4 each: truths past the _COND_CAP of gen_truth
+        dims = matops.Dims(*shape)
+        lam = 0.3
+        worst = 0.0
+        for seed, cond in itertools.product(range(3), (1e2, 1e3, 1e4)):
+            truth = simulate.gen_truth("m1", dims, lam, seed=seed)
+            core = (1.0 - lam) * (truth.a @ truth.a.T) + lam * np.eye(dims.p)
+            rng = np.random.default_rng(seed)
+            h1, h2 = (np.linalg.qr(rng.standard_normal((q, q)))[0]
+                      * np.logspace(0.0, np.log10(cond) / 2.0, q) for q in shape[:2])
+            h = matops.kron(h2, h1)
+            sigma = matops.sym(h @ core @ h.T)
+            worst = max(worst, np.linalg.cond(sigma))
+            data = simulate.gen_data(sigma, 2 * dims.p, seed=seed, dims=dims)
+            tau, _, trace = picse.fit(data, dims, FitConfig(h_kind=kind))
+            tau.validate()
+            obj = np.asarray(trace.objectives)
+            assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
+        assert worst > 1e8
 
     def test_mle_dominates_truth_in_sample(self):
         dims = matops.Dims(2, 2, 3)
