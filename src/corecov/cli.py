@@ -132,11 +132,6 @@ def _cmd_fit(args):
 def _cmd_kcd(args):
     _check_out_file(args.out)
     sigma = _load_csv(args.input)
-    if not np.isfinite(sigma).all():
-        raise ConfigError("matrix contains non-finite values")
-    if sigma.shape == sigma.T.shape and (
-            np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max()):
-        raise ConfigError("matrix is not symmetric")
     dims = matops.Dims(args.p1, args.p2)
     result = run_kcd(sigma, dims, SquareRootKind(args.sqrt))
     payload = {

@@ -149,10 +149,17 @@ def check_h_kind(h_kind):
 
 
 def kcd(sigma, dims, h_kind):
-    """Full Kronecker-core decomposition of a symmetric PSD matrix."""
+    """Full Kronecker-core decomposition of a symmetric PSD matrix; ConfigError
+    on non-finite entries or an asymmetry past RESIDUAL_TOL of the largest entry."""
     check_h_kind(h_kind)
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.isfinite(sigma).all():
+        raise ConfigError("matrix contains non-finite values")
+    if sigma.shape == (dims.p, dims.p) and (
+            np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max()):
+        raise ConfigError("matrix is not symmetric")
     sep = kronecker_mle(sigma, dims)
-    sigma = matops.sym(np.asarray(sigma, dtype=float))
+    sigma = matops.sym(sigma)
     c = matops.whiten(sep.h_matrix(h_kind), sigma)
     return KcdResult(k=sep, c=c, h_kind=h_kind)
 
@@ -255,12 +262,14 @@ def dk(sigma, v, dims):
     sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    return _dk(sep, sigma, v, dims)
+    c_sym = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
+    return _dk(sep, c_sym, v, dims)
 
 
-def _dk(sep, sigma, v, dims):
-    """dk at the Kronecker MLE sep of Sigma, for symmetric Sigma and V: R_C
-    solved against the flip-flop updates linearized along V,
+def _dk(sep, c_sym, v, dims):
+    """dk at the Kronecker MLE sep of Sigma with symmetric-root core c_sym,
+    for symmetric V: R_C solved against the flip-flop updates linearized
+    along V,
       M1 = (wpt_1(V, K2^-1) - tr(K^-1 V) K1 / p1) / p2,
       M2 = wpt_2(V, K1^-1) / p1,
     with wpt_i the weighted partial traces."""
@@ -269,7 +278,6 @@ def _dk(sep, sigma, v, dims):
     tr_all = float(np.trace(k1_inv @ w1))  # tr(K^-1 V)
     m1 = (w1 - tr_all * sep.k1 / dims.p1) / dims.p2
     m2 = matops.weighted_partial_trace_2(v, k1_inv, dims) / dims.p1
-    c_sym = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
     return rc_solve(c_sym, sep.k1, sep.k2, m1, m2, dims)
 
 
@@ -283,9 +291,12 @@ def dc(sigma, v, dims, h_kind):
     sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    u = dh(sep, *_dk(sep, sigma, v, dims), h_kind)
     h = sep.h_matrix(h_kind)
-    corr = np.linalg.solve(h, u) @ matops.whiten(h, sigma)
+    c = matops.whiten(h, sigma)
+    c_sym = c if h_kind is SquareRootKind.SYMMETRIC else matops.whiten(
+        sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
+    u = dh(sep, *_dk(sep, c_sym, v, dims), h_kind)
+    corr = np.linalg.solve(h, u) @ c
     return matops.whiten(h, v) - corr - corr.T
 
 

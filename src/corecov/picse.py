@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import core_geometry, kcd, matops, spd_geometry
 from .errors import NUMERICAL_ERRORS, ConfigError, DefinitenessError, StructureError
@@ -242,11 +241,8 @@ class _ParamPoint:
                 np.sum(mj / d + np.log(d)) + rest / lam + (p - r) * np.log(lam)
             )
 
-        res = minimize_scalar(
-            objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-        )
-        best = float(res.x)
-        if objective(tau.lam) < objective(best):
+        best, value = _fminbound(objective, lo, hi, 1e-8)
+        if objective(tau.lam) < value:
             best = tau.lam
         return min(max(best, lo), hi)
 
@@ -555,13 +551,68 @@ def update_nu(tau, sample_cov):
 
 
 def update_lambda(tau, sample_cov):
-    """Bounded scalar minimization of the likelihood in lambda.
+    """Bounded scalar minimization of the likelihood in lambda: Brent's
+    bounded minimizer `_fminbound` over _LAMBDA_BRACKET with xatol = 1e-8.
 
     The spectral form of Ctilde reduces each probe to O(p): with m_j the
     whitened data energy along the j-th left singular vector of A, the objective
     is sum_j [m_j/d_j + log d_j] over the spiked block plus the isotropic rest.
     """
     return _ParamPoint(tau, sample_cov).update_lambda()
+
+
+def _fminbound(f, a, b, xatol):
+    """(x, f(x)) at a minimum of the scalar f on [a, b]: Brent's bounded
+    minimizer (Brent 1973, Algorithms for Minimization Without Derivatives,
+    ch. 5), at most 500 evaluations.  A port of `_minimize_scalar_bounded`
+    of scipy 1.17.1 (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
+    2003, SciPy Developers) operation for operation, numpy scalar semantics
+    included: the probes and x of minimize_scalar(f, bounds=(a, b),
+    method="bounded", options={"xatol": xatol}), bit for bit."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    # xf: the best point so far; nfc, fulc: the second and third best
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return float(xf), fx
+        golden = True
+        if np.abs(e) > tol1:  # try the parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +302,54 @@ def test_kcd_rejects_asymmetric_matrix(tmp_path, capsys):
         assert rc == code
         assert out.exists() == (code == 0)
     assert "error: matrix is not symmetric" in capsys.readouterr().err
+
+
+WITHOUT_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from corecov import cli
+
+sigma, data, out = sys.argv[1:]
+codes = [
+    cli.main(["kcd", "--input", sigma, "--p1", "3", "--p2", "2", "--out", out]),
+    cli.main(["fit", "--input", data, "--p1", "3", "--p2", "2", "--rank", "3",
+              "--out", out]),
+]
+try:
+    import scipy
+except ImportError:
+    refused = True
+else:
+    refused = False
+loaded = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+print(json.dumps({"codes": codes, "refused": refused, "loaded": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: kcd and fit run in a process that
+    # refuses to import scipy, and leave no scipy module loaded
+    rng = np.random.default_rng(36)
+    sigma, data = tmp_path / "sigma.csv", tmp_path / "data.csv"
+    np.savetxt(sigma, rand_spd(6, rng), delimiter=",", fmt="%.17g")
+    write_data_csv(data, rng.standard_normal((12, 3, 2)))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(sigma), str(data),
+         str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "refused": True, "loaded": []}
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n# only a comment\n"])

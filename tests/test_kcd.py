@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corecov import core_geometry, kcd, matops, spd_geometry
-from corecov.errors import DefinitenessError, NoKroneckerMle
+from corecov.errors import ConfigError, DefinitenessError, NoKroneckerMle
 from corecov.kcd import SquareRootKind
 
 from conftest import rand_spd, rand_sym
@@ -110,6 +110,20 @@ class TestKcd:
         }[op]
         with pytest.raises(ValueError, match=r"expected 6x6 input, got \(6, 5\)"):
             call()
+
+    def test_rejects_asymmetric_and_non_finite_input(self):
+        # sym(M) of an asymmetric M is not decomposed without a word; an
+        # asymmetry at rounding level, within the relative RESIDUAL_TOL, is
+        sigma = rand_spd(6, np.random.default_rng(34))
+        bumped = sigma.copy()
+        bumped[0, 1] += 0.1
+        with pytest.raises(ConfigError, match="^matrix is not symmetric$"):
+            kcd.kcd(bumped, DIMS32, SquareRootKind.SYMMETRIC)
+        bumped[0, 1] = sigma[0, 1] + 1e-12
+        kcd.kcd(bumped, DIMS32, SquareRootKind.SYMMETRIC)
+        bumped[1, 2] = bumped[2, 1] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            kcd.kcd(bumped, DIMS32, SquareRootKind.CHOLESKY)
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_round_trip_and_core(self, kind, rng):
@@ -363,6 +377,26 @@ class TestDcDg:
         monkeypatch.setattr(kcd, "kronecker_mle", counted)
         kcd.dc(rand_spd(4, rng), rand_sym(4, rng), DIMS22, SquareRootKind.SYMMETRIC)
         assert len(calls) == 1
+
+    def test_dc_builds_the_symmetric_root_once(self, rng, monkeypatch):
+        # with the symmetric root, one core of Sigma serves R_C and the
+        # correction: h(K) built once, Sigma and V whitened once each
+        whitened, built = [], []
+        whiten, h_matrix = matops.whiten, kcd.SeparableCovariance.h_matrix
+
+        def counted_whiten(h, m):
+            whitened.append(m)
+            return whiten(h, m)
+
+        def counted_h_matrix(sep, h_kind):
+            built.append(h_kind)
+            return h_matrix(sep, h_kind)
+
+        monkeypatch.setattr(matops, "whiten", counted_whiten)
+        monkeypatch.setattr(kcd.SeparableCovariance, "h_matrix", counted_h_matrix)
+        kcd.dc(rand_spd(12, rng), rand_sym(12, rng), matops.Dims(4, 3),
+               SquareRootKind.SYMMETRIC)
+        assert len(whitened) == 2 and built == [SquareRootKind.SYMMETRIC]
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_dg_finite_differences(self, kind, rng):

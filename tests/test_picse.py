@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
@@ -696,6 +697,81 @@ class TestClosedFormUpdates:
         before = picse.nll(tau, sc)
         after = picse.nll(dataclasses.replace(tau, lam=lam_new), sc)
         assert after <= before + 1e-12
+
+
+def probes(minimizer, f, xatol):
+    """(x, f(x), the probed points) of one bounded minimization of f over
+    _LAMBDA_BRACKET, each as float.hex(): scipy's, or picse._fminbound."""
+    seen = []
+
+    def counted(x):
+        seen.append(float(x).hex())
+        return f(x)
+
+    lo, hi = picse._LAMBDA_BRACKET
+    if minimizer == "scipy":
+        res = scipy.optimize.minimize_scalar(
+            counted, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        x, fx = res.x, res.fun
+    else:
+        x, fx = picse._fminbound(counted, lo, hi, xatol)
+    return float(x).hex(), float(fx).hex(), seen
+
+
+def fitted_lambda_objectives(kind, seed, monkeypatch):
+    """The objective of every lambda search in one fit."""
+    seen, fminbound = [], picse._fminbound
+
+    def recording(f, a, b, xatol):
+        seen.append(f)
+        return fminbound(f, a, b, xatol)
+
+    monkeypatch.setattr(picse, "_fminbound", recording)
+    truth = simulate.gen_truth("m2", DIMS, 0.3, seed=seed)
+    data = simulate.gen_data(truth.sigma, 12, seed=seed + 1, dims=DIMS)
+    picse.fit(data, DIMS, FitConfig(h_kind=kind))
+    monkeypatch.undo()
+    return seen
+
+
+def nan_from(k):
+    """|x - 0.3| (a minimum no parabola hits, 25 probes) up to its k-th
+    evaluation, nan from there on."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.nan if len(calls) >= k else abs(x - 0.3)
+
+    return f
+
+
+class TestLambdaSearch:
+    # picse._fminbound ports scipy's bounded Brent: same probes, same bits
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fitted_objectives_match_scipy(self, kind, seed, monkeypatch):
+        objectives = fitted_lambda_objectives(kind, seed, monkeypatch)
+        assert objectives
+        for f in objectives:
+            assert probes("port", f, 1e-8) == probes("scipy", f, 1e-8)
+
+    @pytest.mark.parametrize("make_f", [
+        lambda: (lambda x: x),  # minimum at the lower end of the bracket
+        lambda: (lambda x: -x),  # at the upper end
+        lambda: (lambda x: 1.0),
+        lambda: (lambda x: 0.0 if x > 0.7 else 1.0),  # a step: ties everywhere
+        lambda: nan_from(1),
+        lambda: nan_from(2),
+        lambda: nan_from(4),
+        lambda: nan_from(12),
+        lambda: nan_from(math.inf),
+    ])
+    @pytest.mark.parametrize("xatol", [1e-8, 1e-3])
+    def test_edge_objectives_match_scipy(self, make_f, xatol):
+        assert probes("port", make_f(), xatol) == probes("scipy", make_f(), xatol)
 
 
 class TestInit:
