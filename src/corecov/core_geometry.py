@@ -145,9 +145,9 @@ def j_operator(a, dims):
 class RankTangentSpace:
     """The tangent space N(J(A)) of the core-factor manifold at A, from one
     full SVD of J(A) cut off at _SV_RTOL * sigma_max: the rank of J, an
-    orthonormal basis B (pr x m) and J^+.  coords and hess_coords give, in B,
-    the Euclidean-metric Riemannian gradient P vec(egrad) and Hessian
-    P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad), P = I - J^+ J = B B^T."""
+    orthonormal basis B (pr x m) and the SVD factors of J^+.  coords and
+    hess_coords give, in B, the Euclidean-metric Riemannian gradient and Hessian
+    P vec(egrad), P vec(ehess_v) - P J(V)^T (J^+)^T J^+ J vec(egrad), P = B B^T."""
 
     def __init__(self, a, dims):
         a = np.asarray(a, dtype=float)
@@ -155,7 +155,7 @@ class RankTangentSpace:
         self.j = j_operator(a, dims)
         u, s, vt = np.linalg.svd(self.j, full_matrices=True)
         self.rank = n_keep = int(np.sum(s > _SV_RTOL * s[0]))
-        self.jp = (vt[:n_keep].T / s[:n_keep]) @ u[:, :n_keep].T
+        self._range = u[:, :n_keep], s[:n_keep], vt[:n_keep]
         self.basis = vt[n_keep:].T
 
     def coords(self, x):
@@ -167,8 +167,10 @@ class RankTangentSpace:
         return (self.basis @ coef).reshape(self.shape, order="F")
 
     def normal_weights(self, egrad):
-        """w = (J^+)^T J^+ J vec(egrad), the weights of the Hessian's normal term."""
-        return self.jp.T @ (self.jp @ (self.j @ matops.vec(egrad)))
+        """w = (J^+)^T J^+ J vec(egrad), with J^+ = V_r S_r^-1 U_r^T formed per call."""
+        u, s, vt = self._range
+        jp = (vt.T / s) @ u.T
+        return jp.T @ (jp @ (self.j @ matops.vec(egrad)))
 
     def hess_coords(self, ehess_v, v, w):
         """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V.

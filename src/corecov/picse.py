@@ -464,7 +464,13 @@ def _chunks(m, item_bytes):
 
 
 def _newton_coeffs(h_mat, g_vec):
-    coef, *_ = np.linalg.lstsq(matops.sym(h_mat), -g_vec, rcond=None)
+    """Least-squares solution of sym(H) c = -g.  Overwrites h_mat with the bits of
+    matops.sym(h_mat) one row panel at a time, so sym(H) takes no second m x m matrix."""
+    for rows in _chunks(len(h_mat), h_mat[0].nbytes):
+        half = h_mat[rows, rows.start:] + h_mat[rows.start:, rows].T
+        half /= 2.0
+        h_mat[rows, rows.start:], h_mat[rows.start:, rows] = half, half.T
+    coef, *_ = np.linalg.lstsq(h_mat, -g_vec, rcond=None)
     return coef
 
 

@@ -162,20 +162,28 @@ def rel_spec_norm(est, truth):
     return float(np.linalg.norm(np.asarray(est, dtype=float) - truth, 2) / denom)
 
 
-# Runners of the study's estimators: (data, config, kind) -> (sigma_hat, core
-# estimate or None to read it off sigma_hat, lambda_hat, termination).
-def _kmle(data, config, kind):
+# Runners of the study's estimators: (data, config, kind, starts) -> (sigma_hat,
+# core estimate or None to read it off sigma_hat, lambda_hat, termination).
+# Base runs first and leaves its initialization, or its error, in starts[kind].
+def _kmle(data, config, kind, starts):
     sigma_hat = picse.kmle_estimator(data, config.dims)
     return sigma_hat, np.eye(config.dims.p), None, "closed_form"
 
 
-def _base(data, config, kind):
-    return picse.base_estimator(data, config.dims, kind), None, None, "closed_form"
+def _base(data, config, kind, starts):
+    try:
+        starts[kind] = picse.init(picse.SampleCov.from_data(data, config.dims), kind)
+    except NUMERICAL_ERRORS as exc:
+        starts[kind] = exc
+        raise
+    return picse.sigma_from_params(starts[kind]), None, None, "closed_form"
 
 
-def _picse(data, config, kind):
+def _picse(data, config, kind, starts):
+    if isinstance(starts[kind], Exception):
+        raise starts[kind]
     fit_config = picse.FitConfig(tol=config.tol, max_iter=config.max_iter, h_kind=kind)
-    tau, sigma_hat, trace = picse.fit(data, config.dims, fit_config)
+    tau, sigma_hat, trace = picse.fit(data, config.dims, fit_config, initial=starts[kind])
     return sigma_hat, tau.ctilde, tau.lam, trace.termination
 
 
@@ -185,7 +193,8 @@ def run_experiment(config):
     Per replication and sample size, each estimator is fit and scored against
     the truth Sigma, its Kronecker component K, and its core component C (the
     core comparison uses the estimator's own square-root convention; KMLE is
-    scored with the symmetric one).  Failures become flagged records.
+    scored with the symmetric one).  Base and PICSE share one initialization
+    per data set and root.  Failures become flagged records.
     """
     dims = config.dims
     # name, scoring square-root kind and runner of each estimator, in record order
@@ -202,17 +211,18 @@ def run_experiment(config):
             truth_cores[kind] = kcd.kcd(truth.sigma, dims, kind).c
         for n in config.n_list:
             data = gen_data(truth.sigma, n, _seq(config.seed, rep, _DATA, n), dims)
-            for est in estimators:
-                records.append(_run_one(est, data, config, truth, truth_cores, rep, n))
+            starts = {}
+            records += [_run_one(est, data, starts, config, truth, truth_cores, rep, n)
+                        for est in estimators]
     return records, _summarize(config, records)
 
 
-def _run_one(estimator, data, config, truth, truth_cores, rep, n):
+def _run_one(estimator, data, starts, config, truth, truth_cores, rep, n):
     """Fit and score one estimator; a numerical failure gives a failed record."""
     name, kind, runner = estimator
     t0 = time.perf_counter()
     try:
-        sigma_hat, c_hat, lam_hat, termination = runner(data, config, kind)
+        sigma_hat, c_hat, lam_hat, termination = runner(data, config, kind, starts)
         dec = kcd.kcd(sigma_hat, config.dims, kind)
         c_hat = dec.c if c_hat is None else c_hat
         metrics = {

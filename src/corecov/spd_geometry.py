@@ -163,9 +163,9 @@ def lower_basis(q):
 
 
 def _gram_schmidt(cands, inner):
-    """Right-looking modified Gram-Schmidt over a (m, q, q) stack: each
-    accepted vector leaves all later candidates in one broadcast inner
-    product, so every candidate meets the accepted ones in order."""
+    """Right-looking modified Gram-Schmidt over a (m, q, q) stack: each accepted
+    vector leaves all later candidates in one broadcast inner product, so every
+    candidate meets the accepted ones in order; returns (stack, kept indices)."""
     w = np.array(cands, dtype=float)
     keep = []
     for i in range(len(w)):
@@ -174,18 +174,23 @@ def _gram_schmidt(cands, inner):
             w[i] = w[i] / np.sqrt(nrm)
             keep.append(i)
             w[i + 1 :] = w[i + 1 :] - inner(w[i + 1 :], w[i])[:, None, None] * w[i]
-    return w[keep]
+    return w, keep
 
 
 def ai_unitdet_basis(sigma):
     """Basis of T_Sigma P(S++), orthonormal under the affine-invariant metric."""
     cands = proj_unitdet_spd(sigma, sym_basis(sigma.shape[0]))
     si = np.linalg.inv(sigma)
-    return _gram_schmidt(cands, lambda a, b: _ai_inner_inv(si, a, b))
+    w, keep = _gram_schmidt(cands, lambda a, b: _ai_inner_inv(si, a, b))
+    return w[keep]
 
 
 def chol_unitdet_basis(l):
-    """Basis of T_L P(L++), orthonormal under the Cholesky metric."""
-    cands = proj_unitdet_chol(l, lower_basis(l.shape[0]))
+    """Basis of T_L P(L++), orthonormal under the Cholesky metric: Gram-Schmidt
+    on the projected diagonal units only, as lower_basis's other units meet
+    each other and every diagonal matrix in an exact zero."""
+    basis, diag = lower_basis(len(l)), np.flatnonzero(np.equal(*np.tril_indices(len(l))))
     dl2, low = np.diag(l) ** 2, np.tri(len(l), k=-1, dtype=bool)
-    return _gram_schmidt(cands, lambda a, b: _chol_inner_d2(dl2, low, a, b))
+    basis[diag], keep = _gram_schmidt(proj_unitdet_chol(l, basis[diag]),
+                                      lambda a, b: _chol_inner_d2(dl2, low, a, b))
+    return np.delete(basis, np.delete(diag, keep), axis=0)

@@ -191,6 +191,37 @@ class TestJOperator:
             assert ji.tobytes() == cg.j_operator(ai, dims).tobytes()
 
 
+
+class TestRankTangentSpace:
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 3, 3), (6, 4, 3)])
+    def test_normal_weights_match_a_stored_pseudoinverse(self, shape, rng):
+        # J^+ formed per call from the kept SVD factors has the bits of J^+
+        # built from a fresh full SVD of J(A)
+        dims = matops.Dims(*shape)
+        a = cg.random_core_factor(dims, seed=9)
+        space = cg.RankTangentSpace(a, dims)
+        j = cg.j_operator(a, dims)
+        u, s, vt = np.linalg.svd(j, full_matrices=True)
+        k = space.rank
+        jp = (vt[:k].T / s[:k]) @ u[:, :k].T
+        for _ in range(3):
+            g = rng.standard_normal(a.shape)
+            want = jp.T @ (jp @ (j @ g.reshape(-1, order="F")))
+            assert space.normal_weights(g).tobytes() == want.tobytes()
+
+    def test_holds_no_pseudoinverse(self):
+        # J^+, p*r x (p1^2 + p2^2 + 1) like J^T, is formed in normal_weights
+        # and not kept; neither is a p*r x rank(J) product
+        dims = matops.Dims(4, 3, 3)
+        space = cg.RankTangentSpace(cg.random_core_factor(dims, seed=10), dims)
+        arrays = []
+        for value in vars(space).values():
+            arrays += value if isinstance(value, tuple) else [value]
+        shapes = [x.shape for x in arrays if isinstance(x, np.ndarray)]
+        assert space.j.shape in shapes
+        assert space.j.T.shape not in shapes
+        assert (dims.p * dims.r, space.rank) not in shapes
+
 class TestTangentProjectFull:
     def test_identity_killed(self):
         assert np.abs(cg.tangent_project_full(np.eye(6), matops.Dims(3, 2))).max() == 0.0

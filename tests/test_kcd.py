@@ -399,6 +399,35 @@ class TestDcDg:
         assert len(whitened) == 2 and built == [SquareRootKind.SYMMETRIC]
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_dc_correction_solves_only_factor_sized_systems(self, kind, rng,
+                                                            monkeypatch):
+        # h^-1 dh is formed factor-wise from the root differentials: the only
+        # p x p systems left are the whitenings of Sigma and V
+        whitening = []
+        solve, whiten = np.linalg.solve, matops.whiten
+
+        def factor_solve(a, b):
+            assert whitening or len(a) < 12, "p x p solve outside whitening"
+            return solve(a, b)
+
+        def marked_whiten(h, m):
+            whitening.append(True)
+            try:
+                return whiten(h, m)
+            finally:
+                whitening.pop()
+
+        monkeypatch.setattr(np.linalg, "solve", factor_solve)
+        monkeypatch.setattr(matops, "whiten", marked_whiten)
+        sigma, v = rand_spd(12, rng), rand_sym(12, rng)
+        got = kcd.dc(sigma, v, matops.Dims(4, 3), kind)
+        monkeypatch.undo()
+        eps = 1e-5
+        fd = (kcd.kcd(sigma + eps * v, matops.Dims(4, 3), kind).c
+              - kcd.kcd(sigma - eps * v, matops.Dims(4, 3), kind).c) / (2 * eps)
+        np.testing.assert_allclose(got, fd, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_dg_finite_differences(self, kind, rng):
         sigma = rand_spd(4, rng)
         dec = kcd.kcd(sigma, DIMS22, kind)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +529,31 @@ class TestNewtonDirection:
         coef = picse._newton_coeffs(hess, grad)
         x1 = x0 + basis @ coef
         assert np.abs(x1 - x_star).max() < 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 300])
+    def test_newton_coeffs_solve_the_symmetrized_matrix(self, m):
+        # in place, h becomes sym(h) byte for byte and the coefficients are
+        # those of lstsq on sym(h); at m = 300, h spans three row panels
+        rng = np.random.default_rng(m)
+        h, g = rng.standard_normal((m, m)), rng.standard_normal(m)
+        sym_h = matops.sym(h)
+        want = np.linalg.lstsq(sym_h, -g, rcond=None)[0]
+        assert (picse._newton_coeffs(h, g) == want).all()
+        assert h.tobytes() == sym_h.tobytes()
+
+    def test_newton_coeffs_hold_no_second_matrix(self):
+        # at about the A block's size in fit-large (m = 588), symmetrizing and
+        # solving allocate well under one more m x m matrix: sym(h), or the
+        # copy numpy makes of the overlapping h.T in `h += h.T`, would need one
+        rng = np.random.default_rng(5)
+        h, g = rng.standard_normal((600, 600)), rng.standard_normal(600)
+        tracemalloc.start()
+        try:
+            picse._newton_coeffs(h, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * h.nbytes
 
     def test_decrease_or_zero(self):
         # every block under both square roots: the objective never rises, a

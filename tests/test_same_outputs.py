@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import time
 
@@ -41,11 +42,19 @@ def test_tree_without_corecov_exits_2_fast(tmp_path, capsys):
 
 
 def test_workload_option_runs_only_the_named_workload(capsys):
-    # fit-large is one operation; the repeated name runs once
+    # fit-large is one operation; the repeated name runs once; each tree's
+    # peak RSS follows the verdict
     src = os.path.join(ROOT, "src")
     argv = ["--workload", "fit-large", "--workload", "fit-large", src, src]
     assert same_outputs.main(argv) == 0
-    assert capsys.readouterr().out.splitlines() == ["1 of 1 operations bit-identical"]
+    verdict, *rss = capsys.readouterr().out.splitlines()
+    assert verdict == "1 of 1 operations bit-identical"
+    assert len(rss) == 2
+    for side, line in zip(("old", "new"), rss):
+        match = re.fullmatch(rf"peak RSS {side}: (\d+\.\d) MiB \((.*)\)", line)
+        assert match and match[2] == src
+        # a process that imported numpy and ran a fit, well under a GiB
+        assert 10.0 < float(match[1]) < 1024.0
 
 
 def test_workload_option_rejects_unknown_names(tmp_path, capsys):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from corecov import core_geometry as cg, kcd, matops, simulate
+from corecov import core_geometry as cg, kcd, matops, picse, simulate
+from corecov.errors import StructureError
 from corecov.kcd import SquareRootKind
 from corecov.simulate import ExperimentConfig
 
@@ -140,6 +141,49 @@ class TestRunExperiment:
         cell = {c["estimator"]: c for c in summary["cells"]}
         assert cell["base-sym"]["failures"] == 1
         assert cell["base-sym"]["metric_sigma_mean"] is None
+
+    def test_one_start_per_data_set_and_root(self, monkeypatch):
+        # Base and PICSE share picse.init per data set and root: both roots,
+        # two n, one rep make 4 starts (8 when each estimator made its own);
+        # PICSE still runs through picse.fit, which benchmarks wrap
+        calls = {"init": 0, "fit": 0}
+        init, fit = picse.init, picse.fit
+
+        def counted_init(*args, **kwargs):
+            calls["init"] += 1
+            return init(*args, **kwargs)
+
+        def counted_fit(*args, **kwargs):
+            calls["fit"] += 1
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(picse, "init", counted_init)
+        monkeypatch.setattr(picse, "fit", counted_fit)
+        config = ExperimentConfig(
+            model="m2", dims=matops.Dims(2, 2, 3), lam=0.4, n_list=(8, 12),
+            reps=1, seed=6,
+            h_kinds=(SquareRootKind.SYMMETRIC, SquareRootKind.CHOLESKY),
+        )
+        records, _ = simulate.run_experiment(config)
+        assert not any(r.failed for r in records)
+        assert calls == {"init": 4, "fit": 4}
+
+    def test_failed_start_fails_base_and_picse(self, monkeypatch):
+        def failing_init(sample_cov, h_kind):
+            raise StructureError("top-r core spectrum not positive")
+
+        monkeypatch.setattr(picse, "init", failing_init)
+        config = ExperimentConfig(
+            model="m1", dims=matops.Dims(2, 2, 3), lam=0.3, n_list=(8,),
+            reps=1, seed=5, h_kinds=(SquareRootKind.SYMMETRIC, SquareRootKind.CHOLESKY),
+        )
+        records, _ = simulate.run_experiment(config)
+        terminations = {r.estimator: r.termination for r in records}
+        assert terminations == {
+            "kmle": "closed_form",
+            "base-sym": "error:StructureError", "base-chol": "error:StructureError",
+            "picse-sym": "error:StructureError", "picse-chol": "error:StructureError",
+        }
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

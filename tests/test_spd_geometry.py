@@ -236,6 +236,34 @@ def test_unitdet_bases_match_left_looking_gram_schmidt(rng, q):
         assert basis.tobytes() == left_looking_gram_schmidt(cands, inner).tobytes()
 
 
+def right_looking_gram_schmidt(cands, inner):
+    """Right-looking modified Gram-Schmidt over a whole (m, q, q) stack."""
+    w = np.array(cands, dtype=float)
+    keep = []
+    for i in range(len(w)):
+        nrm = inner(w[i], w[i])
+        if nrm > sg._GS_TOL:
+            w[i] = w[i] / np.sqrt(nrm)
+            keep.append(i)
+            w[i + 1 :] = w[i + 1 :] - inner(w[i + 1 :], w[i])[:, None, None] * w[i]
+    return w[keep]
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_chol_basis_matches_gram_schmidt_over_all_candidates(rng, q):
+    # orthonormalizing only the projected diagonal units leaves the bytes of
+    # Gram-Schmidt over all lower units, also when a diagonal entry near
+    # 1e8 makes a projected unit too short to keep
+    spread = np.ones(q)
+    spread[q // 2] = 1e8
+    for diag in (np.exp(rng.uniform(-1.0, 1.0, q)), spread, spread[::-1] * 1e-8):
+        l = np.tril(rng.standard_normal((q, q)), -1) + np.diag(diag)
+        cands = sg.proj_unitdet_chol(l, sg.lower_basis(q))
+        want = right_looking_gram_schmidt(cands, lambda a, b: sg.chol_inner(l, a, b))
+        basis = sg.chol_unitdet_basis(l)
+        assert basis.shape == want.shape == (q * (q + 1) // 2 - 1, q, q)
+        assert basis.tobytes() == want.tobytes()
+
 def loop_sym_basis(q):
     basis = [np.diag(np.eye(q)[i]) for i in range(q)]
     for i in range(q):

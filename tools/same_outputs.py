@@ -15,15 +15,17 @@ bytes:
   simulate-study  exit code, results.csv and summary.json of `corecov
                   simulate`, the summary with every wall_time_total_s removed
 
-An operation that raises is reduced to its exception.  Exits 0 when every
-operation matches, 1 when some differ (each is named with the fields that
-differ), and 2 when a tree could not be run.
+An operation that raises is reduced to its exception.  Under the verdict it
+prints the peak resident memory of each tree's process (its own ru_maxrss).
+Exits 0 when every operation matches, 1 when some differ (each is named with
+the fields that differ), and 2 when a tree could not be run.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -87,7 +89,8 @@ def _digest(fields):
 
 def digest_tree(src, out, workloads=WORKLOADS):
     """Run every operation of `workloads` on the tree at `src`; write
-    {workload/key: {field: sha256}} as JSON to `out`."""
+    {"digests": {workload/key: {field: sha256}}, "peak_rss_mib": peak resident
+    memory of this process} as JSON to `out`."""
     sys.path[:0] = [src, BENCH]
     import corecov
     import bench_workloads as bw
@@ -106,8 +109,12 @@ def digest_tree(src, out, workloads=WORKLOADS):
                 digests[f"{workload}/{op.key}"] = _digest(fields)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rss_mib = rss / 2**20 if sys.platform == "darwin" else rss / 2**10
     with open(out, "w") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
+        json.dump({"digests": digests, "peak_rss_mib": rss_mib}, fh, indent=1,
+                  sort_keys=True)
 
 
 def _load(path):
@@ -163,11 +170,13 @@ def main(argv=None):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    diffs = compare(old, new)
+    diffs = compare(old["digests"], new["digests"])
     for line in diffs:
         print(f"differs: {line}")
-    total = len(set(old) | set(new))
+    total = len(set(old["digests"]) | set(new["digests"]))
     print(f"{total - len(diffs)} of {total} operations bit-identical")
+    for side, src, run in zip(("old", "new"), trees, (old, new)):
+        print(f"peak RSS {side}: {run['peak_rss_mib']:.1f} MiB ({src})")
     return 1 if diffs else 0
 
 
