@@ -101,7 +101,7 @@ def check_dense_size(p, r):
         raise CapacityError(f"dense J needs p*r <= {_MAX_PR}, got {p * r}")
 
 
-def j_operator(a, dims):
+def j_operator(a, dims, out=None):
     """Dense constraint differential J(A), shape (p1^2 + p2^2 + 1) x (p*r).
 
     Row blocks, with a the stacked vec(A_i) and the i-th column block acting
@@ -111,34 +111,45 @@ def j_operator(a, dims):
       J3 = 2 a^T
     J1/J2/J3 are the differentials of A -> tr_1(AA^T)/tr(AA^T), the tr_2
     analogue, and the trace itself; N(J) is the tangent space of the
-    core-factor manifold.  Only the three structural diagonals of J1 and J2
-    are written, by adding into zeros, so every zero of J is +0.0.
-    A (k, p, r) stack of factors gives the (k, p1^2 + p2^2 + 1, p*r) stack
-    of their J, each with the bits of its own call.
+    core-factor manifold.  A (k, p, r) stack of factors gives the
+    (k, p1^2 + p2^2 + 1, p*r) stack of their J, each with the bits of its
+    own call.
+
+    Only the three structural diagonals of J1 and J2 and the last row are
+    written, each entry once and with the bits of adding into zeros; every
+    other entry is left as it is.  So J is written into fresh zeros, or into
+    out when given: a C-ordered array of J's shape that holds zeros, or any
+    J of the same dims, off those entries.  Returns out then.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     lead, r = a.shape[:-2], a.shape[-1]
     check_dense_size(p, r)
-    tp = slices(a, dims) / p
-    tp_x, tp_y = tp.swapaxes(-3, -2), np.moveaxis(tp, -1, -3)  # (x, i, b), (y, i, c)
+    s = slices(a, dims)
+    s_x, s_y = s.swapaxes(-3, -2), np.moveaxis(s, -1, -3)  # A_i[x, b], A_i[c, y]
     avec = matops.vec(a)
     # A_i[c, b] on the column axes (i, b, c), broadcast over the row axis
     aic = avec.reshape(*lead, 1, r, p2, p1)
-    j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r))
+    j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)) if out is None else out
     # rows (x, y), columns (i, b, c) of vec(B_i)[c + b p1]; J1 = (A_i[x, b]
     # d_yc + A_i[y, b] d_xc)/p - c1 d_xy A_i[c, b], J2 = (d_xb A_i[c, y] +
-    # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b]; on x == y == c, a/p + a/p has
-    # the bits of (a + a)/p
+    # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b].  An entry on one diagonal is
+    # 0.0 + t or 0.0 - z; where all three meet, t + t - z has the bits of
+    # ((0.0 + t) + t) - z, as t and z are zero together and of one sign.
     j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
-    np.einsum("...xcibc->...xcib", j1)[...] += tp_x[..., :, None, :, :]
-    np.einsum("...cyibc->...cyib", j1)[...] += tp_x[..., None, :, :, :]
-    np.einsum("...xxibc->...xibc", j1)[...] -= (2.0 / (p1**2 * p2)) * aic
     j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
-    np.einsum("...xyixc->...xyic", j2)[...] += tp_y[..., None, :, :, :]
-    np.einsum("...xyiyc->...xyic", j2)[...] += tp_y[..., :, None, :, :]
-    np.einsum("...xxibc->...xibc", j2)[...] -= (2.0 / (p1 * p2**2)) * aic
-    j[..., -1, :] += 2.0 * avec
+    for blk, s_t, c, (one, other, meet) in (
+        (j1, s_x, 2.0 / (p1**2 * p2),
+         ("...xcibc->...xcib", "...cyibc->...cyib", "...xxibx->...xib")),
+        (j2, s_y, 2.0 / (p1 * p2**2),
+         ("...xyiyc->...xyic", "...xyixc->...xyic", "...xxixc->...xic")),
+    ):
+        t = s_t / p
+        np.einsum(one, blk)[...] = 0.0 + t[..., :, None, :, :]
+        np.einsum(other, blk)[...] = 0.0 + t[..., None, :, :, :]
+        np.einsum("...xxibc->...xibc", blk)[...] = 0.0 - c * aic
+        np.einsum(meet, blk)[...] = t + t - c * s_t
+    j[..., -1, :] = 0.0 + 2.0 * avec
     return j
 
 
@@ -172,14 +183,15 @@ class RankTangentSpace:
         jp = (vt.T / s) @ u.T
         return jp.T @ (jp @ (self.j @ matops.vec(egrad)))
 
-    def hess_coords(self, ehess_v, v, w):
+    def hess_coords(self, ehess_v, v, w, out=None):
         """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V.
 
         On (k, p, r) stacks of V and ehess_v it gives the (k, m) coordinates,
         each row with the bits of its own call: both products stay one
-        matrix-vector product per matrix of the stack.
+        matrix-vector product per matrix of the stack.  J(V) is written into
+        out when given, a scratch as j_operator takes it.
         """
-        jv = j_operator(v, self.dims)
+        jv = j_operator(v, self.dims, out=out)
         x = matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
         return (self.basis.T @ x[..., None])[..., 0]
 

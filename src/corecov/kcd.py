@@ -291,11 +291,12 @@ def dc(sigma, v, dims, h_kind):
     sep = kronecker_mle(sigma, dims)
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     v = matops.sym(np.asarray(v, dtype=float))
-    h = sep.h_matrix(h_kind)
+    h1, h2 = sep.sqrt_factors(h_kind)
+    h = matops.kron(h2, h1)
     c = matops.whiten(h, sigma)
     c_sym = c if h_kind is SquareRootKind.SYMMETRIC else matops.whiten(
         sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
-    (u1, u2), (h1, h2) = _dk(sep, c_sym, v, dims), sep.sqrt_factors(h_kind)
+    u1, u2 = _dk(sep, c_sym, v, dims)
     # h^-1 dh = h2^-1 R2 (x) I + I (x) h1^-1 R1, by the product rule of dh
     g1, g2 = (np.linalg.solve(f, _droot(f, u, h_kind)) for f, u in ((h1, u1), (h2, u2)))
     corr = (matops.kron(g2, np.eye(dims.p1)) + matops.kron(np.eye(dims.p2), g1)) @ c

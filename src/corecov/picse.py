@@ -151,6 +151,7 @@ class _CtildeSpectral:
         self.lam = lam
         self.d = (1.0 - lam) * self.sig2 + lam
         self.alpha = self.sig2 / self.d
+        self.u_alpha = u * self.alpha
         self.p = a.shape[0]
         self.r = a.shape[1]
 
@@ -159,7 +160,7 @@ class _CtildeSpectral:
 
     def inv_apply(self, m):
         m = np.asarray(m, dtype=float)
-        proj = (self.u * self.alpha) @ (self.u.T @ m)
+        proj = self.u_alpha @ (self.u.T @ m)
         return (m - (1.0 - self.lam) * proj) / self.lam
 
     def inv_quad_trace(self, m):
@@ -441,11 +442,14 @@ class _ABlock:
         basis, (p, r) = self.space.basis, self.base.tau.a.shape
         m = basis.shape[1]
         h_mat = np.empty((m, m))
-        # hess_coords builds one dense J(V) per column
-        for cols in _chunks(m, self.space.j.nbytes):
+        chunks = _chunks(m, self.space.j.nbytes)
+        # the dense J(V) of every column, written into one scratch (a ragged
+        # last chunk takes a leading slice) that goes when this call returns
+        jv = np.zeros((chunks[0].stop, *self.space.j.shape))
+        for cols in chunks:
             # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
             v = basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
-            h_mat[:, cols] = self.space.hess_coords(self.hess(v), v, w).T
+            h_mat[:, cols] = self.space.hess_coords(self.hess(v), v, w, jv[: len(v)]).T
         return self.space.tangent(coef), coef, h_mat
 
     def tangent(self, coef):

@@ -189,6 +189,27 @@ class TestJOperator:
         assert js.shape == (k, *j.shape)
         for ji, ai in zip(js, stack):
             assert ji.tobytes() == cg.j_operator(ai, dims).tobytes()
+        # written into the J of other factors, both keep the bits of a fresh
+        # call, whose every zero is +0.0
+        for x, want in ((a, j), (stack, js)):
+            buf = cg.j_operator(rng.standard_normal(x.shape), dims)
+            assert cg.j_operator(x, dims, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+            assert not np.signbit(buf[buf == 0]).any()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 3, 3), (6, 4, 3), (3, 5, 4)])
+    def test_writes_every_entry_of_a_used_scratch(self, shape, rng):
+        # out holds the J of another factor: every structural entry is written
+        # over, with the bits of a fresh call also where A has signed zeros at
+        # entries that were nonzero in out, and every zero +0.0; one factor
+        # and a k = 3 stack
+        dims = matops.Dims(*shape)
+        for lead in ((), (3,)):
+            buf = cg.j_operator(rng.standard_normal((*lead, dims.p, dims.r)), dims)
+            a = signed_zeros(rng.standard_normal((*lead, dims.p, dims.r)), 0.3, rng)
+            assert cg.j_operator(a, dims, out=buf) is buf
+            assert buf.tobytes() == cg.j_operator(a, dims).tobytes()
+            assert not np.signbit(buf[buf == 0]).any()
 
 
 

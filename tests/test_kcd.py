@@ -379,24 +379,34 @@ class TestDcDg:
         assert len(calls) == 1
 
     def test_dc_builds_the_symmetric_root_once(self, rng, monkeypatch):
-        # with the symmetric root, one core of Sigma serves R_C and the
-        # correction: h(K) built once, Sigma and V whitened once each
-        whitened, built = [], []
-        whiten, h_matrix = matops.whiten, kcd.SeparableCovariance.h_matrix
+        # one factor root per factor serves h(K) and the correction, and
+        # with the symmetric root one core of Sigma serves R_C too: Sigma and
+        # V whitened once each, and the only other half powers are R_C's
+        whitened, roots = [], []
+        whiten, half_powers, chol = matops.whiten, matops.spd_half_powers, matops.chol
 
         def counted_whiten(h, m):
             whitened.append(m)
             return whiten(h, m)
 
-        def counted_h_matrix(sep, h_kind):
-            built.append(h_kind)
-            return h_matrix(sep, h_kind)
+        def counted_half_powers(k):
+            roots.append("half")
+            return half_powers(k)
+
+        def counted_chol(k):
+            roots.append("chol")
+            return chol(k)
 
         monkeypatch.setattr(matops, "whiten", counted_whiten)
-        monkeypatch.setattr(kcd.SeparableCovariance, "h_matrix", counted_h_matrix)
-        kcd.dc(rand_spd(12, rng), rand_sym(12, rng), matops.Dims(4, 3),
-               SquareRootKind.SYMMETRIC)
-        assert len(whitened) == 2 and built == [SquareRootKind.SYMMETRIC]
+        monkeypatch.setattr(matops, "spd_half_powers", counted_half_powers)
+        monkeypatch.setattr(matops, "chol", counted_chol)
+        sigma, v = rand_spd(12, rng), rand_sym(12, rng)
+        kcd.dc(sigma, v, matops.Dims(4, 3), SquareRootKind.SYMMETRIC)
+        assert len(whitened) == 2 and roots == ["half"] * 4
+        # the Cholesky root: its two factors, and the symmetric-root core
+        roots.clear()
+        kcd.dc(sigma, v, matops.Dims(4, 3), SquareRootKind.CHOLESKY)
+        assert sorted(roots) == ["chol"] * 2 + ["half"] * 4
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_dc_correction_solves_only_factor_sized_systems(self, kind, rng,

@@ -371,6 +371,30 @@ class TestBlockDerivativeBits:
             assert len(picse._chunks(m, block.space.j.nbytes)) == -(-m // size)
             assert block.derivatives()[2].tobytes() == expected
 
+    def test_a_derivatives_write_j_into_one_scratch(self, monkeypatch):
+        # every J(V) of one derivatives() call goes into one scratch, which
+        # neither the block nor its space keeps
+        dims = matops.Dims(4, 3, 3)
+        tau = make_tau(SquareRootKind.SYMMETRIC, 57, dims=dims)
+        block = a_block(tau, SampleCov.from_data(make_data(58, n=10, dims=dims), dims))
+        outs, j_operator = [], cg.j_operator
+
+        def recorded(a, dims, out=None):
+            outs.append(out)
+            return j_operator(a, dims, out=out)
+
+        monkeypatch.setattr(picse, "_STACK_BYTES", 3 * block.space.j.nbytes)
+        monkeypatch.setattr(cg, "j_operator", recorded)
+        block.derivatives()
+        assert len(outs) == -(-block.space.basis.shape[1] // 3) > 1
+        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        held = []
+        for value in [*vars(block).values(), *vars(block.space).values()]:
+            held += value if isinstance(value, tuple) else [value]
+        j_shaped = [x for x in held
+                    if isinstance(x, np.ndarray) and x.shape[-2:] == block.space.j.shape]
+        assert len(j_shaped) == 1 and j_shaped[0] is block.space.j
+
     def test_a_hess_applies_ctilde_inverse_five_times(self):
         dims = matops.Dims(4, 3, 3)
         tau = make_tau(SquareRootKind.SYMMETRIC, 53, dims=dims)
