@@ -119,38 +119,48 @@ def j_operator(a, dims, out=None):
     written, each entry once and with the bits of adding into zeros; every
     other entry is left as it is.  So J is written into fresh zeros, or into
     out when given: a C-ordered array of J's shape that holds zeros, or any
-    J of the same dims, off those entries.  Returns out then.
+    J of the same dims, off those entries, or a JScratch of one; returns J.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     lead, r = a.shape[:-2], a.shape[-1]
     check_dense_size(p, r)
-    s = slices(a, dims)
-    s_x, s_y = s.swapaxes(-3, -2), np.moveaxis(s, -1, -3)  # A_i[x, b], A_i[c, y]
+    if not isinstance(out, JScratch):
+        j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)) if out is None else out
+        out = JScratch(j, dims)
+    s_x = slices(a, dims).swapaxes(-3, -2)  # A_i[x, b] on axes (x, i, b)
+    s_y = s_x.swapaxes(-1, -3)  # A_i[c, y] on axes (y, i, c)
     avec = matops.vec(a)
     # A_i[c, b] on the column axes (i, b, c), broadcast over the row axis
     aic = avec.reshape(*lead, 1, r, p2, p1)
-    j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)) if out is None else out
     # rows (x, y), columns (i, b, c) of vec(B_i)[c + b p1]; J1 = (A_i[x, b]
     # d_yc + A_i[y, b] d_xc)/p - c1 d_xy A_i[c, b], J2 = (d_xb A_i[c, y] +
     # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b].  An entry on one diagonal is
     # 0.0 + t or 0.0 - z; where all three meet, t + t - z has the bits of
     # ((0.0 + t) + t) - z, as t and z are zero together and of one sign.
-    j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
-    j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
-    for blk, s_t, c, (one, other, meet) in (
-        (j1, s_x, 2.0 / (p1**2 * p2),
-         ("...xcibc->...xcib", "...cyibc->...cyib", "...xxibx->...xib")),
-        (j2, s_y, 2.0 / (p1 * p2**2),
-         ("...xyiyc->...xyic", "...xyixc->...xyic", "...xxixc->...xic")),
-    ):
+    for (one, other, diag, meet), s_t, c in zip(
+            out.diags, (s_x, s_y), (2.0 / (p1**2 * p2), 2.0 / (p1 * p2**2))):
         t = s_t / p
-        np.einsum(one, blk)[...] = 0.0 + t[..., :, None, :, :]
-        np.einsum(other, blk)[...] = 0.0 + t[..., None, :, :, :]
-        np.einsum("...xxibc->...xibc", blk)[...] = 0.0 - c * aic
-        np.einsum(meet, blk)[...] = t + t - c * s_t
-    j[..., -1, :] = 0.0 + 2.0 * avec
-    return j
+        one[...] = 0.0 + t[..., :, None, :, :]
+        other[...] = 0.0 + t[..., None, :, :, :]
+        diag[...] = 0.0 - c * aic
+        meet[...] = t + t - c * s_t
+    out.last[...] = 0.0 + 2.0 * avec
+    return out.j
+
+
+class JScratch:
+    """A J buffer for j_operator's out, with the views j_operator writes formed once."""
+
+    def __init__(self, j, dims):
+        p1, p2, lead, r = dims.p1, dims.p2, j.shape[:-2], j.shape[-1] // dims.p
+        j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
+        j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
+        self.j, self.last = j, j[..., -1, :]
+        self.diags = [[np.einsum(e, blk) for e in (one, other, "...xxibc->...xibc", meet)]
+                      for blk, one, other, meet in (
+            (j1, "...xcibc->...xcib", "...cyibc->...cyib", "...xxibx->...xib"),
+            (j2, "...xyiyc->...xyic", "...xyixc->...xyic", "...xxixc->...xic"))]
 
 
 class RankTangentSpace:
@@ -169,9 +179,13 @@ class RankTangentSpace:
         self._range = u[:, :n_keep], s[:n_keep], vt[:n_keep]
         self.basis = vt[n_keep:].T
 
-    def coords(self, x):
-        """B^T vec(X)."""
-        return self.basis.T @ matops.vec(x)
+    def coords(self, x, rows=None):
+        """B^T x for x of length p*r, or a (k, p*r) stack, each row with the
+        bits of its own B^T x: blocks of `rows` rows of B^T (all by default,
+        see picse._row_block) go once each through the whole stack."""
+        bt, rows = self.basis.T, rows or self.basis.shape[1]
+        return np.concatenate([(bt[i : i + rows] @ x[..., None])[..., 0]
+                               for i in range(0, len(bt), rows)], axis=-1)
 
     def tangent(self, coef):
         """The p x r matrix with vec B coef."""
@@ -183,17 +197,15 @@ class RankTangentSpace:
         jp = (vt.T / s) @ u.T
         return jp.T @ (jp @ (self.j @ matops.vec(egrad)))
 
-    def hess_coords(self, ehess_v, v, w, out=None):
-        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V.
-
-        On (k, p, r) stacks of V and ehess_v it gives the (k, m) coordinates,
-        each row with the bits of its own call: both products stay one
-        matrix-vector product per matrix of the stack.  J(V) is written into
-        out when given, a scratch as j_operator takes it.
-        """
+    def hess_residual(self, ehess_v, v, w, out=None):
+        """vec(ehess_v) - J(V)^T w; (k, p, r) stacks give (k, p*r), each row with
+        the bits of its own call.  J(V) goes into out as j_operator takes it."""
         jv = j_operator(v, self.dims, out=out)
-        x = matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
-        return (self.basis.T @ x[..., None])[..., 0]
+        return matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
+
+    def hess_coords(self, ehess_v, v, w, out=None):
+        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V."""
+        return self.coords(self.hess_residual(ehess_v, v, w, out))
 
 
 def tangent_project_full(v, dims):

@@ -437,20 +437,29 @@ class _ABlock:
     def derivatives(self):
         """Riemannian gradient, its coordinates B^T vec(egrad), and the
         Riemannian Hessian in the basis B, column i its action on B[:, i]."""
-        coef = self.space.coords(self.egrad)
-        w = self.space.normal_weights(self.egrad)
-        basis, (p, r) = self.space.basis, self.base.tau.a.shape
-        m = basis.shape[1]
-        h_mat = np.empty((m, m))
-        chunks = _chunks(m, self.space.j.nbytes)
+        space, dims, (p, r) = self.space, self.base.tau.dims, self.base.tau.a.shape
+        rows = _row_block(self.egrad.nbytes)  # B^T's rows and x have p*r floats
+        coef = space.coords(matops.vec(self.egrad), rows)
+        w = space.normal_weights(self.egrad)
+        m = len(coef)
+        h_mat, chunks = np.empty((m, m)), _chunks(m, space.j.nbytes)
+        step = chunks[0].stop
         # the dense J(V) of every column, written into one scratch (a ragged
         # last chunk takes a leading slice) that goes when this call returns
-        jv = np.zeros((chunks[0].stop, *self.space.j.shape))
-        for cols in chunks:
-            # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
-            v = basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
-            h_mat[:, cols] = self.space.hess_coords(self.hess(v), v, w, jv[: len(v)]).T
-        return self.space.tangent(coef), coef, h_mat
+        jv = core_geometry.JScratch(np.zeros((step, *space.j.shape)), dims)
+        # a panel of whole chunks whose residuals fit _STACK_BYTES goes
+        # through coords at once: each block of B^T serves all its columns
+        for group in _chunks(len(chunks), step * self.egrad.nbytes):
+            x = []
+            for cols in chunks[group]:
+                # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
+                v = space.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
+                if len(v) < step:
+                    jv = core_geometry.JScratch(jv.j[: len(v)], dims)
+                x.append(space.hess_residual(self.hess(v), v, w, jv))
+            h_mat[:, chunks[group][0].start : cols.stop] = space.coords(
+                np.concatenate(x), rows).T
+        return space.tangent(coef), coef, h_mat
 
     def tangent(self, coef):
         return self.space.tangent(coef)
@@ -465,6 +474,15 @@ def _chunks(m, item_bytes):
     elements each (at least one)."""
     step = max(1, _STACK_BYTES // item_bytes)
     return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+def _row_block(row_bytes):
+    """Rows of B^T per coords block: as many as fit _STACK_BYTES, rounded down
+    to a multiple of 16 (at least 16; 32-256 rows timed alike).  OpenBLAS 0.3.31
+    (x86 Haswell) keeps a row's bits of the whole gemv only in a block starting
+    at a multiple of 4 rows: at (588, 720), blocks of 4, 8, 16, 64, 100 and 196
+    rows did; of 1, 3, 5, 7, 13 and 131 rows, or a gemm, did not."""
+    return max(16, _STACK_BYTES // row_bytes // 16 * 16)
 
 
 def _newton_coeffs(h_mat, g_vec):

@@ -56,7 +56,8 @@ def test_pairs_alternate_and_summary_reports_the_gain(tmp_path, capsys):
         ("change", 2, "change"), ("parent", 2, "change")]
     wall = doc["summary"]["fit-small"]["wall_s"]
     assert wall["parent"] == pytest.approx({"q1": 1.0175, "median": 1.025, "q3": 1.0325})
-    assert wall["change_wins"] == "4 of 4 pairs" and wall["gain"] and wall["within_bound"]
+    # 4 of 4 pairs won by a clear gap, but a gain needs at least 10 pairs
+    assert wall["change_wins"] == "4 of 4 pairs" and not wall["gain"] and wall["within_bound"]
     assert wall["median_gap"] == pytest.approx(0.2)
     assert wall["parent_iqr"] == pytest.approx(0.015)
     ok = doc["summary"]["fit-small"]["ok_ratio"]
@@ -87,6 +88,11 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
     change = [v - 0.01 for v in parent]
     stats = bench_pairs.summarize(_runs(parent, change), metric)["w"]["wall_s"]
     assert stats["change_wins"] == "10 of 10 pairs" and not stats["gain"]
+    # 3 of 3 wins by a clear gap: too few pairs for a gain
+    stats = bench_pairs.summarize(_runs(parent[:3], [v - 1.0 for v in parent[:3]]), metric)
+    wall = stats["w"]["wall_s"]
+    assert wall["change_wins"] == "3 of 3 pairs" and wall["median_gap"] > wall["parent_iqr"]
+    assert not wall["gain"]
 
 
 def test_worse_beyond_the_bound_is_reported():

@@ -220,7 +220,7 @@ class TestABlockMatchesOperator:
             v = basis[:, i].reshape(tau.a.shape, order="F")
             rh = space.tangent(space.hess_coords(block.hess(v), v, w))
             assert np.abs(h_mat[:, i] - basis.T @ matops.vec(rh)).max() < 1e-10
-        rg = space.tangent(space.coords(block.egrad))
+        rg = space.tangent(space.coords(matops.vec(block.egrad)))
         assert np.abs(rgrad - rg).max() < 1e-10
 
 
@@ -355,25 +355,52 @@ class TestBlockDerivativeBits:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_a_hessian_matrix_in_chunks(self, kind, dims, monkeypatch):
-        # the whole basis in one stack, and chunks of 1 to 4 columns (at
-        # least one size with a ragged last chunk), give the one-column
-        # loop's matrix
+        # the whole basis in one stack, chunks of 1 to 4 columns (at least one
+        # size with a ragged last chunk), and panels of 5 and 7 one-column
+        # chunks (at least one ragged) with ragged row blocks of B^T, give the
+        # one-column loop's matrix and the whole gemv's gradient coordinates
         tau = make_tau(kind, 55, dims=dims)
         sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
         block = a_block(tau, sc)
-        m = block.space.basis.shape[1]
-        sizes = (1, 2, 3, 4)
-        assert any(m % size for size in sizes)
+        m, x_bytes = block.space.basis.shape[1], tau.a.nbytes
+        sizes, panels = (1, 2, 3, 4), (5, 7)
+        assert any(m % size for size in sizes) and any(m % size for size in panels)
         expected = a_hess_matrix_reference(block).tobytes()
-        assert block.derivatives()[2].tobytes() == expected
-        for size in sizes:
-            monkeypatch.setattr(picse, "_STACK_BYTES", size * block.space.j.nbytes)
-            assert len(picse._chunks(m, block.space.j.nbytes)) == -(-m // size)
-            assert block.derivatives()[2].tobytes() == expected
+        coef = (block.space.basis.T @ matops.vec(block.egrad)).tobytes()
+        budgets = [size * block.space.j.nbytes for size in sizes]
+        for budget in [picse._STACK_BYTES, *budgets, *(size * x_bytes for size in panels)]:
+            monkeypatch.setattr(picse, "_STACK_BYTES", budget)
+            _, g_coef, h_mat = block.derivatives()
+            assert h_mat.tobytes() == expected and g_coef.tobytes() == coef
+            if budget in budgets:
+                size = budget // block.space.j.nbytes
+                assert len(picse._chunks(m, block.space.j.nbytes)) == -(-m // size)
+        # the panel budgets take one-column chunks and ragged row blocks
+        assert len(picse._chunks(m, block.space.j.nbytes)) == m
+        assert m % picse._row_block(x_bytes)
+
+    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
+    def test_a_coords_in_row_blocks(self, dims, monkeypatch):
+        # coords in row blocks of B^T by the _STACK_BYTES rule, ragged or one
+        # block, keeps each coordinate's bits of one whole-B gemv per vector
+        space = cg.RankTangentSpace(cg.random_core_factor(dims, seed=59), dims)
+        m, row_bytes = space.basis.shape[1], space.basis[:, 0].nbytes
+        x = np.random.default_rng(60).standard_normal((5, len(space.basis)))
+        gemv = np.array([space.basis.T @ xi for xi in x])
+        blocks = []
+        for size in (1, 15, 17, 33, 64):
+            monkeypatch.setattr(picse, "_STACK_BYTES", size * row_bytes)
+            rows = picse._row_block(row_bytes)
+            assert rows % 16 == 0 and rows >= 16
+            blocks.append(rows)
+            assert space.coords(x, rows).tobytes() == gemv.tobytes()
+            assert space.coords(x[0], rows).tobytes() == gemv[0].tobytes()
+        assert any(rows < m and m % rows for rows in blocks)
 
     def test_a_derivatives_write_j_into_one_scratch(self, monkeypatch):
-        # every J(V) of one derivatives() call goes into one scratch, which
-        # neither the block nor its space keeps
+        # every J(V) of one derivatives() call goes into one prepared scratch
+        # (the ragged last chunk into a leading slice of it), which neither
+        # the block nor its space keeps
         dims = matops.Dims(4, 3, 3)
         tau = make_tau(SquareRootKind.SYMMETRIC, 57, dims=dims)
         block = a_block(tau, SampleCov.from_data(make_data(58, n=10, dims=dims), dims))
@@ -383,14 +410,18 @@ class TestBlockDerivativeBits:
             outs.append(out)
             return j_operator(a, dims, out=out)
 
-        monkeypatch.setattr(picse, "_STACK_BYTES", 3 * block.space.j.nbytes)
+        monkeypatch.setattr(picse, "_STACK_BYTES", 4 * block.space.j.nbytes)
         monkeypatch.setattr(cg, "j_operator", recorded)
         block.derivatives()
-        assert len(outs) == -(-block.space.basis.shape[1] // 3) > 1
-        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        m = block.space.basis.shape[1]
+        assert len(outs) == -(-m // 4) > 1 and m % 4
+        assert all(out is outs[0] for out in outs[:-1])
+        assert isinstance(outs[-1], cg.JScratch) and len(outs[-1].j) == m % 4
+        assert np.shares_memory(outs[-1].j, outs[0].j)
         held = []
         for value in [*vars(block).values(), *vars(block.space).values()]:
             held += value if isinstance(value, tuple) else [value]
+        assert not any(isinstance(x, cg.JScratch) for x in held)
         j_shaped = [x for x in held
                     if isinstance(x, np.ndarray) and x.shape[-2:] == block.space.j.shape]
         assert len(j_shaped) == 1 and j_shaped[0] is block.space.j

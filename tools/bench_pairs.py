@@ -20,8 +20,9 @@ per workload and per end-to-end metric of CHANGE_TREE/BENCHMARK.json:
   parent_iqr          q3 - q1 of the parent's runs
   median_gap          parent median - change median, positive when the
                       change is better
-  gain                the change wins at least 9 of 10 pairs and median_gap
-                      exceeds parent_iqr: a gain that may be claimed
+  gain                at least 10 pairs, the change wins at least 9 of 10 of
+                      them and median_gap exceeds parent_iqr: a gain that may
+                      be claimed
   within_bound        the change median is worse than the parent median by
                       no more than the metric's bound (relative)
 
@@ -36,7 +37,9 @@ import sys
 
 import numpy as np
 
-# Share of the pairs the change must win before a gain may be claimed.
+# Pairs that must be run, and the share of them the change must win, before
+# a gain may be claimed.
+MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
@@ -87,7 +90,7 @@ def summarize(runs, metrics):
                 "median_change_rel": (cq["median"] - pq["median"]) / scale if scale else 0.0,
                 "parent_iqr": iqr,
                 "median_gap": gap,
-                "gain": wins >= WIN_SHARE * n and gap > iqr,
+                "gain": n >= MIN_PAIRS and wins >= WIN_SHARE * n and gap > iqr,
                 "within_bound": -gap <= metric["bound"] * scale,
             }
         summary[workload] = entry
