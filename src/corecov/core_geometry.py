@@ -117,17 +117,16 @@ def j_operator(a, dims, out=None):
 
     Only the three structural diagonals of J1 and J2 and the last row are
     written, each entry once and with the bits of adding into zeros; every
-    other entry is left as it is.  So J is written into fresh zeros, or into
-    out when given: a C-ordered array of J's shape that holds zeros, or any
-    J of the same dims, off those entries, or a JScratch of one; returns J.
+    other entry is left as it is.  So J is written into fresh zeros when out
+    is None, or else into out, a JScratch of an array of J's shape that holds
+    zeros, or any J of the same dims, off those entries; returns J.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     lead, r = a.shape[:-2], a.shape[-1]
     check_dense_size(p, r)
-    if not isinstance(out, JScratch):
-        j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)) if out is None else out
-        out = JScratch(j, dims)
+    if out is None:
+        out = JScratch(np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)), dims)
     s_x = slices(a, dims).swapaxes(-3, -2)  # A_i[x, b] on axes (x, i, b)
     s_y = s_x.swapaxes(-1, -3)  # A_i[c, y] on axes (y, i, c)
     avec = matops.vec(a)
@@ -179,11 +178,16 @@ class RankTangentSpace:
         self._range = u[:, :n_keep], s[:n_keep], vt[:n_keep]
         self.basis = vt[n_keep:].T
 
-    def coords(self, x, rows=None):
+    def coords(self, x):
         """B^T x for x of length p*r, or a (k, p*r) stack, each row with the
-        bits of its own B^T x: blocks of `rows` rows of B^T (all by default,
-        see picse._row_block) go once each through the whole stack."""
-        bt, rows = self.basis.T, rows or self.basis.shape[1]
+        bits of its own B^T x: blocks of rows of B^T, as many as fit STACK_BYTES
+        rounded down to a multiple of 16 (at least 16; 32-256 timed alike), go
+        once each through the whole stack.  OpenBLAS 0.3.31 (x86 SkylakeX) keeps
+        a row's bits of the whole gemv only in a block starting at a multiple of
+        4 rows: at (588, 720), blocks of 4, 8, 16, 64, 100 and 196 rows did; of
+        1, 3, 5, 7, 13 and 131 rows, or a gemm, did not."""
+        bt = self.basis.T
+        rows = max(16, matops.STACK_BYTES // bt[0].nbytes // 16 * 16)
         return np.concatenate([(bt[i : i + rows] @ x[..., None])[..., 0]
                                for i in range(0, len(bt), rows)], axis=-1)
 
@@ -197,15 +201,41 @@ class RankTangentSpace:
         jp = (vt.T / s) @ u.T
         return jp.T @ (jp @ (self.j @ matops.vec(egrad)))
 
-    def hess_residual(self, ehess_v, v, w, out=None):
+    def _residual(self, ehess_v, v, w, out=None):
         """vec(ehess_v) - J(V)^T w; (k, p, r) stacks give (k, p*r), each row with
-        the bits of its own call.  J(V) goes into out as j_operator takes it."""
+        the bits of its own call.  J(V) goes into the JScratch out, if given."""
         jv = j_operator(v, self.dims, out=out)
         return matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
 
-    def hess_coords(self, ehess_v, v, w, out=None):
+    def hess_coords(self, ehess_v, v, w):
         """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V."""
-        return self.coords(self.hess_residual(ehess_v, v, w, out))
+        return self.coords(self._residual(ehess_v, v, w))
+
+    def newton_system(self, egrad, ehess):
+        """The Riemannian gradient, its coordinates B^T vec(egrad), and the
+        Riemannian Hessian in B, column i its action on B[:, i]; ehess maps a
+        (k, p, r) stack of V to the stack of Euclidean Hessian actions."""
+        (p, r), g = self.shape, matops.vec(egrad)
+        coef, w = self.coords(g), self.normal_weights(egrad)
+        m = len(coef)
+        h_mat, chunks = np.empty((m, m)), matops.chunks(m, self.j.nbytes)
+        step = chunks[0].stop
+        # the dense J(V) of every column, written into one scratch (a ragged
+        # last chunk takes a leading slice) that goes when this call returns
+        jv = JScratch(np.zeros((step, *self.j.shape)), self.dims)
+        # a panel of whole chunks whose residuals fit STACK_BYTES goes
+        # through coords at once: each block of B^T serves all its columns
+        for group in matops.chunks(len(chunks), step * g.nbytes):
+            x = []
+            for cols in chunks[group]:
+                # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
+                v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
+                if len(v) < step:
+                    jv = JScratch(jv.j[: len(v)], self.dims)
+                x.append(self._residual(ehess(v), v, w, jv))
+            h_mat[:, chunks[group][0].start : cols.stop] = self.coords(
+                np.concatenate(x)).T
+        return self.tangent(coef), coef, h_mat
 
 
 def tangent_project_full(v, dims):

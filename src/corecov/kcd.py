@@ -120,10 +120,7 @@ def kronecker_mle(sigma, dims, psd_check=True):
             matops.weighted_partial_trace_2(sigma, np.linalg.inv(k1), dims) / dims.p1
         )
         _check_factor(k2)
-        det1 = np.linalg.det(k1)
-        if not np.isfinite(det1) or det1 <= 0.0:
-            raise NoKroneckerMle("factor determinant collapsed")
-        scale = det1 ** (1.0 / dims.p1)
+        scale = matops.det_root(k1)
         k1 = k1 / scale
         k2 = k2 * scale
 

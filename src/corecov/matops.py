@@ -22,6 +22,10 @@ PD_RTOL = 1e-10
 # a core or core factor, |det - 1| and the relative asymmetry of a K-bar
 # factor, and the relative depth of a negative eigenvalue still taken as PSD.
 RESIDUAL_TOL = 1e-8
+# Bytes of the largest temporary a stacked operation may build over a stack of
+# basis elements; the stack goes through in chunks that fit (at least one
+# element each), which bounds the peak memory the stacks add.
+STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +55,13 @@ class Dims:
     @property
     def p(self):
         return self.p1 * self.p2
+
+
+def chunks(m, item_bytes):
+    """Slices that cover range(m) with at most STACK_BYTES // item_bytes
+    elements each (at least one)."""
+    step = max(1, STACK_BYTES // item_bytes)
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
 def vec(m):
@@ -144,6 +155,16 @@ def chol(s):
     """Lower Cholesky factor with positive diagonal of an SPD matrix."""
     spd_eigh(s, what="chol input")
     return np.linalg.cholesky(sym(_check_square(s)))
+
+
+def det_root(m):
+    """det(M)^(1/q) of a q x q matrix of positive determinant, from slogdet
+    where det leaves the range of normal floats."""
+    with np.errstate(over="ignore"):
+        d = np.linalg.det(m)
+    if np.finfo(float).tiny <= d < np.inf:
+        return d ** (1.0 / len(m))
+    return np.exp(np.linalg.slogdet(m)[1] / len(m))
 
 
 def whiten(h, m):

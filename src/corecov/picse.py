@@ -27,10 +27,6 @@ from .kcd import SquareRootKind
 _LAMBDA_BRACKET = (1e-4, 1.0 - 1e-4)
 # Step halvings before a block step gives up on a candidate or on descent.
 _MAX_HALVINGS = 30
-# Bytes of the largest temporary a block Hessian may build over a stack of
-# basis elements; the basis goes through in chunks that fit (at least one
-# element each), which bounds the peak memory the stacks add.
-_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -378,13 +374,13 @@ class _KBlock:
         """Riemannian gradient, its coordinates in the basis, and the
         Riemannian Hessian in the basis, row i the image of basis[i]."""
         ehess = np.empty_like(self.basis)
-        for rows in _chunks(len(self.basis), self.e.nbytes):
+        for rows in matops.chunks(len(self.basis), self.e.nbytes):
             ehess[rows] = self.hess(self.basis[rows])
         rgrad, rhess = self._grad_hess(self.point, self.egrad, ehess, self.basis)
         rgrad, rhess = self._proj(self.point, rgrad), self._proj(self.point, rhess)
         # each row of h_mat pairs one image with the whole basis
         h_mat = np.empty((len(rhess), len(self.basis)))
-        for rows in _chunks(len(rhess), self.basis.nbytes):
+        for rows in matops.chunks(len(rhess), self.basis.nbytes):
             h_mat[rows] = self._inner(self.point, rhess[rows, None], self.basis)
         return rgrad, self._inner(self.point, rgrad, self.basis), h_mat
 
@@ -437,29 +433,7 @@ class _ABlock:
     def derivatives(self):
         """Riemannian gradient, its coordinates B^T vec(egrad), and the
         Riemannian Hessian in the basis B, column i its action on B[:, i]."""
-        space, dims, (p, r) = self.space, self.base.tau.dims, self.base.tau.a.shape
-        rows = _row_block(self.egrad.nbytes)  # B^T's rows and x have p*r floats
-        coef = space.coords(matops.vec(self.egrad), rows)
-        w = space.normal_weights(self.egrad)
-        m = len(coef)
-        h_mat, chunks = np.empty((m, m)), _chunks(m, space.j.nbytes)
-        step = chunks[0].stop
-        # the dense J(V) of every column, written into one scratch (a ragged
-        # last chunk takes a leading slice) that goes when this call returns
-        jv = core_geometry.JScratch(np.zeros((step, *space.j.shape)), dims)
-        # a panel of whole chunks whose residuals fit _STACK_BYTES goes
-        # through coords at once: each block of B^T serves all its columns
-        for group in _chunks(len(chunks), step * self.egrad.nbytes):
-            x = []
-            for cols in chunks[group]:
-                # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
-                v = space.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
-                if len(v) < step:
-                    jv = core_geometry.JScratch(jv.j[: len(v)], dims)
-                x.append(space.hess_residual(self.hess(v), v, w, jv))
-            h_mat[:, chunks[group][0].start : cols.stop] = space.coords(
-                np.concatenate(x), rows).T
-        return space.tangent(coef), coef, h_mat
+        return self.space.newton_system(self.egrad, self.hess)
 
     def tangent(self, coef):
         return self.space.tangent(coef)
@@ -469,26 +443,10 @@ class _ABlock:
         return self.base.replace(a=retract_core_factor(tau.a, v, tau.dims))
 
 
-def _chunks(m, item_bytes):
-    """Slices that cover range(m) with at most _STACK_BYTES // item_bytes
-    elements each (at least one)."""
-    step = max(1, _STACK_BYTES // item_bytes)
-    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
-
-
-def _row_block(row_bytes):
-    """Rows of B^T per coords block: as many as fit _STACK_BYTES, rounded down
-    to a multiple of 16 (at least 16; 32-256 rows timed alike).  OpenBLAS 0.3.31
-    (x86 Haswell) keeps a row's bits of the whole gemv only in a block starting
-    at a multiple of 4 rows: at (588, 720), blocks of 4, 8, 16, 64, 100 and 196
-    rows did; of 1, 3, 5, 7, 13 and 131 rows, or a gemm, did not."""
-    return max(16, _STACK_BYTES // row_bytes // 16 * 16)
-
-
 def _newton_coeffs(h_mat, g_vec):
     """Least-squares solution of sym(H) c = -g.  Overwrites h_mat with the bits of
     matops.sym(h_mat) one row panel at a time, so sym(H) takes no second m x m matrix."""
-    for rows in _chunks(len(h_mat), h_mat[0].nbytes):
+    for rows in matops.chunks(len(h_mat), h_mat[0].nbytes):
         half = h_mat[rows, rows.start:] + h_mat[rows.start:, rows].T
         half /= 2.0
         h_mat[rows, rows.start:], h_mat[rows.start:, rows] = half, half.T
@@ -667,8 +625,7 @@ def init(sample_cov, h_kind):
     check_rank(dims)
     dec = kcd.kcd(sample_cov.s, dims, h_kind)
     h1, h2 = dec.k.sqrt_factors(h_kind)
-    det1 = np.linalg.det(h1) ** (1.0 / dims.p1)
-    det2 = np.linalg.det(h2) ** (1.0 / dims.p2)
+    det1, det2 = matops.det_root(h1), matops.det_root(h2)
     k1bar = h1 / det1
     k2bar = h2 / det2
     nu0 = float(det1 * det2)

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from corecov import core_geometry as cg, kcd, matops
-from corecov.errors import CapacityError, DefinitenessError, StructureError
+from corecov.errors import CapacityError, ConfigError, DefinitenessError, StructureError
 from corecov.kcd import SquareRootKind
 
 from conftest import rand_spd, rand_sym
@@ -193,13 +193,13 @@ class TestJOperator:
         # call, whose every zero is +0.0
         for x, want in ((a, j), (stack, js)):
             buf = cg.j_operator(rng.standard_normal(x.shape), dims)
-            assert cg.j_operator(x, dims, out=buf) is buf
+            assert cg.j_operator(x, dims, out=cg.JScratch(buf, dims)) is buf
             assert buf.tobytes() == want.tobytes()
             assert not np.signbit(buf[buf == 0]).any()
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 3, 3), (6, 4, 3), (3, 5, 4)])
     def test_writes_every_entry_of_a_used_scratch(self, shape, rng):
-        # out holds the J of another factor: every structural entry is written
+        # out wraps the J of another factor: every structural entry is written
         # over, with the bits of a fresh call also where A has signed zeros at
         # entries that were nonzero in out, and every zero +0.0; one factor
         # and a k = 3 stack
@@ -207,7 +207,7 @@ class TestJOperator:
         for lead in ((), (3,)):
             buf = cg.j_operator(rng.standard_normal((*lead, dims.p, dims.r)), dims)
             a = signed_zeros(rng.standard_normal((*lead, dims.p, dims.r)), 0.3, rng)
-            assert cg.j_operator(a, dims, out=buf) is buf
+            assert cg.j_operator(a, dims, out=cg.JScratch(buf, dims)) is buf
             assert buf.tobytes() == cg.j_operator(a, dims).tobytes()
             assert not np.signbit(buf[buf == 0]).any()
 
@@ -504,6 +504,11 @@ class TestCheckCoreFactor:
         with pytest.raises(StructureError, match="column-rank deficient"):
             cg.check_core_factor(split, matops.Dims(2, 2, 4))
 
+    def test_core_matrix_rejects_partial_trace_residual(self):
+        # 2 I has partial traces 2 p2 I and 2 p1 I, twice their targets
+        with pytest.raises(StructureError, match="partial-trace residual"):
+            cg.check_core_matrix(2.0 * np.eye(6), DIMS324)
+
 
 class TestBalanceCoreFactor:
     @pytest.mark.parametrize(
@@ -582,6 +587,22 @@ class TestRandomCoreFactor:
         assert np.abs(calls[0] - calls[1]).max() > 1e-3
         cg.check_core_factor(a, DIMS324)
 
+    def test_needs_a_rank(self):
+        with pytest.raises(ConfigError, match="rank"):
+            cg.random_core_factor(matops.Dims(3, 2), seed=99)
+
+    def test_gives_up_after_five_redraws(self, monkeypatch):
+        calls = []
+
+        def stall(a, dims):
+            calls.append(a)
+            raise StructureError("core-factor balancing stalled")
+
+        monkeypatch.setattr(cg, "balance_core_factor", stall)
+        with pytest.raises(StructureError, match="after 5 redraws"):
+            cg.random_core_factor(DIMS324, seed=99)
+        assert len(calls) == 5
+
     def test_deterministic(self):
         a = cg.random_core_factor(DIMS324, seed=99)
         b = cg.random_core_factor(DIMS324, seed=99)
@@ -608,6 +629,11 @@ class TestPartialIsotropyDecompose:
     def test_identity_rejected(self):
         with pytest.raises(StructureError):
             cg.partial_isotropy_decompose(np.eye(4), DIMS223)
+
+    def test_spikes_at_the_isotropic_level_rejected(self):
+        # 0.5 I: the trailing block is constant at 0.5, and so are the spikes
+        with pytest.raises(StructureError, match="do not exceed"):
+            cg.partial_isotropy_decompose(0.5 * np.eye(4), DIMS223)
 
     def test_dims_without_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):

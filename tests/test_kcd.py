@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corecov import core_geometry, kcd, matops, spd_geometry
+from corecov import core_geometry, kcd, matops, simulate, spd_geometry
 from corecov.errors import ConfigError, DefinitenessError, NoKroneckerMle
 from corecov.kcd import SquareRootKind
 
@@ -81,6 +81,23 @@ class TestKroneckerMle:
             sigma = matops.kron(np.diag([1.0, small]), np.eye(3))
             sep = kcd.kronecker_mle(sigma, DIMS32)
             np.testing.assert_allclose(sep.matrix, sigma, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-21, 1e21])
+    def test_input_of_any_scale(self, scale):
+        # data x scale multiplies S by c = scale^2, and det(K1) of the first
+        # sweep by c^12, past the float range: K1 keeps its unit-scale value
+        # and K2 takes the whole scale c
+        dims = matops.Dims(12, 10, 6)
+        y = matops.vec(simulate.gen_data(
+            simulate.gen_truth("m2", dims, 0.2, 1).sigma, 240, 2, dims))
+        s, c = y.T @ y / 240, scale**2
+        unit, sep = kcd.kronecker_mle(s, dims), kcd.kronecker_mle(c * s, dims)
+        assert np.abs(sep.k1 - unit.k1).max() <= 1e-10 * np.abs(unit.k1).max()
+        assert np.abs(sep.k2 / c - unit.k2).max() <= 1e-10 * np.abs(unit.k2).max()
+        for m in (1e200, 1e-200):
+            sep = kcd.kronecker_mle(m * np.eye(12), matops.Dims(4, 3))
+            np.testing.assert_allclose(sep.k1, np.eye(4), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sep.k2, m * np.eye(3), rtol=1e-12, atol=0)
 
     def test_converging_run_skips_objective(self, rng, monkeypatch):
         # the objective is read only to classify a run that hits the sweep cap
@@ -276,6 +293,13 @@ class TestRcOperator:
         c, s1, s2 = self._base(rng)
         x1, x2 = kcd.rc_operator(c, s1, s2, DIMS22)(np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.abs(x1).max() == 0.0 and np.abs(x2).max() == 0.0
+
+    def test_solve_rejects_a_rank_deficient_system(self, rng, monkeypatch):
+        # an R_C that drops U1: the columns of the K1 basis are zero
+        c, s1, s2 = self._base(rng)
+        monkeypatch.setattr(kcd, "rc_operator", lambda *args: lambda w1, w2: (0 * w1, w2))
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            kcd.rc_solve(c, s1, s2, s1, s2, DIMS22)
 
     def test_solve_round_trip(self, rng):
         c, s1, s2 = self._base(rng)

@@ -222,3 +222,8 @@ def test_definiteness_errors(rng):
         matops.chol(bad)
     with pytest.raises(ValueError):
         matops.half(rng.standard_normal((2, 3)))
+
+
+def test_partial_trace_checks_the_size():
+    with pytest.raises(ValueError, match="expected size 6, got 5"):
+        matops.weighted_partial_trace_1(np.eye(5), np.eye(2), matops.Dims(3, 2))

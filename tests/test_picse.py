@@ -237,11 +237,11 @@ class TestKBlockMatchesOperator:
             inner, grad_hess, proj = sg.ai_inner, sg.ai_grad_hess, sg.proj_unitdet_spd
         tau = make_tau(kind, 47, dims=dims)
         data = make_data(48, n=10, dims=dims)
-        default = picse._STACK_BYTES
+        default = matops.STACK_BYTES
         for side, rows in itertools.product((1, 2), (None, 1, 2)):
             block = k_block(tau, data, side)
             budget = default if rows is None else rows * block.basis.nbytes
-            monkeypatch.setattr(picse, "_STACK_BYTES", budget)
+            monkeypatch.setattr(matops, "STACK_BYTES", budget)
             x = block.point
             q = x.shape[0]
             assert block.basis.shape == (q * (q + 1) // 2 - 1, q, q)
@@ -368,34 +368,35 @@ class TestBlockDerivativeBits:
         expected = a_hess_matrix_reference(block).tobytes()
         coef = (block.space.basis.T @ matops.vec(block.egrad)).tobytes()
         budgets = [size * block.space.j.nbytes for size in sizes]
-        for budget in [picse._STACK_BYTES, *budgets, *(size * x_bytes for size in panels)]:
-            monkeypatch.setattr(picse, "_STACK_BYTES", budget)
+        for budget in [matops.STACK_BYTES, *budgets, *(size * x_bytes for size in panels)]:
+            monkeypatch.setattr(matops, "STACK_BYTES", budget)
             _, g_coef, h_mat = block.derivatives()
             assert h_mat.tobytes() == expected and g_coef.tobytes() == coef
             if budget in budgets:
                 size = budget // block.space.j.nbytes
-                assert len(picse._chunks(m, block.space.j.nbytes)) == -(-m // size)
-        # the panel budgets take one-column chunks and ragged row blocks
-        assert len(picse._chunks(m, block.space.j.nbytes)) == m
-        assert m % picse._row_block(x_bytes)
+                assert len(matops.chunks(m, block.space.j.nbytes)) == -(-m // size)
+        # the panel budgets take one-column chunks and ragged row blocks of
+        # B^T, whose rows have x_bytes: 16 of them, the least coords takes
+        assert len(matops.chunks(m, block.space.j.nbytes)) == m
+        assert matops.STACK_BYTES < 16 * x_bytes and m % 16
 
     @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
     def test_a_coords_in_row_blocks(self, dims, monkeypatch):
-        # coords in row blocks of B^T by the _STACK_BYTES rule, ragged or one
-        # block, keeps each coordinate's bits of one whole-B gemv per vector
+        # coords in row blocks of B^T by the STACK_BYTES rule (a multiple of
+        # 16 rows, at least 16), ragged or one block, keeps each coordinate's
+        # bits of one whole-B gemv per vector
         space = cg.RankTangentSpace(cg.random_core_factor(dims, seed=59), dims)
         m, row_bytes = space.basis.shape[1], space.basis[:, 0].nbytes
         x = np.random.default_rng(60).standard_normal((5, len(space.basis)))
         gemv = np.array([space.basis.T @ xi for xi in x])
         blocks = []
         for size in (1, 15, 17, 33, 64):
-            monkeypatch.setattr(picse, "_STACK_BYTES", size * row_bytes)
-            rows = picse._row_block(row_bytes)
-            assert rows % 16 == 0 and rows >= 16
-            blocks.append(rows)
-            assert space.coords(x, rows).tobytes() == gemv.tobytes()
-            assert space.coords(x[0], rows).tobytes() == gemv[0].tobytes()
+            monkeypatch.setattr(matops, "STACK_BYTES", size * row_bytes)
+            blocks.append(max(16, size // 16 * 16))
+            assert space.coords(x).tobytes() == gemv.tobytes()
+            assert space.coords(x[0]).tobytes() == gemv[0].tobytes()
         assert any(rows < m and m % rows for rows in blocks)
+        assert any(rows >= m for rows in blocks)
 
     def test_a_derivatives_write_j_into_one_scratch(self, monkeypatch):
         # every J(V) of one derivatives() call goes into one prepared scratch
@@ -410,7 +411,7 @@ class TestBlockDerivativeBits:
             outs.append(out)
             return j_operator(a, dims, out=out)
 
-        monkeypatch.setattr(picse, "_STACK_BYTES", 4 * block.space.j.nbytes)
+        monkeypatch.setattr(matops, "STACK_BYTES", 4 * block.space.j.nbytes)
         monkeypatch.setattr(cg, "j_operator", recorded)
         block.derivatives()
         m = block.space.basis.shape[1]
@@ -940,6 +941,15 @@ class TestFit:
             + np.linalg.slogdet(sigma_hat)[1]
         )
         assert abs(trace.objectives[-1] - direct) < 1e-8
+
+    def test_data_of_tiny_scale(self):
+        # det of init's square-root factors and of the flip-flop's K1 would
+        # underflow at data x 1e-45 (p = 12)
+        dims = matops.Dims(4, 3, 3)
+        data = simulate.gen_data(simulate.gen_truth("m2", dims, 0.2, seed=1).sigma, 24, 2, dims)
+        tau, _, trace = picse.fit(1e-45 * data, dims)
+        assert trace.termination == "converged"
+        tau.validate()
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 3)])

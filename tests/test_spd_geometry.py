@@ -189,6 +189,8 @@ def test_check_chol_point(rng):
         sg.check_chol_point(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         sg.check_chol_point(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        sg.check_chol_point(np.eye(2, 3))
 
 
 def test_bases_are_orthonormal(rng):
