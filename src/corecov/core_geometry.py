@@ -195,6 +195,9 @@ class RankTangentSpace:
         """The p x r matrix with vec B coef."""
         return (self.basis @ coef).reshape(self.shape, order="F")
 
+    def norm(self, v):
+        return float(np.linalg.norm(v))
+
     def normal_weights(self, egrad):
         """w = (J^+)^T J^+ J vec(egrad), with J^+ = V_r S_r^-1 U_r^T formed per call."""
         u, s, vt = self._range

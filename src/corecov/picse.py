@@ -263,9 +263,9 @@ def sigma_from_params(tau):
 # ---------------------------------------------------------------------------
 
 class _KBlock:
-    """K1bar (side 1) or K2bar (side 2) as a parameter block: a unit-determinant
-    SPD point under the affine-invariant metric, or a unit-determinant Cholesky
-    point under the Cholesky metric, with a basis orthonormal in that metric.
+    """K1bar (side 1) or K2bar (side 2) as a parameter block: the likelihood's
+    Euclidean gradient and Hessian action in the factor, and its tangent
+    space, a spd_geometry.UnitDetTangentSpace under the h_kind's metric.
 
     The Euclidean gradient and Hessian of the likelihood share one pattern for
     both sides once the whitened observations are transposed: side 1 works
@@ -276,21 +276,9 @@ class _KBlock:
     def __init__(self, base, data, side):
         self.base, tau = base, base.tau
         self.name = "k1bar" if side == 1 else "k2bar"
-        self.point = getattr(tau, self.name)
-        if tau.h_kind is SquareRootKind.CHOLESKY:
-            self.basis = spd_geometry.chol_unitdet_basis(self.point)
-            self._inner = spd_geometry.chol_inner
-            self._grad_hess = spd_geometry.chol_grad_hess
-            self._proj = spd_geometry.proj_unitdet_chol
-            self._exp = spd_geometry.chol_exp
-            self.f = np.tril
-        else:
-            self.basis = spd_geometry.ai_unitdet_basis(self.point)
-            self._inner = spd_geometry.ai_inner
-            self._grad_hess = spd_geometry.ai_grad_hess
-            self._proj = spd_geometry.proj_unitdet_spd
-            self._exp = spd_geometry.ai_exp
-            self.f = matops.sym
+        point = getattr(tau, self.name)
+        cholesky = tau.h_kind is SquareRootKind.CHOLESKY
+        self.space = spd_geometry.UnitDetTangentSpace(point, cholesky)
 
         dims = tau.dims
         data = np.asarray(data, dtype=float)
@@ -307,9 +295,9 @@ class _KBlock:
             z, umats = z.transpose(0, 2, 1), umats.transpose(0, 2, 1)
         self.e, self.umats = z, umats
         self.alpha = spec.alpha
-        self.kb_inv = np.linalg.inv(self.point)
+        self.kb_inv = np.linalg.inv(point)
         self.q_mat = np.einsum("nab,ncb->ac", self.e, self.e)
-        # V-free factors of hess(): K^-T K^-1, K^-T Q and K^-T U_j
+        # V-free factors of grad() and hess(): K^-T K^-1, K^-T Q and K^-T U_j
         ki_t = self.kb_inv.T
         self.kk, self.kq = ki_t @ self.kb_inv, ki_t @ self.q_mat
         self.ku = np.einsum("ab,jbc->jac", ki_t, self.umats)
@@ -323,26 +311,27 @@ class _KBlock:
 
     def grad(self):
         """Euclidean gradient of the likelihood in the factor."""
-        ki_t = self.kb_inv.T
-        out = -self.c0 * self.f(ki_t @ self.q_mat)
+        f = self.space.part
         cross = np.einsum(
             "j,jab->ab",
             self.alpha,
-            np.einsum("ab,jbc,jdc->jad", ki_t, self.umats, self.g_acc),
+            np.einsum("ab,jbc,jdc->jad", self.kb_inv.T, self.umats, self.g_acc),
         )
-        return out + self.c1 * self.f(cross)
+        return -self.c0 * f(self.kq) + self.c1 * f(cross)
 
     def hess(self, v):
         """Euclidean Hessian of the likelihood in the factor, applied to V.
 
         A (k, q, q) stack of V gives the stack of actions, each with the bits
-        of its own call; it builds a (k, n, q, q') temporary.
+        of its own call; each matops.chunks chunk builds a (k, n, q, q') temporary.
         """
-        ki = self.kb_inv
-        ki_t = ki.T
         v = np.asarray(v, dtype=float)
+        pieces = matops.chunks(len(v), self.e.nbytes) if v.ndim == 3 else []
+        if len(pieces) > 1:
+            return np.concatenate([self.hess(v[rows]) for rows in pieces])
+        ki, ki_t, f = self.kb_inv, self.kb_inv.T, self.space.part
         vt = v.swapaxes(-1, -2)
-        term1 = self.c0 * self.f(
+        term1 = self.c0 * f(
             ki_t @ vt @ ki_t @ self.q_mat
             + self.kq @ vt @ ki_t
             + self.kk @ v @ self.q_mat
@@ -352,7 +341,7 @@ class _KBlock:
             "jab,...nab->...jn", self.umats, np.einsum("...ab,nbc->...nac", kv, self.e)
         )
         h_acc = np.einsum("...jn,nab->...jab", s, self.e)
-        term2 = -self.c1 * self.f(
+        term2 = -self.c1 * f(
             np.einsum(
                 "j,...jab->...ab",
                 self.alpha,
@@ -362,40 +351,19 @@ class _KBlock:
         part_a = np.einsum("...ab,jbc,jdc->...jad", ki_t @ vt, self.ku, self.g_acc)
         kvg = np.einsum("...ab,jbc->...jac", kv, self.g_acc)
         part_b = np.einsum("jab,...jcb->...jac", self.ku, kvg)
-        term3 = -self.c1 * self.f(
+        term3 = -self.c1 * f(
             np.einsum("j,...jab->...ab", self.alpha, part_a + part_b)
         )
         return term1 + term2 + term3
 
-    def norm(self, v):
-        return float(np.sqrt(self._inner(self.point, v, v)))
-
-    def derivatives(self):
-        """Riemannian gradient, its coordinates in the basis, and the
-        Riemannian Hessian in the basis, row i the image of basis[i]."""
-        ehess = np.empty_like(self.basis)
-        for rows in matops.chunks(len(self.basis), self.e.nbytes):
-            ehess[rows] = self.hess(self.basis[rows])
-        rgrad, rhess = self._grad_hess(self.point, self.egrad, ehess, self.basis)
-        rgrad, rhess = self._proj(self.point, rgrad), self._proj(self.point, rhess)
-        # each row of h_mat pairs one image with the whole basis
-        h_mat = np.empty((len(rhess), len(self.basis)))
-        for rows in matops.chunks(len(rhess), self.basis.nbytes):
-            h_mat[rows] = self._inner(self.point, rhess[rows, None], self.basis)
-        return rgrad, self._inner(self.point, rgrad, self.basis), h_mat
-
-    def tangent(self, coef):
-        return sum(c * b for c, b in zip(coef, self.basis))
-
     def retract(self, v):
-        point = self._exp(self.point, v, unit_det=True)
-        return self.base.replace(**{self.name: point})
+        return self.base.replace(**{self.name: self.space.exp(v)})
 
 
 class _ABlock:
-    """The core factor A as a parameter block: the fixed-rank core-factor
-    manifold under the Euclidean metric, coordinates in an orthonormal basis
-    of N(J(A)), and the eigen-truncated core retraction."""
+    """The core factor A as a parameter block: the likelihood's Euclidean
+    gradient and Hessian action in A, its tangent space N(J(A)) (a
+    core_geometry.RankTangentSpace) and the eigen-truncated core retraction."""
 
     def __init__(self, base):
         self.base, tau = base, base.tau
@@ -427,17 +395,6 @@ class _ABlock:
         out -= 2.0 * (1.0 - lam) ** 2 * ipia
         return out
 
-    def norm(self, v):
-        return float(np.linalg.norm(v))
-
-    def derivatives(self):
-        """Riemannian gradient, its coordinates B^T vec(egrad), and the
-        Riemannian Hessian in the basis B, column i its action on B[:, i]."""
-        return self.space.newton_system(self.egrad, self.hess)
-
-    def tangent(self, coef):
-        return self.space.tangent(coef)
-
     def retract(self, v):
         tau = self.base.tau
         return self.base.replace(a=retract_core_factor(tau.a, v, tau.dims))
@@ -467,10 +424,11 @@ def _block_step(block, current):
     base point; when the gradient vanishes or nothing helps, the point is the
     block's base point and the norm is 0.
     """
-    rgrad, g_coef, h_mat = block.derivatives()
+    space = block.space
+    rgrad, g_coef, h_mat = space.newton_system(block.egrad, block.hess)
     if np.linalg.norm(g_coef) < 1e-13:
         return block.base, current, 0.0
-    v_newton = block.tangent(_newton_coeffs(h_mat, g_coef))
+    v_newton = space.tangent(_newton_coeffs(h_mat, g_coef))
     # (first step, last e, a failed decrease check halves it while e < this)
     ladders = [(-rgrad, 2 * _MAX_HALVINGS, _MAX_HALVINGS)]
     if np.isfinite(v_newton).all():
@@ -487,7 +445,7 @@ def _block_step(block, current):
             except NUMERICAL_ERRORS:
                 value = np.nan
             if np.isfinite(value) and value <= current:
-                return cand, value, block.norm(step)
+                return cand, value, space.norm(step)
             if e >= retry_below:
                 break
     return block.base, current, 0.0

@@ -4,6 +4,7 @@ plus the unit-determinant submanifolds of both (totally geodesic, so gradients
 and Hessians restrict by orthogonal projection).
 Inner products, Hessian actions and projections broadcast over the leading
 axes of their tangents; each matrix of a stack gets the bits of its own call.
+UnitDetTangentSpace steps through the tangent space of a unit-determinant point.
 """
 
 import numpy as np
@@ -194,3 +195,40 @@ def chol_unitdet_basis(l):
     basis[diag], keep = _gram_schmidt(proj_unitdet_chol(l, basis[diag]),
                                       lambda a, b: _chol_inner_d2(dl2, low, a, b))
     return np.delete(basis, np.delete(diag, keep), axis=0)
+
+
+class UnitDetTangentSpace:
+    """The tangent space at a unit-determinant SPD point under the affine-invariant
+    metric, or (cholesky=True) at a unit-determinant Cholesky point under the
+    Cholesky metric: a metric-orthonormal basis and `part` (matops.sym or np.tril),
+    the map onto the structure of its tangents.  Reads the module functions when built."""
+
+    def __init__(self, point, cholesky):
+        self._inner, self._grad_hess, self._proj, self._exp, basis = (
+            (chol_inner, chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
+            if cholesky else
+            (ai_inner, ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
+        self.point, self.basis = point, basis(point)
+        self.part = np.tril if cholesky else matops.sym
+
+    def newton_system(self, egrad, ehess):
+        """The Riemannian gradient, its coordinates in the basis, and the
+        Riemannian Hessian in the basis, row i the image of basis[i]; ehess
+        maps the (m, q, q) basis to the stack of Euclidean Hessian actions."""
+        x, basis = self.point, self.basis
+        rgrad, rhess = self._grad_hess(x, egrad, ehess(basis), basis)
+        rgrad, rhess = self._proj(x, rgrad), self._proj(x, rhess)
+        # each row of h_mat pairs one image with the whole basis
+        h_mat = np.empty((len(rhess), len(basis)))
+        for rows in matops.chunks(len(rhess), basis.nbytes):
+            h_mat[rows] = self._inner(x, rhess[rows, None], basis)
+        return rgrad, self._inner(x, rgrad, basis), h_mat
+
+    def tangent(self, coef):
+        return sum(c * b for c, b in zip(coef, self.basis))
+
+    def norm(self, v):
+        return float(np.sqrt(self._inner(self.point, v, v)))
+
+    def exp(self, v):
+        return self._exp(self.point, v, unit_det=True)

@@ -194,17 +194,13 @@ def test_check_chol_point(rng):
 
 
 def test_bases_are_orthonormal(rng):
-    s = unit_det_spd(4, rng)
-    basis = sg.ai_unitdet_basis(s)
-    assert len(basis) == 4 * 5 // 2 - 1
-    gram = np.array([[sg.ai_inner(s, a, b) for b in basis] for a in basis])
-    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
-
-    l = unit_det_chol(4, rng)
-    basis = sg.chol_unitdet_basis(l)
-    assert len(basis) == 4 * 5 // 2 - 1
-    gram = np.array([[sg.chol_inner(l, a, b) for b in basis] for a in basis])
-    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
+    # the tangent spaces' bases, orthonormal in their metrics
+    for cholesky, point, inner in ((False, unit_det_spd(4, rng), sg.ai_inner),
+                                   (True, unit_det_chol(4, rng), sg.chol_inner)):
+        basis = sg.UnitDetTangentSpace(point, cholesky).basis
+        assert len(basis) == 4 * 5 // 2 - 1
+        gram = np.array([[inner(point, a, b) for b in basis] for a in basis])
+        assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
 
 
 def left_looking_gram_schmidt(cands, inner):
@@ -331,3 +327,38 @@ class TestBroadcastOverStacks:
         s = unit_det_spd(4, rng)
         assert sg.ai_unitdet_basis(s).shape == (9, 4, 4)
         assert sg.chol_unitdet_basis(np.linalg.cholesky(s)).shape == (9, 4, 4)
+
+
+class TestUnitDetTangentSpace:
+    # (point, inner product, unit-determinant projection) of each metric
+    KINDS = {False: (unit_det_spd, sg.ai_inner, sg.proj_unitdet_spd),
+             True: (unit_det_chol, sg.chol_inner, sg.proj_unitdet_chol)}
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    @pytest.mark.parametrize("q", [2, 4, 6])
+    def test_tangent_of_coordinates(self, rng, cholesky, q):
+        # the coordinates of v in the orthonormal basis give back v, once v
+        # has the structure of the space and lies in it
+        make_point, inner, proj = self.KINDS[cholesky]
+        point = make_point(q, rng)
+        space = sg.UnitDetTangentSpace(point, cholesky)
+        v = proj(point, space.part(rng.standard_normal((q, q))))
+        w = space.tangent(inner(point, v, space.basis))
+        assert np.abs(w - v).max() < 1e-10 * np.abs(v).max()
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_norm(self, rng, cholesky):
+        make_point, inner, proj = self.KINDS[cholesky]
+        point = make_point(4, rng)
+        space = sg.UnitDetTangentSpace(point, cholesky)
+        v = proj(point, space.part(rng.standard_normal((4, 4))))
+        assert space.norm(v) ** 2 == pytest.approx(inner(point, v, v), rel=1e-14)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_exp_keeps_unit_det_and_structure(self, rng, cholesky):
+        make_point, inner, proj = self.KINDS[cholesky]
+        space = sg.UnitDetTangentSpace(make_point(4, rng), cholesky)
+        for scale in (0.1, 1.0):
+            x = space.exp(scale * space.tangent(rng.standard_normal(len(space.basis))))
+            assert abs(np.linalg.det(x) - 1.0) < 1e-12
+            assert np.array_equal(space.part(x), x)
