@@ -131,7 +131,7 @@ def spd_eigh(s, what="matrix"):
     """Eigendecomposition (w, q) of the symmetrized input; DefinitenessError
     unless its smallest eigenvalue exceeds PD_RTOL times the largest."""
     w, q = np.linalg.eigh(sym(_check_square(s)))
-    if w[0] <= PD_RTOL * max(w[-1], 0.0):
+    if not w[0] > PD_RTOL * max(w[-1], 0.0):
         raise DefinitenessError(
             f"{what} is not positive definite: min eig {w[0]:.3e}, max {w[-1]:.3e}"
         )

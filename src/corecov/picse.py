@@ -331,8 +331,9 @@ class _KBlock:
             return np.concatenate([self.hess(v[rows]) for rows in pieces])
         ki, ki_t, f = self.kb_inv, self.kb_inv.T, self.space.part
         vt = v.swapaxes(-1, -2)
+        kvt = ki_t @ vt  # K^-T V^T, shared by term1 and part_a
         term1 = self.c0 * f(
-            ki_t @ vt @ ki_t @ self.q_mat
+            kvt @ ki_t @ self.q_mat
             + self.kq @ vt @ ki_t
             + self.kk @ v @ self.q_mat
         )
@@ -348,7 +349,7 @@ class _KBlock:
                 np.einsum("ab,jbc,...jdc->...jad", ki_t, self.umats, h_acc),
             )
         )
-        part_a = np.einsum("...ab,jbc,jdc->...jad", ki_t @ vt, self.ku, self.g_acc)
+        part_a = np.einsum("...ab,jbc,jdc->...jad", kvt, self.ku, self.g_acc)
         kvg = np.einsum("...ab,jbc->...jac", kv, self.g_acc)
         part_b = np.einsum("jab,...jcb->...jac", self.ku, kvg)
         term3 = -self.c1 * f(
@@ -480,7 +481,7 @@ def _top_eigenpairs(core, r, what):
     w, q = np.linalg.eigh(core)
     w = w[::-1][:r]
     q = q[:, ::-1][:, :r]
-    if w[-1] <= matops.PD_RTOL * max(w[0], 1e-300):
+    if not w[-1] > matops.PD_RTOL * max(w[0], 1e-300):
         raise StructureError(f"{what} has rank below r={r}")
     return w, q
 

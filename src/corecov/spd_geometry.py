@@ -23,7 +23,7 @@ def check_chol_point(l):
         raise ConfigError(f"expected square matrix, got {l.shape}")
     if np.abs(np.triu(l, 1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(l).max()):
         raise ConfigError("strict upper triangle is not zero")
-    if np.diag(l).min() <= 0.0:
+    if not np.diag(l).min() > 0.0:
         raise DefinitenessError("Cholesky point needs a strictly positive diagonal")
     return np.tril(l)
 
@@ -46,25 +46,14 @@ def _ai_inner_inv(si, u, v):
     return np.trace(si @ u @ si @ v, axis1=-2, axis2=-1)
 
 
-def ai_exp(sigma, v, unit_det=False):
-    """Geodesic point Sigma^(1/2) expm(Sigma^(-1/2) V Sigma^(-1/2)) Sigma^(1/2).
-
-    With unit_det=True the tangent is first projected onto the trace-free
-    (det-preserving) subspace and the result is renormalized to determinant 1,
-    which stops the slow drift that exact total geodesy would forbid.
-    """
+def ai_exp(sigma, v):
+    """Geodesic point Sigma^(1/2) expm(Sigma^(-1/2) V Sigma^(-1/2)) Sigma^(1/2)."""
     sigma = matops.sym(np.asarray(sigma, dtype=float))
     s_half, s_ihalf = matops.spd_half_powers(sigma, what="SPD base point")
-    v = matops.sym(v)
-    if unit_det:
-        v = proj_unitdet_spd(sigma, v)
-    inner = matops.sym(s_ihalf @ v @ s_ihalf)
+    inner = matops.sym(s_ihalf @ matops.sym(v) @ s_ihalf)
     wi, qi = np.linalg.eigh(inner)
     e = (qi * np.exp(wi)) @ qi.T
-    out = matops.sym(s_half @ e @ s_half)
-    if unit_det:
-        out = out / np.linalg.det(out) ** (1.0 / out.shape[0])
-    return out
+    return matops.sym(s_half @ e @ s_half)
 
 
 def ai_grad_hess(sigma, egrad, ehess_v, v):
@@ -102,18 +91,12 @@ def _chol_inner_d2(dl2, low, u, v):
     return off + np.sum(_diag(u) * _diag(v) / dl2, axis=-1)
 
 
-def chol_exp(l, v, unit_det=False):
+def chol_exp(l, v):
     """Geodesic point floor(L) + floor(V) + D(L) expm(D(V) D(L)^-1)."""
     l = check_chol_point(l)
     v = np.tril(np.asarray(v, dtype=float))
-    if unit_det:
-        v = proj_unitdet_chol(l, v)
     dl = np.diag(l)
-    dv = np.diag(v)
-    out = np.tril(l, -1) + np.tril(v, -1) + np.diag(dl * np.exp(dv / dl))
-    if unit_det:
-        out = out / np.prod(np.diag(out)) ** (1.0 / out.shape[0])
-    return out
+    return np.tril(l, -1) + np.tril(v, -1) + np.diag(dl * np.exp(np.diag(v) / dl))
 
 
 def chol_grad_hess(l, egrad, ehess_v, v):
@@ -208,7 +191,7 @@ class UnitDetTangentSpace:
             (chol_inner, chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
             if cholesky else
             (ai_inner, ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
-        self.point, self.basis = point, basis(point)
+        self.point, self.basis, self._cholesky = point, basis(point), cholesky
         self.part = np.tril if cholesky else matops.sym
 
     def newton_system(self, egrad, ehess):
@@ -231,4 +214,10 @@ class UnitDetTangentSpace:
         return float(np.sqrt(self._inner(self.point, v, v)))
 
     def exp(self, v):
-        return self._exp(self.point, v, unit_det=True)
+        """The unit-determinant step: the geodesic along the projection of v,
+        renormalized to determinant 1, which stops the slow drift that exact
+        total geodesy would forbid."""
+        x = check_chol_point(self.point) if self._cholesky else matops.sym(self.point)
+        out = self._exp(x, self._proj(x, v))
+        det = np.prod(np.diag(out)) if self._cholesky else np.linalg.det(out)
+        return out / det ** (1.0 / out.shape[0])

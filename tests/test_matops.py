@@ -224,6 +224,14 @@ def test_definiteness_errors(rng):
         matops.half(rng.standard_normal((2, 3)))
 
 
+def test_nan_eigenvalue_is_not_positive():
+    # eigh returns a NaN eigenvalue here, which fails every comparison
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for f in (matops.spd_eigh, matops.spd_half_powers, matops.spd_inv_sqrt):
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            f(bad)
+
+
 def test_partial_trace_checks_the_size():
     with pytest.raises(ValueError, match="expected size 6, got 5"):
         matops.weighted_partial_trace_1(np.eye(5), np.eye(2), matops.Dims(3, 2))

@@ -928,6 +928,11 @@ class TestInit:
             with pytest.raises(StructureError, match="sample core has rank below r=4"):
                 picse.init(sc, kind)
 
+    def test_nan_eigenvalue_fails_the_rank_check(self):
+        # eigh returns the NaN as the smallest eigenvalue, the r-th kept here
+        with pytest.raises(StructureError, match="core has rank below r=3"):
+            picse._top_eigenpairs(np.diag([np.nan, 1.0, 2.0]), 3, "core")
+
     def test_consistency_smoke(self):
         # at n = 50 p the assembled initialization is close to the truth; the
         # rank-r truncation of the sample core leaves a small lambda-scaled

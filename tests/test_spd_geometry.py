@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corecov import matops, spd_geometry as sg
-from corecov.errors import DefinitenessError
+from corecov.errors import ConfigError, DefinitenessError
 
 from conftest import rand_lower, rand_spd, rand_sym
 
@@ -38,8 +38,9 @@ class TestAiExp:
     def test_unit_det_stays(self, rng):
         s = unit_det_spd(4, rng)
         v = sg.proj_unitdet_spd(s, rand_sym(4, rng))
+        space = sg.UnitDetTangentSpace(s, cholesky=False)
         for t in (0.2, 0.6, 1.0):
-            out = sg.ai_exp(s, t * v, unit_det=True)
+            out = space.exp(t * v)
             assert abs(np.linalg.det(out) - 1.0) <= 1e-8
 
 
@@ -125,7 +126,7 @@ class TestCholExp:
     def test_unit_det_stays(self, rng):
         l = unit_det_chol(4, rng)
         v = sg.proj_unitdet_chol(l, rand_lower(4, rng))
-        out = sg.chol_exp(l, v, unit_det=True)
+        out = sg.UnitDetTangentSpace(l, cholesky=True).exp(v)
         assert abs(np.linalg.det(out) - 1.0) <= 1e-8
 
 
@@ -185,8 +186,9 @@ class TestProjUnitdetChol:
 
 
 def test_check_chol_point(rng):
-    with pytest.raises(DefinitenessError):
-        sg.check_chol_point(np.diag([1.0, -1.0]))
+    for diag in ([1.0, -1.0], [np.nan, 1.0]):
+        with pytest.raises(DefinitenessError, match="positive diagonal"):
+            sg.check_chol_point(np.diag(diag))
     with pytest.raises(ValueError):
         sg.check_chol_point(np.ones((2, 2)))
     with pytest.raises(ValueError, match="square"):
@@ -357,8 +359,20 @@ class TestUnitDetTangentSpace:
     @pytest.mark.parametrize("cholesky", [False, True])
     def test_exp_keeps_unit_det_and_structure(self, rng, cholesky):
         make_point, inner, proj = self.KINDS[cholesky]
-        space = sg.UnitDetTangentSpace(make_point(4, rng), cholesky)
-        for scale in (0.1, 1.0):
-            x = space.exp(scale * space.tangent(rng.standard_normal(len(space.basis))))
+        point = make_point(4, rng)
+        space = sg.UnitDetTangentSpace(point, cholesky)
+        # the normal direction at the point, which exp projects away
+        normal = np.diag(np.diag(point)) if cholesky else point
+        for scale in (0.1, 0.2, 0.6, 1.0):
+            v = scale * space.tangent(rng.standard_normal(len(space.basis)))
+            x = space.exp(v)
             assert abs(np.linalg.det(x) - 1.0) < 1e-12
             assert np.array_equal(space.part(x), x)
+            assert np.abs(space.exp(v + scale * normal) - x).max() < 1e-12
+
+    def test_exp_rejects_a_cholesky_point_with_an_upper_triangle(self, rng):
+        point = unit_det_chol(4, rng)
+        point[0, 3] = 0.5
+        space = sg.UnitDetTangentSpace(point, cholesky=True)
+        with pytest.raises(ConfigError, match="strict upper triangle"):
+            space.exp(space.tangent(rng.standard_normal(len(space.basis))))
