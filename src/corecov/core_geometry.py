@@ -359,9 +359,11 @@ def balance_core_factor(a, dims):
         s_diags[...] = matops.spd_inv_sqrt(col_gram(a, dims) / p1, what="column Gram")
         a = op_s @ a
         row = row_gram(a, dims)
-        res = gram_residual(row, col_gram(a, dims), targets)
-        if res < _BALANCE_TOL:
+        # the column Gram is formed only once the row part of the residual passes
+        if (np.abs(row - targets[0]).max() < _BALANCE_TOL
+                and np.abs(col_gram(a, dims) - targets[1]).max() < _BALANCE_TOL):
             return a
+    res = gram_residual(row, col_gram(a, dims), targets)
     raise StructureError(f"core-factor balancing stalled at residual {res:.3e}")
 
 

@@ -92,13 +92,19 @@ def kronecker_mle(sigma, dims, psd_check=True):
     number exceeds 1e12 -- the signatures of nonexistence on rank-deficient
     input.
 
-    psd_check=False skips the input eigenvalue gate for near-PSD matrices
-    (retraction intermediates whose trailing spectrum dips slightly below
-    zero); factor positivity is still enforced every sweep.
+    ConfigError on a non-p x p, non-finite or asymmetric input (past
+    RESIDUAL_TOL of the largest entry).  psd_check=False skips these and the
+    eigenvalue gate for retraction intermediates (sym of finite factors, with
+    a spectrum dipping slightly below zero); factor positivity stays checked.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
         raise ConfigError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")
+    if psd_check:
+        if not np.isfinite(sigma).all():
+            raise ConfigError("matrix contains non-finite values")
+        if np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max():
+            raise ConfigError("matrix is not symmetric")
     sigma = matops.sym(sigma)
     if psd_check:
         w = np.linalg.eigvalsh(sigma)
@@ -146,18 +152,11 @@ def check_h_kind(h_kind):
 
 
 def kcd(sigma, dims, h_kind):
-    """Full Kronecker-core decomposition of a symmetric PSD matrix; ConfigError
-    on non-finite entries or an asymmetry past RESIDUAL_TOL of the largest entry."""
+    """Full Kronecker-core decomposition of a symmetric PSD matrix, behind
+    kronecker_mle's input gate."""
     check_h_kind(h_kind)
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.isfinite(sigma).all():
-        raise ConfigError("matrix contains non-finite values")
-    if sigma.shape == (dims.p, dims.p) and (
-            np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max()):
-        raise ConfigError("matrix is not symmetric")
     sep = kronecker_mle(sigma, dims)
-    sigma = matops.sym(sigma)
-    c = matops.whiten(sep.h_matrix(h_kind), sigma)
+    c = matops.whiten(sep.h_matrix(h_kind), matops.sym(np.asarray(sigma, dtype=float)))
     return KcdResult(k=sep, c=c, h_kind=h_kind)
 
 
@@ -256,11 +255,8 @@ def dk(sigma, v, dims):
     Returns (U1, U2) with tr(S1^-1 U1) = 0; the assembled tangent is
     U2 (x) S1 + S2 (x) U1.
     """
-    sep = kronecker_mle(sigma, dims)
-    sigma = matops.sym(np.asarray(sigma, dtype=float))
-    v = matops.sym(np.asarray(v, dtype=float))
-    c_sym = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
-    return _dk(sep, c_sym, v, dims)
+    dec = kcd(sigma, dims, SquareRootKind.SYMMETRIC)
+    return _dk(dec.k, dec.c, matops.sym(np.asarray(v, dtype=float)), dims)
 
 
 def _dk(sep, c_sym, v, dims):

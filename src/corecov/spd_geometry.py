@@ -217,7 +217,8 @@ class UnitDetTangentSpace:
         """The unit-determinant step: the geodesic along the projection of v,
         renormalized to determinant 1, which stops the slow drift that exact
         total geodesy would forbid."""
-        x = check_chol_point(self.point) if self._cholesky else matops.sym(self.point)
+        # chol_exp checks the point (its projection reads only the diagonal)
+        x = self.point if self._cholesky else matops.sym(self.point)
         out = self._exp(x, self._proj(x, v))
         det = np.prod(np.diag(out)) if self._cholesky else np.linalg.det(out)
         return out / det ** (1.0 / out.shape[0])

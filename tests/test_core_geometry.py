@@ -543,6 +543,21 @@ class TestBalanceCoreFactor:
         grams = cg.row_gram(b, dims), cg.col_gram(b, dims)
         assert cg.gram_residual(*grams, cg.gram_targets(dims)) <= 1e-12
 
+    def test_column_gram_waits_for_the_row_residual(self, monkeypatch):
+        # the residual's column Gram is formed only on the pass whose row part
+        # passes, so a call forms one column Gram per row Gram
+        counts = {"row_gram": 0, "col_gram": 0}
+        for name in counts:
+            def counted(*args, _gram=getattr(cg, name), _name=name):
+                counts[_name] += 1
+                return _gram(*args)
+
+            monkeypatch.setattr(cg, name, counted)
+        dims = matops.Dims(4, 3, 3)
+        a = np.random.default_rng(7).standard_normal((dims.p, dims.r))
+        cg.balance_core_factor(a, dims)
+        assert counts["col_gram"] == counts["row_gram"] > 2
+
     def test_stall_raises(self, monkeypatch):
         monkeypatch.setattr(cg, "_BALANCE_MAX_ITER", 1)
         a = np.random.default_rng(8).standard_normal((12, 3))

@@ -99,6 +99,21 @@ class TestKroneckerMle:
             np.testing.assert_allclose(sep.k1, np.eye(4), rtol=0, atol=1e-12)
             np.testing.assert_allclose(sep.k2, m * np.eye(3), rtol=1e-12, atol=0)
 
+    def test_psd_check_off_takes_a_retraction_intermediate(self):
+        # D = sym(AA^T + AV^T + VA^T) = (A + V)(A + V)^T - VV^T dips below zero:
+        # the retraction's call skips the input gates, the default rejects D
+        dims = matops.Dims(4, 3, 3)
+        a = core_geometry.random_core_factor(dims, 3)
+        v = 0.05 * np.random.default_rng(4).standard_normal(a.shape)
+        d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
+        w = np.linalg.eigvalsh(d)
+        assert w[0] < -matops.RESIDUAL_TOL * w[-1]
+        sep = kcd.kronecker_mle(d, dims, psd_check=False)
+        assert np.linalg.det(sep.k1) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(sep.k2)[0] > 0.0
+        with pytest.raises(DefinitenessError, match="not PSD"):
+            kcd.kronecker_mle(d, dims)
+
     def test_converging_run_skips_objective(self, rng, monkeypatch):
         # the objective is read only to classify a run that hits the sweep cap
         calls = []
@@ -141,6 +156,27 @@ class TestKcd:
         bumped[1, 2] = bumped[2, 1] = np.nan
         with pytest.raises(ConfigError, match="non-finite"):
             kcd.kcd(bumped, DIMS32, SquareRootKind.CHOLESKY)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("nan", "^matrix contains non-finite values$"),
+        ("inf", "^matrix contains non-finite values$"),
+        ("bump", "^matrix is not symmetric$"),
+    ])
+    @pytest.mark.parametrize("op", ["kronecker_mle", "dk", "dc"])
+    def test_every_entry_point_has_the_input_gate(self, op, defect, message):
+        # the gate sits in kronecker_mle, so the differentials inherit kcd's
+        sigma = rand_spd(6, np.random.default_rng(34))
+        if defect == "bump":
+            sigma[0, 1] += 0.1
+        else:
+            sigma[1, 2] = sigma[2, 1] = float(defect)
+        call = {
+            "kronecker_mle": lambda: kcd.kronecker_mle(sigma, DIMS32),
+            "dk": lambda: kcd.dk(sigma, np.eye(6), DIMS32),
+            "dc": lambda: kcd.dc(sigma, np.eye(6), DIMS32, SquareRootKind.CHOLESKY),
+        }[op]
+        with pytest.raises(ConfigError, match=message):
+            call()
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_round_trip_and_core(self, kind, rng):

@@ -376,3 +376,19 @@ class TestUnitDetTangentSpace:
         space = sg.UnitDetTangentSpace(point, cholesky=True)
         with pytest.raises(ConfigError, match="strict upper triangle"):
             space.exp(space.tangent(rng.standard_normal(len(space.basis))))
+
+    def test_cholesky_exp_checks_its_point_once(self, rng, monkeypatch):
+        # chol_exp checks the point; the step does not check it again
+        calls = []
+        check = sg.check_chol_point
+
+        def counted(l):
+            calls.append(l)
+            return check(l)
+
+        monkeypatch.setattr(sg, "check_chol_point", counted)
+        space = sg.UnitDetTangentSpace(unit_det_chol(4, rng), cholesky=True)
+        v = space.tangent(rng.standard_normal(len(space.basis)))
+        calls.clear()
+        space.exp(v)
+        assert len(calls) == 1
