@@ -600,8 +600,33 @@ def init(sample_cov, h_kind):
     )
 
 
+def _exact(point, name, new):
+    """(point, nll, |new - old|) after the exact update of the field `name`."""
+    step = abs(new - getattr(point.tau, name))
+    point = point.replace(**{name: new})
+    return point, point.nll(), step
+
+
+def _sweep(point, value, data):
+    """One sweep from a point of objective `value`: (point, nll, steps), each
+    update (K1bar, K2bar, nu, A, lambda) reading the pieces its predecessor
+    formed.  A numerical failure ends it at the point reached, nll None."""
+    steps = {}
+    try:
+        for side in (1, 2):
+            block = _KBlock(point, data, side)
+            point, value, steps[block.name] = _block_step(block, value)
+        point, value, steps["nu"] = _exact(point, "nu", point.update_nu())
+        point, value, steps["a"] = _block_step(_ABlock(point), value)
+        point, value, steps["lambda"] = _exact(point, "lam", point.update_lambda())
+    except NUMERICAL_ERRORS:
+        return point, None, steps
+    return point, value, steps
+
+
 def fit(data, dims, config=None, initial=None):
-    """Alternating minimization (K1bar, K2bar, nu, A, lambda per sweep).
+    """Alternating minimization: _sweep until the relative change of the
+    objective falls below config.tol, at most config.max_iter times.
 
     Returns (params, assembled covariance estimate, trace).  Invalid input
     and shapes past the dense-size limit (CapacityError) are rejected before
@@ -622,36 +647,16 @@ def fit(data, dims, config=None, initial=None):
         except ValueError as exc:
             raise ConfigError(f"invalid initial parameters: {exc}") from exc
     tau = init(sample_cov, config.h_kind) if initial is None else initial
-
-    # each update reads the pieces its predecessor formed (_ParamPoint)
     point = _ParamPoint(tau, sample_cov)
-    value = point.nll()
-    trace = FitTrace(objectives=[value], step_norms=[], termination="max_iter")
+    trace = FitTrace([point.nll()])
     for _ in range(config.max_iter):
-        prev_value = value
-        steps = {}
-        try:
-            for side in (1, 2):
-                block = _KBlock(point, data, side)
-                point, value, steps[block.name] = _block_step(block, value)
-
-            nu_new = point.update_nu()
-            steps["nu"] = abs(nu_new - point.tau.nu)
-            point = point.replace(nu=nu_new)
-            value = point.nll()
-
-            point, value, steps["a"] = _block_step(_ABlock(point), value)
-
-            lam_new = point.update_lambda()
-            steps["lambda"] = abs(lam_new - point.tau.lam)
-            point = point.replace(lam=lam_new)
-            value = point.nll()
-        except NUMERICAL_ERRORS:
+        point, value, steps = _sweep(point, trace.objectives[-1], data)
+        if value is None:
             trace.termination = "numerical"
             break
         trace.objectives.append(value)
         trace.step_norms.append(steps)
-        if abs(prev_value - value) / max(abs(value), 1e-300) < config.tol:
+        if abs(trace.objectives[-2] - value) / max(abs(value), 1e-300) < config.tol:
             trace.termination = "converged"
             break
     return point.tau, sigma_from_params(point.tau), trace

@@ -184,13 +184,16 @@ class UnitDetTangentSpace:
     """The tangent space at a unit-determinant SPD point under the affine-invariant
     metric, or (cholesky=True) at a unit-determinant Cholesky point under the
     Cholesky metric: a metric-orthonormal basis and `part` (matops.sym or np.tril),
-    the map onto the structure of its tangents.  Reads the module functions when built."""
+    the map onto the structure of its tangents.  Reads the module functions, and
+    checks a Cholesky point (check_chol_point), when built."""
 
     def __init__(self, point, cholesky):
         self._inner, self._grad_hess, self._proj, self._exp, basis = (
             (chol_inner, chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
             if cholesky else
             (ai_inner, ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
+        if cholesky:  # before the basis divides by the diagonal
+            check_chol_point(point)
         self.point, self.basis, self._cholesky = point, basis(point), cholesky
         self.part = np.tril if cholesky else matops.sym
 

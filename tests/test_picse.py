@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
 from corecov import spd_geometry as sg
 from corecov.errors import NUMERICAL_ERRORS, CapacityError, DefinitenessError
-from corecov.errors import StructureError
+from corecov.errors import NoKroneckerMle, StructureError
 from corecov.kcd import SquareRootKind
 from corecov.picse import FitConfig, PicseParams, SampleCov
 
@@ -976,6 +976,45 @@ class TestStop:
             assert value == pytest.approx(unit.objectives[-1], rel=1e-9)
 
 
+class TestDecomposable:
+    # truths on the paper's singular set: A_i = sqrt(2) diag(B_i, C_i) is an
+    # exactly balanced core factor whose slice graph is disconnected
+    DIMS = matops.Dims(4, 4, 3)
+
+    def truth(self, seed):
+        small = matops.Dims(2, 2, 3)
+        b, c = (cg.slices(cg.random_core_factor(small, (seed, k)), small) for k in (0, 1))
+        t = np.zeros((3, 4, 4))
+        t[:, :2, :2], t[:, 2:, 2:] = b, c
+        a = matops.vec(np.sqrt(2.0) * t).T
+        rng = np.random.default_rng(seed)
+        k1, k2 = (simulate._random_spd_capped(4, rng) for _ in range(2))
+        h = matops.kron(k2, k1)
+        core = 0.8 * (a @ a.T) + 0.2 * np.eye(self.DIMS.p)
+        return a, matops.sym(h @ core @ h.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_truth_drops_the_rank_of_j_by_one(self, seed):
+        a, _ = self.truth(seed)
+        cg.check_core_factor(a, self.DIMS)
+        assert not cg.is_connected_bipartite(cg.slices(a, self.DIMS))
+        rank = cg.RankTangentSpace(a, self.DIMS).rank
+        assert rank == cg.manifold_dims(self.DIMS).j_rank - 1
+
+    @pytest.mark.xfail(strict=True, raises=(StructureError, NoKroneckerMle),
+                       reason="init's rank-r step fails on decomposable cores")
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fit_converges(self, seed, kind):
+        # seed 0 raises NoKroneckerMle in the kcd of the rank-r truncation,
+        # seed 3 StructureError from a balancing stall
+        _, sigma = self.truth(seed)
+        data = simulate.gen_data(sigma, 64, seed + 10, self.DIMS)
+        tau, _, trace = picse.fit(data, self.DIMS, FitConfig(h_kind=kind))
+        assert trace.termination == "converged"
+        tau.validate()
+
+
 class TestFit:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_monotone_and_converged(self, kind):
@@ -1252,6 +1291,45 @@ class TestFit:
         tau.validate()
         assert np.array_equal(sigma_hat, sigma_hat.T)
         assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
+
+
+class TestSweep:
+    DIMS = matops.Dims(4, 3, 3)
+
+    def start(self, kind):
+        truth = simulate.gen_truth("m2", self.DIMS, 0.2, seed=5)
+        data = simulate.gen_data(truth.sigma, 24, seed=6, dims=self.DIMS)
+        sc = SampleCov.from_data(data, self.DIMS)
+        return data, picse._ParamPoint(picse.init(sc, kind), sc)
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_one_sweep_is_one_fit_iteration(self, kind):
+        data, point = self.start(kind)
+        swept, value, steps = picse._sweep(point, point.nll(), data)
+        tau, _, trace = picse.fit(data, self.DIMS, FitConfig(max_iter=1, h_kind=kind),
+                                  initial=point.tau)
+        for name in ("k1bar", "k2bar", "nu", "a", "lam"):
+            got, want = np.asarray(getattr(swept.tau, name)), np.asarray(getattr(tau, name))
+            assert got.tobytes() == want.tobytes()
+        assert value == trace.objectives[-1]
+        # the CLI writes step_norms without sort_keys: the order is output
+        assert list(steps.items()) == list(trace.step_norms[0].items())
+        assert list(steps) == ["k1bar", "k2bar", "nu", "a", "lambda"]
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_failure_returns_the_point_reached(self, kind, monkeypatch):
+        data, point = self.start(kind)
+        start_value = point.nll()
+
+        def fails(point):
+            raise DefinitenessError("injected failure")
+
+        monkeypatch.setattr(picse._ParamPoint, "update_lambda", fails)
+        swept, value, _ = picse._sweep(point, start_value, data)
+        assert value is None
+        assert swept.tau.lam == point.tau.lam and swept.tau.nu != point.tau.nu
+        swept.tau.validate()
+        assert swept.nll() <= start_value
 
 
 EQUIVARIANCE_SHAPES = [

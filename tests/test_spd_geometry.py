@@ -373,9 +373,15 @@ class TestUnitDetTangentSpace:
     def test_exp_rejects_a_cholesky_point_with_an_upper_triangle(self, rng):
         point = unit_det_chol(4, rng)
         point[0, 3] = 0.5
-        space = sg.UnitDetTangentSpace(point, cholesky=True)
+        # the constructor rejects the point before exp can
         with pytest.raises(ConfigError, match="strict upper triangle"):
+            space = sg.UnitDetTangentSpace(point, cholesky=True)
             space.exp(space.tangent(rng.standard_normal(len(space.basis))))
+
+    def test_cholesky_space_rejects_a_zero_diagonal(self):
+        # checked before the basis divides by the diagonal
+        with pytest.raises(DefinitenessError, match="strictly positive diagonal"):
+            sg.UnitDetTangentSpace(np.diag([2.0, 0.0, 0.5]), cholesky=True)
 
     def test_cholesky_exp_checks_its_point_once(self, rng, monkeypatch):
         # chol_exp checks the point; the step does not check it again
