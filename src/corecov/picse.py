@@ -75,6 +75,12 @@ class PicseParams:
         """The full-rank core Ctilde = (1-lambda) A A^T + lambda I."""
         return (1.0 - self.lam) * (self.a @ self.a.T) + self.lam * np.eye(self.dims.p)
 
+    @property
+    def k(self):
+        """The Kronecker component nu^2 Kbar Kbar^T of sigma_from_params."""
+        kbar = self.kbar
+        return self.nu**2 * matops.sym(kbar @ kbar.T)
+
 
 @dataclass(frozen=True)
 class SampleCov:

@@ -163,20 +163,21 @@ def rel_spec_norm(est, truth):
 
 
 # Runners of the study's estimators: (data, config, kind, starts) -> (sigma_hat,
-# core estimate or None to read it off sigma_hat, lambda_hat, termination).
-# Base runs first and leaves its initialization, or its error, in starts[kind].
+# K, C, lambda_hat, termination), where sigma_hat = h(K) C h(K)^T is the split the
+# estimator holds.  Base runs first and leaves its start, or its error, in starts[kind].
 def _kmle(data, config, kind, starts):
     sigma_hat = picse.kmle_estimator(data, config.dims)
-    return sigma_hat, np.eye(config.dims.p), None, "closed_form"
+    return sigma_hat, sigma_hat, np.eye(config.dims.p), None, "closed_form"
 
 
 def _base(data, config, kind, starts):
     try:
-        starts[kind] = picse.init(picse.SampleCov.from_data(data, config.dims), kind)
+        start = picse.init(picse.SampleCov.from_data(data, config.dims), kind)
     except NUMERICAL_ERRORS as exc:
         starts[kind] = exc
         raise
-    return picse.sigma_from_params(starts[kind]), None, None, "closed_form"
+    starts[kind] = start
+    return picse.sigma_from_params(start), start.k, start.ctilde, None, "closed_form"
 
 
 def _picse(data, config, kind, starts):
@@ -184,7 +185,7 @@ def _picse(data, config, kind, starts):
         raise starts[kind]
     fit_config = picse.FitConfig(tol=config.tol, max_iter=config.max_iter, h_kind=kind)
     tau, sigma_hat, trace = picse.fit(data, config.dims, fit_config, initial=starts[kind])
-    return sigma_hat, tau.ctilde, tau.lam, trace.termination
+    return sigma_hat, tau.k, tau.ctilde, tau.lam, trace.termination
 
 
 def run_experiment(config):
@@ -222,12 +223,10 @@ def _run_one(estimator, data, starts, config, truth, truth_cores, rep, n):
     name, kind, runner = estimator
     t0 = time.perf_counter()
     try:
-        sigma_hat, c_hat, lam_hat, termination = runner(data, config, kind, starts)
-        dec = kcd.kcd(sigma_hat, config.dims, kind)
-        c_hat = dec.c if c_hat is None else c_hat
+        sigma_hat, k_hat, c_hat, lam_hat, termination = runner(data, config, kind, starts)
         metrics = {
             "metric_sigma": rel_spec_norm(sigma_hat, truth.sigma),
-            "metric_k": rel_spec_norm(dec.k.matrix, truth.k),
+            "metric_k": rel_spec_norm(k_hat, truth.k),
             "metric_c": rel_spec_norm(c_hat, truth_cores[kind]),
         }
     except NUMERICAL_ERRORS as exc:

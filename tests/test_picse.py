@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
@@ -1330,6 +1331,69 @@ class TestSweep:
         assert swept.tau.lam == point.tau.lam and swept.tau.nu != point.tau.nu
         swept.tau.validate()
         assert swept.nll() <= start_value
+
+
+class TestOptimumOracle:
+    """A fit at a tight tol against an independent constrained optimizer:
+    scipy's trust-constr on the symmetric-root likelihood, over the upper
+    triangles of the trace-free logs of K1bar and K2bar (the last diagonal
+    entry is minus the others), log nu, logit lambda and A, subject to the
+    core-factor Gram constraints, from picse.init.  The same fits stopped at
+    tol 1e-6 miss the oracle by 8e-9 to 5e-8 relative, past the bound."""
+
+    DIMS = matops.Dims(2, 2, 3)
+
+    def unpack(self, x):
+        dims, factors, i = self.DIMS, [], 0
+        for q in (dims.p1, dims.p2):
+            upper = np.triu_indices(q)
+            m = len(upper[0]) - 1
+            log = np.zeros((q, q))
+            log[upper] = np.append(x[i:i + m], 0.0)
+            log = log + np.triu(log, 1).T
+            log[-1, -1] = -np.trace(log)
+            factors.append(matops.sym(scipy.linalg.expm(log)))
+            i += m
+        return PicseParams(
+            k1bar=factors[0], k2bar=factors[1], nu=float(np.exp(x[i])),
+            a=x[i + 2:].reshape(dims.p, dims.r), lam=float(scipy.special.expit(x[i + 1])),
+            h_kind=SquareRootKind.SYMMETRIC, dims=dims,
+        )
+
+    def pack(self, tau):
+        logs = []
+        for k in (tau.k1bar, tau.k2bar):
+            w, v = np.linalg.eigh(k)
+            logs.append(((v * np.log(w)) @ v.T)[np.triu_indices(len(k))][:-1])
+        scalars = [np.log(tau.nu), scipy.special.logit(tau.lam)]
+        return np.concatenate(logs + [scalars, tau.a.ravel()])
+
+    def constraints(self, x):
+        # both Grams have trace tr(A A^T), so the last diagonal entry of the
+        # column part is redundant; with it scipy warns of a singular Jacobian
+        dims = self.DIMS
+        a = x[-dims.p * dims.r:].reshape(dims.p, dims.r)
+        row_target, col_target = cg.gram_targets(dims)
+        row = (cg.row_gram(a, dims) - row_target)[np.triu_indices(dims.p1)]
+        col = (cg.col_gram(a, dims) - col_target)[np.triu_indices(dims.p2)]
+        return np.concatenate([row, col[:-1]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_reaches_the_oracle_optimum(self, seed):
+        dims, kind = self.DIMS, SquareRootKind.SYMMETRIC
+        truth = simulate.gen_truth("m1", dims, 0.3, seed)
+        data = simulate.gen_data(truth.sigma, 12, seed + 1, dims)
+        sc = SampleCov.from_data(data, dims)
+        tau, _, _ = picse.fit(data, dims, FitConfig(tol=1e-12, max_iter=5000, h_kind=kind))
+        oracle = scipy.optimize.minimize(
+            lambda x: picse.nll(self.unpack(x), sc), self.pack(picse.init(sc, kind)),
+            jac="2-point", method="trust-constr",
+            constraints=[scipy.optimize.NonlinearConstraint(self.constraints, 0.0, 0.0)],
+            options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 3000},
+        )
+        assert oracle.status in (1, 2)
+        assert np.abs(self.constraints(oracle.x)).max() < 1e-10
+        assert picse.nll(tau, sc) <= oracle.fun + 1e-9 * abs(oracle.fun)
 
 
 EQUIVARIANCE_SHAPES = [

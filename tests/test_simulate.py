@@ -185,6 +185,26 @@ class TestRunExperiment:
             "picse-sym": "error:StructureError", "picse-chol": "error:StructureError",
         }
 
+    def test_scoring_decomposes_no_estimate(self, monkeypatch):
+        # each runner returns the split it holds: the study decomposes the
+        # truth once per root and the sample twice per root in picse.init
+        # (11 when every estimate was decomposed again for its score)
+        calls = {"kcd": 0}
+        decompose = kcd.kcd
+
+        def counted_kcd(*args, **kwargs):
+            calls["kcd"] += 1
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(kcd, "kcd", counted_kcd)
+        config = ExperimentConfig(
+            model="m1", dims=matops.Dims(2, 2, 3), lam=0.2, n_list=(8,), reps=1, seed=5,
+            h_kinds=(SquareRootKind.SYMMETRIC, SquareRootKind.CHOLESKY),
+        )
+        records, _ = simulate.run_experiment(config)
+        assert not any(r.failed for r in records)
+        assert calls == {"kcd": 6}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(model="m3", dims=DIMS, lam=0.5, n_list=(8,), reps=1, seed=0)
@@ -238,3 +258,32 @@ class TestRunExperiment:
         assert config.n_list == (8,) and type(config.n_list[0]) is int
         assert type(config.reps) is int
         json.dumps(simulate._summarize(config, []))
+
+
+def _max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestScoringSplit:
+    """The core covariance decomposition is unique (Hoff, McCormack & Zhang
+    2023), so the (K, C) split each runner returns for its sigma_hat is the
+    one kcd finds: for KMLE K = sigma_hat and C = I; for Base and PICSE
+    K = nu^2 Kbar Kbar^T and C = Ctilde."""
+
+    @pytest.mark.parametrize("dims, n", [
+        (matops.Dims(6, 4, 3), 12), (matops.Dims(4, 3, 3), 6),
+    ], ids=["6x4-n12", "4x3-n6"])
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runner_split_is_the_kcd(self, dims, n, kind, seed):
+        config = ExperimentConfig(
+            model="m2", dims=dims, lam=0.2, n_list=(n,), reps=1, seed=seed, h_kinds=(kind,),
+        )
+        truth = simulate.gen_truth("m2", dims, 0.2, seed)
+        data = simulate.gen_data(truth.sigma, n, seed + 10, dims)
+        starts = {}
+        for runner in (simulate._kmle, simulate._base, simulate._picse):
+            sigma_hat, k_hat, c_hat, _, _ = runner(data, config, kind, starts)
+            dec = kcd.kcd(sigma_hat, dims, kind)
+            assert _max_rel(k_hat, dec.k.matrix) < 1e-10, runner.__name__
+            assert _max_rel(c_hat, dec.c) < 1e-10, runner.__name__
