@@ -68,7 +68,7 @@ def check_core_factor(a, dims):
     if a.shape != (dims.p, dims.r):
         raise ConfigError(f"expected {dims.p}x{dims.r}, got {a.shape}")
     res = gram_residual(row_gram(a, dims), col_gram(a, dims), gram_targets(dims))
-    if res > matops.RESIDUAL_TOL:
+    if not res <= matops.RESIDUAL_TOL:  # a NaN residual fails too
         raise StructureError(
             f"core-factor residual {res:.3e} > {matops.RESIDUAL_TOL:.1e}"
         )
@@ -84,7 +84,7 @@ def check_core_matrix(c, dims):
     traces = (matops.weighted_partial_trace_1(c, np.eye(dims.p2), dims),
               matops.weighted_partial_trace_2(c, np.eye(dims.p1), dims))
     res = gram_residual(*traces, gram_targets(dims))
-    if res > matops.RESIDUAL_TOL:
+    if not res <= matops.RESIDUAL_TOL:  # a NaN residual fails too
         raise StructureError(
             f"partial-trace residual {res:.3e} > {matops.RESIDUAL_TOL:.1e}"
         )

@@ -91,7 +91,8 @@ class SampleCov:
 
     @classmethod
     def from_data(cls, data, dims):
-        """ConfigError unless the data are (n, p1, p2), n >= 2, all finite."""
+        """ConfigError unless the data are (n, p1, p2), n >= 2, all finite,
+        with finite second moments."""
         data = np.asarray(data, dtype=float)
         p1, p2 = dims.p1, dims.p2
         if data.ndim != 3 or data.shape[1:] != (p1, p2):
@@ -102,7 +103,11 @@ class SampleCov:
         if not np.isfinite(data).all():
             raise ConfigError("data contain non-finite values")
         ymat = matops.vec(data)
-        return cls(s=matops.sym(ymat.T @ ymat / n), dims=dims)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = matops.sym(ymat.T @ ymat / n)
+        if not np.isfinite(s).all():
+            raise ConfigError("second moments of the data overflow; rescale the data")
+        return cls(s=s, dims=dims)
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,8 @@ def sigma_from_params(tau):
 class _KBlock:
     """K1bar (side 1) or K2bar (side 2) as a parameter block: the likelihood's
     Euclidean gradient and Hessian action in the factor, and its tangent
-    space, a spd_geometry.UnitDetTangentSpace under the h_kind's metric.
+    space, a spd_geometry.UnitDetTangentSpace under the h_kind's metric, whose
+    inverse of the factor both derivatives read.
 
     The Euclidean gradient and Hessian of the likelihood share one pattern for
     both sides once the whitened observations are transposed: side 1 works
@@ -282,9 +288,8 @@ class _KBlock:
     def __init__(self, base, data, side):
         self.base, tau = base, base.tau
         self.name = "k1bar" if side == 1 else "k2bar"
-        point = getattr(tau, self.name)
         cholesky = tau.h_kind is SquareRootKind.CHOLESKY
-        self.space = spd_geometry.UnitDetTangentSpace(point, cholesky)
+        self.space = spd_geometry.UnitDetTangentSpace(getattr(tau, self.name), cholesky)
 
         dims = tau.dims
         data = np.asarray(data, dtype=float)
@@ -301,12 +306,11 @@ class _KBlock:
             z, umats = z.transpose(0, 2, 1), umats.transpose(0, 2, 1)
         self.e, self.umats = z, umats
         self.alpha = spec.alpha
-        self.kb_inv = np.linalg.inv(point)
         self.q_mat = np.einsum("nab,ncb->ac", self.e, self.e)
         # V-free factors of grad() and hess(): K^-T K^-1, K^-T Q and K^-T U_j
-        ki_t = self.kb_inv.T
-        self.kk, self.kq = ki_t @ self.kb_inv, ki_t @ self.q_mat
-        self.ku = np.einsum("ab,jbc->jac", ki_t, self.umats)
+        ki = self.space.inverse
+        self.kk, self.kq = ki.T @ ki, ki.T @ self.q_mat
+        self.ku = np.einsum("ab,jbc->jac", ki.T, self.umats)
         # t[j, i] = trace of the cross-term W_{side,i,j}
         self.t = np.einsum("jab,nab->jn", self.umats, self.e)
         # G[j] = sum_i t[j, i] E_i
@@ -321,7 +325,7 @@ class _KBlock:
         cross = np.einsum(
             "j,jab->ab",
             self.alpha,
-            np.einsum("ab,jbc,jdc->jad", self.kb_inv.T, self.umats, self.g_acc),
+            np.einsum("ab,jbc,jdc->jad", self.space.inverse.T, self.umats, self.g_acc),
         )
         return -self.c0 * f(self.kq) + self.c1 * f(cross)
 
@@ -335,7 +339,8 @@ class _KBlock:
         pieces = matops.chunks(len(v), self.e.nbytes) if v.ndim == 3 else []
         if len(pieces) > 1:
             return np.concatenate([self.hess(v[rows]) for rows in pieces])
-        ki, ki_t, f = self.kb_inv, self.kb_inv.T, self.space.part
+        ki, f = self.space.inverse, self.space.part
+        ki_t = ki.T
         vt = v.swapaxes(-1, -2)
         kvt = ki_t @ vt  # K^-T V^T, shared by term1 and part_a
         term1 = self.c0 * f(

@@ -7,6 +7,8 @@ axes of their tangents; each matrix of a stack gets the bits of its own call.
 UnitDetTangentSpace steps through the tangent space of a unit-determinant point.
 """
 
+import functools
+
 import numpy as np
 
 from . import matops
@@ -21,6 +23,9 @@ def check_chol_point(l):
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ConfigError(f"expected square matrix, got {l.shape}")
+    # the triangle bound below lets a non-finite entry through
+    if not np.isfinite(l[~np.eye(len(l), dtype=bool)]).all():
+        raise ConfigError("Cholesky point has a non-finite entry off the diagonal")
     if np.abs(np.triu(l, 1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(l).max()):
         raise ConfigError("strict upper triangle is not zero")
     if not np.diag(l).min() > 0.0:
@@ -183,17 +188,25 @@ def chol_unitdet_basis(l):
 class UnitDetTangentSpace:
     """The tangent space at a unit-determinant SPD point under the affine-invariant
     metric, or (cholesky=True) at a unit-determinant Cholesky point under the
-    Cholesky metric: a metric-orthonormal basis and `part` (matops.sym or np.tril),
-    the map onto the structure of its tangents.  Reads the module functions, and
-    checks a Cholesky point (check_chol_point), when built."""
+    Cholesky metric: a metric-orthonormal basis, the point's `inverse`, and
+    `part` (matops.sym or np.tril), the map onto the structure of its tangents.
+    Reads the module functions, checks a Cholesky point (check_chol_point), and
+    binds its metric to the point, when built."""
 
     def __init__(self, point, cholesky):
-        self._inner, self._grad_hess, self._proj, self._exp, basis = (
-            (chol_inner, chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
+        self._grad_hess, self._proj, self._exp, basis = (
+            (chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
             if cholesky else
-            (ai_inner, ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
-        if cholesky:  # before the basis divides by the diagonal
+            (ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
+        if cholesky:  # before the inverse and the basis divide by the diagonal
             check_chol_point(point)
+        self.inverse = np.linalg.inv(point)
+        # bound to the point's arrays, not to self, so no reference cycle
+        # keeps the space alive past its last user
+        self._inner = (
+            functools.partial(_chol_inner_d2, np.diag(point) ** 2,
+                              np.tri(len(point), k=-1, dtype=bool))
+            if cholesky else functools.partial(_ai_inner_inv, self.inverse))
         self.point, self.basis, self._cholesky = point, basis(point), cholesky
         self.part = np.tril if cholesky else matops.sym
 
@@ -207,14 +220,14 @@ class UnitDetTangentSpace:
         # each row of h_mat pairs one image with the whole basis
         h_mat = np.empty((len(rhess), len(basis)))
         for rows in matops.chunks(len(rhess), basis.nbytes):
-            h_mat[rows] = self._inner(x, rhess[rows, None], basis)
-        return rgrad, self._inner(x, rgrad, basis), h_mat
+            h_mat[rows] = self._inner(rhess[rows, None], basis)
+        return rgrad, self._inner(rgrad, basis), h_mat
 
     def tangent(self, coef):
         return sum(c * b for c, b in zip(coef, self.basis))
 
     def norm(self, v):
-        return float(np.sqrt(self._inner(self.point, v, v)))
+        return float(np.sqrt(self._inner(v, v)))
 
     def exp(self, v):
         """The unit-determinant step: the geodesic along the projection of v,

@@ -509,6 +509,21 @@ class TestCheckCoreFactor:
         with pytest.raises(StructureError, match="partial-trace residual"):
             cg.check_core_matrix(2.0 * np.eye(6), DIMS324)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 1), (0, 0)])
+    def test_rejects_non_finite_entries(self, bad, entry):
+        # a NaN residual passed `res > tol`: the factor reached the SVD (which
+        # raised LinAlgError) and the core matrix was accepted
+        a = cg.random_core_factor(DIMS324, seed=5)
+        a[entry] = bad
+        with pytest.raises(StructureError, match="core-factor residual"):
+            cg.check_core_factor(a, DIMS324)
+        c = cg.random_core_factor(DIMS324, seed=5)
+        c = c @ c.T
+        c[entry] = c[entry[::-1]] = bad
+        with pytest.raises(StructureError, match="partial-trace residual"):
+            cg.check_core_matrix(c, DIMS324)
+
 
 class TestBalanceCoreFactor:
     @pytest.mark.parametrize(

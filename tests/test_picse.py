@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
 from corecov import spd_geometry as sg
-from corecov.errors import NUMERICAL_ERRORS, CapacityError, DefinitenessError
+from corecov.errors import NUMERICAL_ERRORS, CapacityError, ConfigError, DefinitenessError
 from corecov.errors import NoKroneckerMle, StructureError
 from corecov.kcd import SquareRootKind
 from corecov.picse import FitConfig, PicseParams, SampleCov
@@ -264,6 +264,29 @@ class TestKBlockMatchesOperator:
                 assert np.array_equal(h_mat[i], [inner(x, h, c) for c in space.basis])
 
 
+class TestKBlockInverse:
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (12, 10, 6)])
+    def test_one_inverse_per_point(self, kind, shape, monkeypatch):
+        # a K block and its step invert the block's point twice under the
+        # symmetric root (the space's inverse and ai_unitdet_basis's Gram-Schmidt)
+        # and once under Cholesky; the blocks read the space's inverse
+        dims = matops.Dims(*shape)
+        tau = make_tau(kind, 49, dims=dims)
+        data = make_data(50, n=2 * dims.p, dims=dims)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(m.tobytes()) or inv(m))
+        for side in (1, 2):
+            point = getattr(tau, "k1bar" if side == 1 else "k2bar")
+            inverted.clear()
+            block = k_block(tau, data, side)
+            block_step(block)
+            limit = 1 if kind is SquareRootKind.CHOLESKY else 2
+            assert inverted.count(point.tobytes()) <= limit
+            assert block.space.inverse.tobytes() == inv(point).tobytes()
+
+
 def a_grad_reference(block):
     """_ABlock.grad as its formula reads, every Ctilde^-1 applied in place."""
     inv, lam = block.spec.inv_apply, block.base.tau.lam
@@ -287,7 +310,7 @@ def a_hess_reference(block, v):
 
 def k_grad_reference(block):
     """_KBlock.grad as its formula reads."""
-    ki_t = block.kb_inv.T
+    ki_t = block.space.inverse.T
     cross = np.einsum(
         "j,jab->ab",
         block.alpha,
@@ -299,7 +322,7 @@ def k_grad_reference(block):
 
 def k_hess_reference(block, v):
     """_KBlock.hess as its formula reads, every K^-1 product formed in place."""
-    ki = block.kb_inv
+    ki = block.space.inverse
     ki_t, f, alpha = ki.T, block.space.part, block.alpha
     term1 = block.c0 * f(
         ki_t @ v.T @ ki_t @ block.q_mat
@@ -1035,6 +1058,28 @@ class TestFit:
             + np.linalg.slogdet(sigma_hat)[1]
         )
         assert abs(trace.objectives[-1] - direct) < 1e-8
+
+    def test_data_whose_second_moments_overflow(self):
+        # at data x 1e160 (p = 6, n = 12) Y^T Y overflowed with a RuntimeWarning,
+        # then kronecker_mle rejected a non-finite matrix the user never gave
+        y = np.random.default_rng(0).standard_normal((12, 3, 2))
+        with pytest.raises(ConfigError, match="second moments of the data overflow"):
+            picse.fit(1e160 * y, DIMS)
+        _, _, trace = picse.fit(1e150 * y, DIMS)
+        assert trace.termination in ("converged", "max_iter")
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_space_binds_the_metric(self, kind, monkeypatch):
+        # the K blocks' tangent spaces evaluate their bound metric: a fit calls
+        # neither module inner product
+        calls = []
+        for name in ("ai_inner", "chol_inner"):
+            def counted(*args, _inner=getattr(sg, name)):
+                calls.append(args)
+                return _inner(*args)
+            monkeypatch.setattr(sg, name, counted)
+        _, _, trace = picse.fit(make_data(93, n=12), DIMS, FitConfig(h_kind=kind))
+        assert trace.step_norms and calls == []
 
     def test_data_of_tiny_scale(self):
         # det of init's square-root factors and of the flip-flop's K1 would

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,17 @@ def test_check_chol_point(rng):
         sg.check_chol_point(np.eye(2, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
+def test_check_chol_point_rejects_non_finite_off_diagonal(bad, entry):
+    # below the diagonal the point was returned as valid; above it the
+    # triangle bound went to inf or NaN and np.tril dropped the entry
+    l = np.eye(2)
+    l[entry] = bad
+    with pytest.raises(ConfigError, match="non-finite entry off the diagonal"):
+        sg.check_chol_point(l)
+
+
 def test_bases_are_orthonormal(rng):
     # the tangent spaces' bases, orthonormal in their metrics
     for cholesky, point, inner in ((False, unit_det_spd(4, rng), sg.ai_inner),
@@ -379,9 +393,38 @@ class TestUnitDetTangentSpace:
             space.exp(space.tangent(rng.standard_normal(len(space.basis))))
 
     def test_cholesky_space_rejects_a_zero_diagonal(self):
-        # checked before the basis divides by the diagonal
+        # checked before the inverse and the basis divide by the diagonal
         with pytest.raises(DefinitenessError, match="strictly positive diagonal"):
             sg.UnitDetTangentSpace(np.diag([2.0, 0.0, 0.5]), cholesky=True)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_binds_its_metric_to_the_point(self, rng, cholesky, monkeypatch):
+        # the space holds its point's inverse and evaluates its metric with
+        # the bits of the module inner product, which it never calls
+        make_point, inner, proj = self.KINDS[cholesky]
+        point = make_point(4, rng)
+        v = proj(point, (np.tril if cholesky else matops.sym)(rng.standard_normal((4, 4))))
+        want = inner(point, v, v)
+        for name in ("ai_inner", "chol_inner"):
+            monkeypatch.setattr(sg, name, None)
+        space = sg.UnitDetTangentSpace(point, cholesky)
+        assert space.inverse.tobytes() == np.linalg.inv(point).tobytes()
+        assert space.norm(v) == float(np.sqrt(want))
+        space.newton_system(np.zeros((4, 4)), np.zeros_like)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_leaves_no_reference_cycle(self, rng, cholesky):
+        # the bound metric holds the point's arrays, not the space, so the
+        # space dies with its last reference and not at a later GC pass
+        point = self.KINDS[cholesky][0](4, rng)
+        gc.disable()
+        try:
+            space = sg.UnitDetTangentSpace(point, cholesky)
+            ref = weakref.ref(space)
+            del space
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cholesky_exp_checks_its_point_once(self, rng, monkeypatch):
         # chol_exp checks the point; the step does not check it again
