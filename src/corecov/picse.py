@@ -53,14 +53,14 @@ class PicseParams:
             raise StructureError(f"lambda {self.lam} outside (0, 1)")
         if not (0.0 < self.nu < np.inf):
             raise StructureError(f"nu {self.nu} is not positive and finite")
+        check = (spd_geometry.check_chol_point if self.h_kind is SquareRootKind.CHOLESKY
+                 else spd_geometry.check_spd_point)
         for name in ("k1bar", "k2bar"):
             k = getattr(self, name)
-            if self.h_kind is SquareRootKind.CHOLESKY:
-                spd_geometry.check_chol_point(k)
-            elif np.abs(k - k.T).max() > matops.RESIDUAL_TOL * np.abs(k).max():
-                raise StructureError(f"{name} is not symmetric")
-            else:
-                matops.spd_eigh(k, what=name)
+            try:
+                check(k)
+            except ValueError as exc:  # name the factor
+                raise type(exc)(f"{name}: {exc}") from exc
             if abs(np.linalg.det(k) - 1.0) > matops.RESIDUAL_TOL:
                 raise StructureError(f"{name} determinant differs from 1")
         core_geometry.check_core_factor(self.a, self.dims)

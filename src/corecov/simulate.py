@@ -43,6 +43,13 @@ def _rng(seed, *key):
     return np.random.Generator(np.random.Philox(_seq(seed, *key)))
 
 
+def _check_model(model, lam):
+    if model not in ("m1", "m2"):
+        raise ConfigError(f"unknown model {model!r}")
+    if not (0.0 < lam < 1.0):
+        raise ConfigError("lambda must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str  # "m1" | "m2"
@@ -56,10 +63,7 @@ class ExperimentConfig:
     max_iter: int = picse.FitConfig.max_iter
 
     def __post_init__(self):
-        if self.model not in ("m1", "m2"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if not (0.0 < self.lam < 1.0):
-            raise ConfigError("lambda must lie in (0, 1)")
+        _check_model(self.model, self.lam)
         # integers (operator.index), stored as Python ints for summary.json
         reps, seed = operator.index(self.reps), operator.index(self.seed)
         n_list = tuple(map(operator.index, self.n_list))
@@ -121,7 +125,9 @@ def gen_truth(model, dims, lam, seed):
 
     M1: Sigma = K^(1/2) ((1-lam) A A^T + lam I) K^(1/2)T
     M2: the same with I replaced by a random diagonal core D = c(D_tilde).
+    ConfigError unless model is "m1" or "m2" and lam lies in (0, 1).
     """
+    _check_model(model, lam)
     rng = _rng(seed, _TRUTH)
     k1 = _random_spd_capped(dims.p1, rng)
     k2 = _random_spd_capped(dims.p2, rng)

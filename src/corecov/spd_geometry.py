@@ -26,11 +26,25 @@ def check_chol_point(l):
     # the triangle bound below lets a non-finite entry through
     if not np.isfinite(l[~np.eye(len(l), dtype=bool)]).all():
         raise ConfigError("Cholesky point has a non-finite entry off the diagonal")
+    d = np.diag(l)
+    if not (d.min() > 0.0 and d.max() < np.inf):
+        raise DefinitenessError("Cholesky point needs a strictly positive diagonal")
     if np.abs(np.triu(l, 1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(l).max()):
         raise ConfigError("strict upper triangle is not zero")
-    if not np.diag(l).min() > 0.0:
-        raise DefinitenessError("Cholesky point needs a strictly positive diagonal")
     return np.tril(l)
+
+
+def check_spd_point(s):
+    """Validate a finite SPD matrix (asymmetry within RESIDUAL_TOL); return it as is."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ConfigError(f"expected square matrix, got {s.shape}")
+    if not np.isfinite(s).all():
+        raise ConfigError("SPD point has a non-finite entry")
+    if np.abs(s - s.T).max() > matops.RESIDUAL_TOL * np.abs(s).max():
+        raise ConfigError("SPD point is not symmetric")
+    matops.spd_eigh(s, what="SPD point")
+    return s
 
 
 def _diag(m):
@@ -190,16 +204,16 @@ class UnitDetTangentSpace:
     metric, or (cholesky=True) at a unit-determinant Cholesky point under the
     Cholesky metric: a metric-orthonormal basis, the point's `inverse`, and
     `part` (matops.sym or np.tril), the map onto the structure of its tangents.
-    Reads the module functions, checks a Cholesky point (check_chol_point), and
-    binds its metric to the point, when built."""
+    Reads the module functions, checks its point (check_chol_point or
+    check_spd_point), and binds its metric to the point, when built."""
 
     def __init__(self, point, cholesky):
         self._grad_hess, self._proj, self._exp, basis = (
             (chol_grad_hess, proj_unitdet_chol, chol_exp, chol_unitdet_basis)
             if cholesky else
             (ai_grad_hess, proj_unitdet_spd, ai_exp, ai_unitdet_basis))
-        if cholesky:  # before the inverse and the basis divide by the diagonal
-            check_chol_point(point)
+        # before the inverse and the basis read the point
+        (check_chol_point if cholesky else check_spd_point)(point)
         self.inverse = np.linalg.inv(point)
         # bound to the point's arrays, not to self, so no reference cycle
         # keeps the space alive past its last user

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corecov import core_geometry as cg, kcd, matops, picse, simulate
-from corecov.errors import StructureError
+from corecov.errors import ConfigError, StructureError
 from corecov.kcd import SquareRootKind
 from corecov.simulate import ExperimentConfig
 
@@ -42,6 +42,18 @@ class TestGenTruth:
         w1 = np.linalg.eigvalsh(truth.k)
         # the square of a kron of two cond<=50 factors
         assert w1.max() / w1.min() <= (50.0 * 50.0) ** 2
+
+    @pytest.mark.parametrize("model", ["M2", "m3"])
+    def test_unknown_model_rejected(self, model):
+        # "M2" and "m3" returned the M1 truth
+        with pytest.raises(ConfigError, match="^unknown model "):
+            simulate.gen_truth(model, DIMS, 0.2, seed=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, np.nan])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        # 0 gave a singular Sigma, 1 a separable one, nan a NaN Sigma
+        with pytest.raises(ConfigError, match="lambda must lie in"):
+            simulate.gen_truth("m1", DIMS, lam, seed=0)
 
 
 class TestGenData:

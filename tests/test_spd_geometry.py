@@ -209,6 +209,45 @@ def test_check_chol_point_rejects_non_finite_off_diagonal(bad, entry):
         sg.check_chol_point(l)
 
 
+@pytest.mark.parametrize("l", [[[np.inf, 5.0], [0.0, 1.0]], [[np.inf, 0.0], [5.0, 1.0]],
+                               [[1.0, 0.0], [5.0, np.inf]]])
+def test_check_chol_point_rejects_an_infinite_diagonal(l):
+    # +inf passed the diagonal test, and made the triangle bound inf, so the
+    # first point came back with its upper entry dropped
+    with pytest.raises(DefinitenessError, match="strictly positive diagonal"):
+        sg.check_chol_point(l)
+
+
+class TestCheckSpdPoint:
+    def test_returns_the_point_unchanged(self, rng):
+        s = rand_spd(4, rng)
+        # asymmetric at 1e-12 relative, as the roots of spd_half_powers are
+        s[0, 1] += 1e-12 * np.abs(s).max()
+        assert sg.check_spd_point(s) is s
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        s = np.eye(3)
+        s[1, 1] = bad
+        with pytest.raises(ConfigError, match="non-finite entry"):
+            sg.check_spd_point(s)
+
+    def test_rejects_asymmetry_past_the_residual_tolerance(self, rng):
+        s = rand_spd(4, rng)
+        s[0, 1] += 1e-7 * np.abs(s).max()
+        with pytest.raises(ConfigError, match="not symmetric"):
+            sg.check_spd_point(s)
+
+    @pytest.mark.parametrize("diag", [[1.0, 0.0, 1.0], [2.0, -1.0, -0.5]])
+    def test_rejects_a_matrix_not_positive_definite(self, diag):
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            sg.check_spd_point(np.diag(diag))
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ConfigError, match="square"):
+            sg.check_spd_point(np.eye(2, 3))
+
+
 def test_bases_are_orthonormal(rng):
     # the tangent spaces' bases, orthonormal in their metrics
     for cholesky, point, inner in ((False, unit_det_spd(4, rng), sg.ai_inner),
@@ -396,6 +435,52 @@ class TestUnitDetTangentSpace:
         # checked before the inverse and the basis divide by the diagonal
         with pytest.raises(DefinitenessError, match="strictly positive diagonal"):
             sg.UnitDetTangentSpace(np.diag([2.0, 0.0, 0.5]), cholesky=True)
+
+    def test_cholesky_space_rejects_an_infinite_diagonal(self, monkeypatch):
+        # the basis was built, with one matrix where there should be two
+        monkeypatch.setattr(sg, "chol_unitdet_basis", None)
+        with pytest.raises(DefinitenessError, match="strictly positive diagonal"):
+            sg.UnitDetTangentSpace(np.diag([np.inf, 1.0]), cholesky=True)
+
+    @pytest.mark.parametrize("point, error, match", [
+        # a basis of 3 matrices in a tangent space of dimension 5
+        (np.diag([2.0, -1.0, -0.5]), DefinitenessError, "not positive definite"),
+        # accepted, then symmetrized by exp
+        (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ConfigError,
+         "not symmetric"),
+        # no basis matrix, and RuntimeWarnings
+        (np.diag([np.inf, 1.0, 1.0]), ConfigError, "non-finite entry"),
+    ])
+    def test_affine_invariant_space_rejects_its_point(self, monkeypatch, point, error, match):
+        monkeypatch.setattr(sg, "ai_unitdet_basis", None)
+        with pytest.raises(error, match=match):
+            sg.UnitDetTangentSpace(point, cholesky=False)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_checks_its_point_once(self, rng, cholesky, monkeypatch):
+        # each space runs its own point check once, when built; the
+        # affine-invariant one never again
+        calls = []
+
+        def counting(name):
+            check = getattr(sg, name)
+
+            def counted(x):
+                calls.append((name, x))
+                return check(x)
+
+            return counted
+
+        for name in ("check_spd_point", "check_chol_point"):
+            monkeypatch.setattr(sg, name, counting(name))
+        point = self.KINDS[cholesky][0](4, rng)
+        space = sg.UnitDetTangentSpace(point, cholesky)
+        own = "check_chol_point" if cholesky else "check_spd_point"
+        assert len(calls) == 1 and calls[0][0] == own and calls[0][1] is point
+        if not cholesky:
+            space.newton_system(np.zeros((4, 4)), np.zeros_like)
+            space.exp(space.tangent(rng.standard_normal(len(space.basis))))
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("cholesky", [False, True])
     def test_binds_its_metric_to_the_point(self, rng, cholesky, monkeypatch):
