@@ -395,8 +395,8 @@ def partial_isotropy_decompose(c, dims):
     (relative); lambda is their common value and A is rebuilt from the top-r
     eigenpairs with weights sqrt((eig_i - lambda)/(1 - lambda)).
     """
-    if dims.r is None:
-        raise ConfigError("partial_isotropy_decompose needs dims with a rank")
+    if dims.r is None or dims.r >= dims.p:
+        raise ConfigError(f"partial_isotropy_decompose needs a rank r < p, got {dims.r}")
     c = matops.sym(np.asarray(c, dtype=float))
     w, q = np.linalg.eigh(c)
     w = w[::-1]

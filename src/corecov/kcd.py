@@ -59,17 +59,26 @@ class SeparableCovariance:
         h1, h2 = self.sqrt_factors(h_kind)
         return matops.kron(h2, h1)
 
+    def split(self, sigma, h_kind):
+        """The decomposition of Sigma about this Kronecker component: the core
+        C = h(K)^-1 sym(Sigma) h(K)^-T, with the factor roots it was whitened by."""
+        h1, h2 = roots = self.sqrt_factors(h_kind)
+        c = matops.whiten(matops.kron(h2, h1), matops.sym(np.asarray(sigma, dtype=float)))
+        return KcdResult(k=self, c=c, h_kind=h_kind, roots=roots)
+
 
 @dataclass(frozen=True)
 class KcdResult:
-    """A Kronecker-core decomposition Sigma = h(K) C h(K)^T."""
+    """A Kronecker-core decomposition Sigma = h(K) C h(K)^T, h(K) = h2 (x) h1."""
 
     k: SeparableCovariance
     c: np.ndarray
     h_kind: SquareRootKind
+    roots: tuple
 
     def reconstruct(self):
-        h = self.k.h_matrix(self.h_kind)
+        h1, h2 = self.roots
+        h = matops.kron(h2, h1)
         return h @ self.c @ h.T
 
 
@@ -155,9 +164,7 @@ def kcd(sigma, dims, h_kind):
     """Full Kronecker-core decomposition of a symmetric PSD matrix, behind
     kronecker_mle's input gate."""
     check_h_kind(h_kind)
-    sep = kronecker_mle(sigma, dims)
-    c = matops.whiten(sep.h_matrix(h_kind), matops.sym(np.asarray(sigma, dtype=float)))
-    return KcdResult(k=sep, c=c, h_kind=h_kind)
+    return kronecker_mle(sigma, dims).split(sigma, h_kind)
 
 
 def _check_factor(k):
@@ -281,19 +288,16 @@ def separable_tangent(sep, u1, u2):
 
 def dc(sigma, v, dims, h_kind):
     """Differential of the core map c at Sigma along V."""
-    sep = kronecker_mle(sigma, dims)
-    sigma = matops.sym(np.asarray(sigma, dtype=float))
+    dec = kcd(sigma, dims, h_kind)
+    h1, h2 = dec.roots
+    c_sym = dec.c if h_kind is SquareRootKind.SYMMETRIC else dec.k.split(
+        sigma, SquareRootKind.SYMMETRIC).c
     v = matops.sym(np.asarray(v, dtype=float))
-    h1, h2 = sep.sqrt_factors(h_kind)
-    h = matops.kron(h2, h1)
-    c = matops.whiten(h, sigma)
-    c_sym = c if h_kind is SquareRootKind.SYMMETRIC else matops.whiten(
-        sep.h_matrix(SquareRootKind.SYMMETRIC), sigma)
-    u1, u2 = _dk(sep, c_sym, v, dims)
+    u1, u2 = _dk(dec.k, c_sym, v, dims)
     # h^-1 dh = h2^-1 R2 (x) I + I (x) h1^-1 R1, by the product rule of dh
     g1, g2 = (np.linalg.solve(f, _droot(f, u, h_kind)) for f, u in ((h1, u1), (h2, u2)))
-    corr = (matops.kron(g2, np.eye(dims.p1)) + matops.kron(np.eye(dims.p2), g1)) @ c
-    return matops.whiten(h, v) - corr - corr.T
+    corr = (matops.kron(g2, np.eye(dims.p1)) + matops.kron(np.eye(dims.p2), g1)) @ dec.c
+    return matops.whiten(matops.kron(h2, h1), v) - corr - corr.T
 
 
 def dg(sep, c, u1, u2, w, h_kind):

@@ -175,8 +175,8 @@ def whiten(h, m):
 
 def _check_square(m, size=None):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
     if size is not None and m.shape[0] != size:
         raise ConfigError(f"expected size {size}, got {m.shape[0]}")
     return m

@@ -474,9 +474,9 @@ def retract_core_factor(a, v, dims):
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
     d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
-    sep = kcd.kronecker_mle(d, dims, psd_check=False)
-    dbar = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
-    return _top_core_factor(dbar, dims)
+    # d is exactly symmetric, so split's sym returns it bit for bit
+    core = kcd.kronecker_mle(d, dims, psd_check=False).split(d, SquareRootKind.SYMMETRIC).c
+    return _top_core_factor(core, dims)
 
 
 def _top_core_factor(core, dims):
@@ -594,7 +594,7 @@ def init(sample_cov, h_kind):
     dims, r = sample_cov.dims, sample_cov.dims.r
     check_rank(dims)
     dec = kcd.kcd(sample_cov.s, dims, h_kind)
-    h1, h2 = dec.k.sqrt_factors(h_kind)
+    h1, h2 = dec.roots
     det1, det2 = matops.det_root(h1), matops.det_root(h2)
     k1bar = h1 / det1
     k2bar = h2 / det2

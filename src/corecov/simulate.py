@@ -213,9 +213,9 @@ def run_experiment(config):
     records = []
     for rep in range(config.reps):
         truth = gen_truth(config.model, dims, config.lam, _seq(config.seed, rep))
-        truth_cores = {}
-        for kind in set(config.h_kinds) | {SquareRootKind.SYMMETRIC}:
-            truth_cores[kind] = kcd.kcd(truth.sigma, dims, kind).c
+        sep = kcd.kronecker_mle(truth.sigma, dims)
+        truth_cores = {kind: sep.split(truth.sigma, kind).c
+                       for kind in set(config.h_kinds) | {SquareRootKind.SYMMETRIC}}
         for n in config.n_list:
             data = gen_data(truth.sigma, n, _seq(config.seed, rep, _DATA, n), dims)
             starts = {}

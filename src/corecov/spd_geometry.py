@@ -20,9 +20,7 @@ _GS_TOL = 1e-9
 
 def check_chol_point(l):
     """Validate a lower-triangular matrix with strictly positive diagonal."""
-    l = np.asarray(l, dtype=float)
-    if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ConfigError(f"expected square matrix, got {l.shape}")
+    l = matops._check_square(l)
     # the triangle bound below lets a non-finite entry through
     if not np.isfinite(l[~np.eye(len(l), dtype=bool)]).all():
         raise ConfigError("Cholesky point has a non-finite entry off the diagonal")
@@ -36,9 +34,7 @@ def check_chol_point(l):
 
 def check_spd_point(s):
     """Validate a finite SPD matrix (asymmetry within RESIDUAL_TOL); return it as is."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ConfigError(f"expected square matrix, got {s.shape}")
+    s = matops._check_square(s)
     if not np.isfinite(s).all():
         raise ConfigError("SPD point has a non-finite entry")
     if np.abs(s - s.T).max() > matops.RESIDUAL_TOL * np.abs(s).max():

@@ -669,6 +669,13 @@ class TestPartialIsotropyDecompose:
         with pytest.raises(ValueError, match="rank"):
             cg.partial_isotropy_decompose(np.eye(4), matops.Dims(2, 2))
 
+    @pytest.mark.parametrize("dims", [matops.Dims(2, 2, 4), matops.Dims(3, 2, 6)])
+    def test_full_rank_rejected(self, dims):
+        # r = p leaves the isotropic tail empty: its mean warned, then numpy
+        # raised on the empty reduction
+        with pytest.raises(ConfigError, match="needs a rank r < p"):
+            cg.partial_isotropy_decompose(np.eye(dims.p), dims)
+
     def test_unequal_tail_rejected(self, rng):
         a0 = cg.random_core_factor(DIMS324, seed=33)
         c = 0.6 * (a0 @ a0.T) + 0.4 * np.eye(6)

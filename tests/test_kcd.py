@@ -188,6 +188,16 @@ class TestKcd:
         assert abs(np.trace(dec.c) - 6.0) < 1e-8
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_holds_the_roots_it_whitened_by(self, kind, rng):
+        # the roots and the rebuilt Sigma have the bytes of a fresh root pair
+        sigma = rand_spd(6, rng)
+        dec = kcd.kcd(sigma, DIMS32, kind)
+        for got, fresh in zip(dec.roots, dec.k.sqrt_factors(kind), strict=True):
+            assert got.tobytes() == fresh.tobytes()
+        h = dec.k.h_matrix(kind)
+        assert dec.reconstruct().tobytes() == (h @ dec.c @ h.T).tobytes()
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_core_of_separable_is_identity(self, kind, rng):
         sigma = matops.kron(rand_spd(2, rng), rand_spd(3, rng))
         np.testing.assert_allclose(

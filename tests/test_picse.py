@@ -711,6 +711,18 @@ class TestRetraction:
         out = picse.retract_core_factor(a, 0.1 * v, DIMS)
         cg.check_core_factor(out, DIMS)
 
+    def test_split_whitens_the_intermediate_bit_for_bit(self):
+        # D = sym(AA^T + AV^T + VA^T) is exactly symmetric, so split's sym
+        # leaves it as is and the core is the whitening of D itself
+        a = cg.random_core_factor(DIMS, seed=57)
+        space = cg.RankTangentSpace(a, DIMS)
+        v = 0.1 * space.tangent(np.random.default_rng(58).standard_normal(
+            space.basis.shape[1]))
+        d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
+        sep = kcd.kronecker_mle(d, DIMS, psd_check=False)
+        want = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
+        assert sep.split(d, SquareRootKind.SYMMETRIC).c.tobytes() == want.tobytes()
+
     def test_first_order_agreement(self):
         # retraction velocity at t = 0 matches the tangent, up to rotation:
         # compare at the Gram level where rotations cancel
@@ -937,6 +949,25 @@ class TestInit:
         np.testing.assert_allclose(
             tau.nu * tau.kbar, sep.h_matrix(kind), atol=1e-10
         )
+
+    @pytest.mark.parametrize("kind, root", [(SquareRootKind.SYMMETRIC, "spd_half_powers"),
+                                            (SquareRootKind.CHOLESKY, "chol")])
+    def test_one_root_per_sample_factor(self, kind, root, monkeypatch):
+        # K-bar and nu read the roots the sample decomposition whitened by
+        truth = simulate.gen_truth("m1", DIMS, 0.4, seed=83)
+        sc = SampleCov.from_data(simulate.gen_data(truth.sigma, 24, seed=84, dims=DIMS), DIMS)
+        sep = kcd.kronecker_mle(sc.s, DIMS)
+        rooted = []
+        take_root = getattr(matops, root)
+
+        def counted(k, *args, **kwargs):
+            rooted.append(any(np.array_equal(k, f) for f in (sep.k1, sep.k2)))
+            return take_root(k, *args, **kwargs)
+
+        monkeypatch.setattr(matops, root, counted)
+        picse.init(sc, kind)
+        # the other two root the factors of the truncated core's decomposition
+        assert sum(rooted) == 2 and len(rooted) == 4
 
     def test_full_rank_rejected_before_any_computation(self, monkeypatch):
         # at r = p the isotropic block is empty and lambda is not identified

@@ -198,9 +198,10 @@ class TestRunExperiment:
         }
 
     def test_scoring_decomposes_no_estimate(self, monkeypatch):
-        # each runner returns the split it holds: the study decomposes the
-        # truth once per root and the sample twice per root in picse.init
-        # (11 when every estimate was decomposed again for its score)
+        # each runner returns the split it holds, and the truth's cores come
+        # from its one Kronecker MLE: the study decomposes only the sample,
+        # twice per root in picse.init (6 when the truth went through kcd once
+        # per root, 11 when every estimate was decomposed again for its score)
         calls = {"kcd": 0}
         decompose = kcd.kcd
 
@@ -215,7 +216,30 @@ class TestRunExperiment:
         )
         records, _ = simulate.run_experiment(config)
         assert not any(r.failed for r in records)
-        assert calls == {"kcd": 6}
+        assert calls == {"kcd": 4}
+
+    def test_one_flip_flop_per_truth(self, monkeypatch):
+        # both roots' truth cores split the one Kronecker MLE of the truth
+        truths, on_truth = [], []
+        gen, mle = simulate.gen_truth, kcd.kronecker_mle
+
+        def kept_truth(*args, **kwargs):
+            truths.append(gen(*args, **kwargs))
+            return truths[-1]
+
+        def counted_mle(sigma, *args, **kwargs):
+            on_truth.append(any(sigma is t.sigma for t in truths))
+            return mle(sigma, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "gen_truth", kept_truth)
+        monkeypatch.setattr(kcd, "kronecker_mle", counted_mle)
+        config = ExperimentConfig(
+            model="m2", dims=matops.Dims(2, 2, 3), lam=0.2, n_list=(8,), reps=2, seed=5,
+            h_kinds=(SquareRootKind.SYMMETRIC, SquareRootKind.CHOLESKY),
+        )
+        records, _ = simulate.run_experiment(config)
+        assert not any(r.failed for r in records)
+        assert len(truths) == 2 and sum(on_truth) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

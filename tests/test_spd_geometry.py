@@ -198,6 +198,15 @@ def test_check_chol_point(rng):
         sg.check_chol_point(np.eye(2, 3))
 
 
+@pytest.mark.parametrize("check", [sg.check_chol_point, sg.check_spd_point,
+                                   matops.spd_eigh],
+                         ids=["check_chol_point", "check_spd_point", "spd_eigh"])
+def test_point_checks_reject_an_empty_matrix(check):
+    # numpy's reductions raised a plain ValueError, spd_eigh an IndexError
+    with pytest.raises(ConfigError, match="non-empty square matrix"):
+        check(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
 def test_check_chol_point_rejects_non_finite_off_diagonal(bad, entry):
@@ -400,6 +409,11 @@ class TestUnitDetTangentSpace:
         v = proj(point, space.part(rng.standard_normal((q, q))))
         w = space.tangent(inner(point, v, space.basis))
         assert np.abs(w - v).max() < 1e-10 * np.abs(v).max()
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    def test_rejects_an_empty_point(self, cholesky):
+        with pytest.raises(ConfigError, match="non-empty square matrix"):
+            sg.UnitDetTangentSpace(np.zeros((0, 0)), cholesky)
 
     @pytest.mark.parametrize("cholesky", [False, True])
     def test_norm(self, rng, cholesky):
