@@ -248,7 +248,7 @@ def tangent_project_full(v, dims):
 
     G(V) = V - (I (x) tr_1(V))/p2 - (tr_2(V) (x) I)/p1 + tr(V)/p I.
     """
-    v = matops.sym(np.asarray(v, dtype=float))
+    v = matops.check_tangent(v, dims.p)
     t1 = matops.weighted_partial_trace_1(v, np.eye(dims.p2), dims)
     t2 = matops.weighted_partial_trace_2(v, np.eye(dims.p1), dims)
     return (

@@ -203,49 +203,42 @@ def _droot(h, u, h_kind):
     """Differential of the root h of K = h h^T along a symmetric U: the
     solution R of h R + R h = U for the symmetric root, L (L^-1 U L^-T)_{1/2}
     for the Cholesky root L."""
-    u = matops.sym(u)
+    u = matops.check_tangent(u, len(h))
     if h_kind is SquareRootKind.CHOLESKY:
         return h @ matops.half(matops.whiten(h, u))
     return core_geometry.sylvester_solve(h, u)
 
 
-def rc_operator(c, s1, s2, dims):
-    """R_C at base (S1, S2) as a map of tangent pairs (W1, W2), with the half
-    powers of S1 and S2 computed once.  The base satisfies |S1| = 1, W1 is
-    trace-orthogonal to S1 (tr(S1^-1 W1) = 0), and C is the symmetric-root
-    core at the base point."""
-    s1_half, s1_ihalf = matops.spd_half_powers(s1)
-    s2_half, s2_ihalf = matops.spd_half_powers(s2)
+def rc_operator(sigma, sep, dims):
+    """R_C at the Kronecker MLE sep = (K1, K2) of Sigma, as a map of tangent
+    pairs (W1, W2) with tr(K1^-1 W1) = 0: the flip-flop updates linearized at
+    their fixed point, with each factor inverse formed once,
+      X1 = W1 + (wpt_1(Sigma, K2^-1 W2 K2^-1) - tr(K2^-1 W2) K1) / p2,
+      X2 = W2 + wpt_2(Sigma, K1^-1 W1 K1^-1) / p1."""
+    k1_inv, k2_inv = np.linalg.inv(sep.k1), np.linalg.inv(sep.k2)
 
     def apply(w1, w2):
-        w1b = matops.sym(s1_ihalf @ w1 @ s1_ihalf)
-        w2b = matops.sym(s2_ihalf @ w2 @ s2_ihalf)
-        m1 = matops.weighted_partial_trace_1(c, w2b, dims)
-        m2 = matops.weighted_partial_trace_2(c, w1b, dims)
-        x1 = (
-            w1
-            + s1_half @ m1 @ s1_half / dims.p2
-            - float(np.trace(w2b)) * s1 / dims.p2
-        )
-        x2 = w2 + s2_half @ m2 @ s2_half / dims.p1
-        return matops.sym(x1), matops.sym(x2)
+        m1 = matops.weighted_partial_trace_1(sigma, k2_inv @ w2 @ k2_inv, dims)
+        m2 = matops.weighted_partial_trace_2(sigma, k1_inv @ w1 @ k1_inv, dims)
+        x1 = w1 + (m1 - float(np.trace(k2_inv @ w2)) * sep.k1) / dims.p2
+        return matops.sym(x1), matops.sym(w2 + m2 / dims.p1)
 
     return apply
 
 
-def rc_solve(c, s1, s2, m1, m2, dims):
+def rc_solve(sigma, sep, m1, m2, dims):
     """Invert R_C: find the tangent pair (U1, U2) with R_C(U1, U2) = (M1, M2).
 
     Materializes R_C over an orthonormal basis of the product tangent space
     (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely.
     """
-    basis = [(e, np.zeros_like(s2)) for e in spd_geometry.ai_unitdet_basis(s1)]
-    basis += [(np.zeros_like(s1), e) for e in spd_geometry.sym_basis(dims.p2)]
+    basis = [(e, np.zeros_like(sep.k2)) for e in spd_geometry.ai_unitdet_basis(sep.k1)]
+    basis += [(np.zeros_like(sep.k1), e) for e in spd_geometry.sym_basis(dims.p2)]
 
     def pack(a, b):
         return np.concatenate([a.ravel(), b.ravel()])
 
-    r_c = rc_operator(c, s1, s2, dims)
+    r_c = rc_operator(sigma, sep, dims)
     mat_op = np.column_stack([pack(*r_c(b1, b2)) for b1, b2 in basis])
     rhs = pack(np.asarray(m1, dtype=float), np.asarray(m2, dtype=float))
     coef, _, rank, _ = np.linalg.lstsq(mat_op, rhs, rcond=None)
@@ -259,17 +252,15 @@ def rc_solve(c, s1, s2, m1, m2, dims):
 def dk(sigma, v, dims):
     """Differential of the Kronecker map: dk(Sigma)[V] as a factor pair.
 
-    Returns (U1, U2) with tr(S1^-1 U1) = 0; the assembled tangent is
-    U2 (x) S1 + S2 (x) U1.
+    Returns (U1, U2) with tr(K1^-1 U1) = 0; the assembled tangent is
+    U2 (x) K1 + K2 (x) U1.
     """
-    dec = kcd(sigma, dims, SquareRootKind.SYMMETRIC)
-    return _dk(dec.k, dec.c, matops.sym(np.asarray(v, dtype=float)), dims)
+    return _dk(kronecker_mle(sigma, dims), sigma, matops.check_tangent(v, dims.p), dims)
 
 
-def _dk(sep, c_sym, v, dims):
-    """dk at the Kronecker MLE sep of Sigma with symmetric-root core c_sym,
-    for symmetric V: R_C solved against the flip-flop updates linearized
-    along V,
+def _dk(sep, sigma, v, dims):
+    """dk at the Kronecker MLE sep of Sigma, for symmetric V: R_C at sym(Sigma)
+    solved against the flip-flop updates linearized along V,
       M1 = (wpt_1(V, K2^-1) - tr(K^-1 V) K1 / p1) / p2,
       M2 = wpt_2(V, K1^-1) / p1,
     with wpt_i the weighted partial traces."""
@@ -278,7 +269,7 @@ def _dk(sep, c_sym, v, dims):
     tr_all = float(np.trace(k1_inv @ w1))  # tr(K^-1 V)
     m1 = (w1 - tr_all * sep.k1 / dims.p1) / dims.p2
     m2 = matops.weighted_partial_trace_2(v, k1_inv, dims) / dims.p1
-    return rc_solve(c_sym, sep.k1, sep.k2, m1, m2, dims)
+    return rc_solve(matops.sym(np.asarray(sigma, dtype=float)), sep, m1, m2, dims)
 
 
 def separable_tangent(sep, u1, u2):
@@ -290,10 +281,8 @@ def dc(sigma, v, dims, h_kind):
     """Differential of the core map c at Sigma along V."""
     dec = kcd(sigma, dims, h_kind)
     h1, h2 = dec.roots
-    c_sym = dec.c if h_kind is SquareRootKind.SYMMETRIC else dec.k.split(
-        sigma, SquareRootKind.SYMMETRIC).c
-    v = matops.sym(np.asarray(v, dtype=float))
-    u1, u2 = _dk(dec.k, c_sym, v, dims)
+    v = matops.check_tangent(v, dims.p)
+    u1, u2 = _dk(dec.k, sigma, v, dims)
     # h^-1 dh = h2^-1 R2 (x) I + I (x) h1^-1 R1, by the product rule of dh
     g1, g2 = (np.linalg.solve(f, _droot(f, u, h_kind)) for f, u in ((h1, u1), (h2, u2)))
     corr = (matops.kron(g2, np.eye(dims.p1)) + matops.kron(np.eye(dims.p2), g1)) @ dec.c
@@ -303,6 +292,7 @@ def dc(sigma, v, dims, h_kind):
 def dg(sep, c, u1, u2, w, h_kind):
     """Differential of the assembly map g(K, C) = h(K) C h(K)^T."""
     h = sep.h_matrix(h_kind)
+    w = matops.check_tangent(w, len(h))
     r = dh(sep, u1, u2, h_kind)
     return matops.sym(h @ w @ h.T) + r @ c @ h.T + h @ c @ r.T
 

@@ -112,6 +112,14 @@ def sym(m):
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
+def check_tangent(m, size):
+    """sym(M) of a finite size x size matrix; ConfigError otherwise."""
+    m = _check_square(m, size)
+    if not np.isfinite(m).all():
+        raise ConfigError("tangent contains non-finite values")
+    return sym(m)
+
+
 def skew(m):
     m = np.asarray(m)
     return (m - m.T) / 2.0

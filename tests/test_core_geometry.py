@@ -292,6 +292,12 @@ class TestTangentProjectFull:
             rhs = np.sum(v * cg.tangent_project_full(v2, dims))
             assert abs(lhs - rhs) < 1e-10
 
+    def test_rejects_a_non_finite_tangent(self, rng):
+        v = rand_sym(6, rng)
+        v[1, 2] = v[2, 1] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            cg.tangent_project_full(v, matops.Dims(3, 2))
+
 
 class TestRgradHessFull:
     def test_tangent_gradient_unchanged(self, rng):

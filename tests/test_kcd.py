@@ -318,8 +318,7 @@ class TestDh:
 class TestRcOperator:
     def _base(self, rng):
         sigma = rand_spd(4, rng)
-        dec = kcd.kcd(sigma, DIMS22, SquareRootKind.SYMMETRIC)
-        return dec.c, dec.k.k1, dec.k.k2
+        return sigma, kcd.kronecker_mle(sigma, DIMS22)
 
     def _tangent(self, s1, rng):
         w1 = spd_geometry.proj_unitdet_spd(s1, rand_sym(2, rng))
@@ -327,41 +326,63 @@ class TestRcOperator:
         return w1, w2
 
     def test_identity_core(self, rng):
+        # C = I exactly when Sigma = K: R_C is the identity
         s1 = rand_spd(2, rng)
         s1 /= np.linalg.det(s1) ** 0.5
-        s2 = rand_spd(2, rng)
+        sep = kcd.SeparableCovariance(k1=s1, k2=rand_spd(2, rng))
         w1, w2 = self._tangent(s1, rng)
-        x1, x2 = kcd.rc_operator(np.eye(4), s1, s2, DIMS22)(w1, w2)
+        x1, x2 = kcd.rc_operator(sep.matrix, sep, DIMS22)(w1, w2)
         np.testing.assert_allclose(x1, w1, atol=1e-12)
         np.testing.assert_allclose(x2, w2, atol=1e-12)
 
+    @pytest.mark.parametrize("p1, p2", [(2, 2), (4, 3), (6, 4)])
+    def test_is_the_core_form(self, p1, p2, rng):
+        # the map written in the symmetric-root core C of Sigma, conjugated
+        # by the factor roots, is the map written in Sigma and K
+        dims = matops.Dims(p1, p2)
+        sigma = rand_spd(dims.p, rng)
+        sep = kcd.kronecker_mle(sigma, dims)
+        (s1h, s1ih), (s2h, s2ih) = (matops.spd_half_powers(k) for k in (sep.k1, sep.k2))
+        c = matops.whiten(matops.kron(s2h, s1h), sigma)
+        r_c = kcd.rc_operator(sigma, sep, dims)
+        for _ in range(5):
+            w1 = spd_geometry.proj_unitdet_spd(sep.k1, rand_sym(p1, rng))
+            w2 = rand_sym(p2, rng)
+            w1b, w2b = matops.sym(s1ih @ w1 @ s1ih), matops.sym(s2ih @ w2 @ s2ih)
+            m1 = matops.weighted_partial_trace_1(c, w2b, dims)
+            m2 = matops.weighted_partial_trace_2(c, w1b, dims)
+            x1 = w1 + (s1h @ m1 @ s1h - np.trace(w2b) * sep.k1) / p2
+            x2 = w2 + s2h @ m2 @ s2h / p1
+            for got, ref in zip(r_c(w1, w2), (x1, x2), strict=True):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_zero(self, rng):
-        c, s1, s2 = self._base(rng)
-        x1, x2 = kcd.rc_operator(c, s1, s2, DIMS22)(np.zeros((2, 2)), np.zeros((2, 2)))
+        sigma, sep = self._base(rng)
+        x1, x2 = kcd.rc_operator(sigma, sep, DIMS22)(np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.abs(x1).max() == 0.0 and np.abs(x2).max() == 0.0
 
     def test_solve_rejects_a_rank_deficient_system(self, rng, monkeypatch):
         # an R_C that drops U1: the columns of the K1 basis are zero
-        c, s1, s2 = self._base(rng)
+        sigma, sep = self._base(rng)
         monkeypatch.setattr(kcd, "rc_operator", lambda *args: lambda w1, w2: (0 * w1, w2))
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            kcd.rc_solve(c, s1, s2, s1, s2, DIMS22)
+            kcd.rc_solve(sigma, sep, sep.k1, sep.k2, DIMS22)
 
     def test_solve_round_trip(self, rng):
-        c, s1, s2 = self._base(rng)
-        r_c = kcd.rc_operator(c, s1, s2, DIMS22)
+        sigma, sep = self._base(rng)
+        r_c = kcd.rc_operator(sigma, sep, DIMS22)
         for _ in range(5):
-            w1, w2 = self._tangent(s1, rng)
+            w1, w2 = self._tangent(sep.k1, rng)
             m1, m2 = r_c(w1, w2)
-            u1, u2 = kcd.rc_solve(c, s1, s2, m1, m2, DIMS22)
+            u1, u2 = kcd.rc_solve(sigma, sep, m1, m2, DIMS22)
             assert np.abs(u1 - w1).max() < 1e-8
             assert np.abs(u2 - w2).max() < 1e-8
 
     def test_preserves_tangency(self, rng):
-        c, s1, s2 = self._base(rng)
-        w1, w2 = self._tangent(s1, rng)
-        x1, _ = kcd.rc_operator(c, s1, s2, DIMS22)(w1, w2)
-        assert abs(np.trace(np.linalg.solve(s1, x1))) < 1e-10
+        sigma, sep = self._base(rng)
+        w1, w2 = self._tangent(sep.k1, rng)
+        x1, _ = kcd.rc_operator(sigma, sep, DIMS22)(w1, w2)
+        assert abs(np.trace(np.linalg.solve(sep.k1, x1))) < 1e-10
 
 
 class TestDk:
@@ -410,17 +431,51 @@ class TestDk:
         )
 
     def test_half_powers_computed_once(self, rng, monkeypatch):
-        # one pair for each of S1 and S2 in the sqrt factors, one in R_C
+        # R_C reads Sigma and its Kronecker MLE: dk takes no factor root and
+        # whitens nothing
         calls = []
-        half_powers = matops.spd_half_powers
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return half_powers(*args, **kwargs)
+        def counted(name):
+            real = getattr(matops, name)
 
-        monkeypatch.setattr(matops, "spd_half_powers", counted)
-        kcd.dk(rand_spd(6, rng), rand_sym(6, rng), DIMS32)
-        assert len(calls) <= 4
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(matops, name, wrapped)
+
+        for name in ("spd_half_powers", "whiten", "kron"):
+            counted(name)
+        kcd.dk(rand_spd(12, rng), rand_sym(12, rng), matops.Dims(4, 3))
+        assert calls == []
+
+
+class TestTangentGate:
+    # every differential checks its tangent with matops.check_tangent, so a
+    # NaN raises instead of giving a NaN result
+    @pytest.mark.parametrize("defect", ["nan", "shape"])
+    @pytest.mark.parametrize("op", ["dk", "dc-sym", "dc-chol", "dh-sym", "dh-chol",
+                                    "dg-sym", "dg-chol"])
+    def test_rejects_a_bad_tangent(self, op, defect, rng):
+        sigma = rand_spd(6, rng)
+        dec = kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC)
+        u1, u2, v = rand_sym(3, rng), rand_sym(2, rng), rand_sym(6, rng)
+        if defect == "nan":
+            u1[0, 1] = u1[1, 0] = v[0, 1] = v[1, 0] = np.nan
+            message = "non-finite"
+        else:
+            u1, v = rand_sym(2, rng), rand_sym(5, rng)
+            message = "expected size"
+        name, _, root = op.partition("-")
+        kind = SquareRootKind.CHOLESKY if root == "chol" else SquareRootKind.SYMMETRIC
+        call = {
+            "dk": lambda: kcd.dk(sigma, v, DIMS32),
+            "dc": lambda: kcd.dc(sigma, v, DIMS32, kind),
+            "dh": lambda: kcd.dh(dec.k, u1, u2, kind),
+            "dg": lambda: kcd.dg(dec.k, dec.c, np.zeros((3, 3)), u2, v, kind),
+        }[name]
+        with pytest.raises(ConfigError, match=message):
+            call()
 
 
 class TestDcDg:
@@ -449,9 +504,9 @@ class TestDcDg:
         assert len(calls) == 1
 
     def test_dc_builds_the_symmetric_root_once(self, rng, monkeypatch):
-        # one factor root per factor serves h(K) and the correction, and
-        # with the symmetric root one core of Sigma serves R_C too: Sigma and
-        # V whitened once each, and the only other half powers are R_C's
+        # one factor root per factor serves h(K) and the correction, and R_C
+        # reads Sigma and K, so it needs no root: Sigma and V whitened once
+        # each, and no half power beyond the symmetric roots
         whitened, roots = [], []
         whiten, half_powers, chol = matops.whiten, matops.spd_half_powers, matops.chol
 
@@ -472,11 +527,13 @@ class TestDcDg:
         monkeypatch.setattr(matops, "chol", counted_chol)
         sigma, v = rand_spd(12, rng), rand_sym(12, rng)
         kcd.dc(sigma, v, matops.Dims(4, 3), SquareRootKind.SYMMETRIC)
-        assert len(whitened) == 2 and roots == ["half"] * 4
-        # the Cholesky root: its two factors, and the symmetric-root core
+        assert len(whitened) == 2 and roots == ["half"] * 2
+        # the Cholesky root: its two factors and no symmetric root; Sigma,
+        # V and the two factor tangents whitened once each
         roots.clear()
+        whitened.clear()
         kcd.dc(sigma, v, matops.Dims(4, 3), SquareRootKind.CHOLESKY)
-        assert sorted(roots) == ["chol"] * 2 + ["half"] * 4
+        assert len(whitened) == 4 and roots == ["chol"] * 2
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_dc_correction_solves_only_factor_sized_systems(self, kind, rng,

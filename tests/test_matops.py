@@ -235,3 +235,17 @@ def test_nan_eigenvalue_is_not_positive():
 def test_partial_trace_checks_the_size():
     with pytest.raises(ValueError, match="expected size 6, got 5"):
         matops.weighted_partial_trace_1(np.eye(5), np.eye(2), matops.Dims(3, 2))
+
+
+def test_check_tangent(rng):
+    # sym(M) with the bits of matops.sym, behind a shape and a finiteness check
+    m = rng.standard_normal((4, 4))
+    assert matops.check_tangent(m, 4).tobytes() == matops.sym(m).tobytes()
+    for bad, size, message in (
+        (np.eye(3), 4, "expected size 4, got 3"),
+        (np.ones((4, 3)), 4, "non-empty square"),
+        (np.where(np.eye(4, dtype=bool), np.nan, m), 4, "non-finite"),
+        (np.where(np.eye(4, dtype=bool), -np.inf, m), 4, "non-finite"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            matops.check_tangent(bad, size)
