@@ -148,6 +148,22 @@ def j_operator(a, dims, out=None):
     return out.j
 
 
+def j_adjoint(w, dims):
+    """The map V -> J(V)^T w, slice-wise and without forming J(V): with
+    w = (vec W1, vec W2, w3) and c1, c2 those of j_operator, it takes a p x r V
+    to vec((2/p)(sym(W1) V_i + V_i sym(W2)) - (c1 tr W1 + c2 tr W2 - 2 w3) V_i),
+    and a (k, p, r) stack to the (k, p*r) stack of these."""
+    p1, p2, p = dims.p1, dims.p2, dims.p
+    s1, s2 = matops.sym(w[: p1 * p1].reshape(p1, p1)), matops.sym(w[p1 * p1 : -1].reshape(p2, p2))
+    gamma = 2.0 / (p1**2 * p2) * np.trace(s1) + 2.0 / (p1 * p2**2) * np.trace(s2) - 2.0 * w[-1]
+
+    def apply(v):
+        vt = matops.vec(v).reshape(*v.shape[:-2], v.shape[-1], p2, p1)  # the V_i^T
+        return ((2.0 / p) * (vt @ s1 + s2 @ vt) - gamma * vt).reshape(*v.shape[:-2], -1)
+
+    return apply
+
+
 class JScratch:
     """A J buffer for j_operator's out, with the views j_operator writes formed once."""
 
@@ -217,10 +233,16 @@ class RankTangentSpace:
     def newton_system(self, egrad, ehess):
         """The Riemannian gradient, its coordinates B^T vec(egrad), and the
         Riemannian Hessian in B, column i its action on B[:, i]; ehess maps a
-        (k, p, r) stack of V to the stack of Euclidean Hessian actions."""
-        (p, r), g = self.shape, matops.vec(egrad)
-        coef, w = self.coords(g), self.normal_weights(egrad)
-        m = len(coef)
+        (k, p, r) stack of V to the stack of Euclidean Hessian actions.  Its
+        J(V)^T w is slice-wise once one dense J(V) outgrows matops.STACK_BYTES."""
+        coef, w = self.coords(matops.vec(egrad)), self.normal_weights(egrad)
+        dense = self.j.nbytes <= matops.STACK_BYTES
+        hessian = self._dense_hessian if dense else self._slice_hessian
+        return self.tangent(coef), coef, hessian(ehess, w)
+
+    def _dense_hessian(self, ehess, w):
+        """The Hessian matrix with the bits of a hess_coords call per column."""
+        (p, r), m = self.shape, self.basis.shape[1]
         h_mat, chunks = np.empty((m, m)), matops.chunks(m, self.j.nbytes)
         step = chunks[0].stop
         # the dense J(V) of every column, written into one scratch (a ragged
@@ -228,7 +250,7 @@ class RankTangentSpace:
         jv = JScratch(np.zeros((step, *self.j.shape)), self.dims)
         # a panel of whole chunks whose residuals fit STACK_BYTES goes
         # through coords at once: each block of B^T serves all its columns
-        for group in matops.chunks(len(chunks), step * g.nbytes):
+        for group in matops.chunks(len(chunks), step * p * r * 8):
             x = []
             for cols in chunks[group]:
                 # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
@@ -238,7 +260,21 @@ class RankTangentSpace:
                 x.append(self._residual(ehess(v), v, w, jv))
             h_mat[:, chunks[group][0].start : cols.stop] = self.coords(
                 np.concatenate(x)).T
-        return self.tangent(coef), coef, h_mat
+        return h_mat
+
+    def _slice_hessian(self, ehess, w):
+        """The Hessian matrix with J(V)^T w from j_adjoint, no J(V) formed."""
+        (p, r), m, jtw = self.shape, self.basis.shape[1], j_adjoint(w, self.dims)
+        # chunks bound the p x p core differential A V^T + V A^T of a Hessian
+        # action, panels the residuals that go through one product with B^T
+        h_mat, chunks = np.empty((m, m)), matops.chunks(m, p * p * 8)
+        for group in matops.chunks(len(chunks), chunks[0].stop * p * r * 8):
+            x = []
+            for cols in chunks[group]:
+                v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
+                x.append(matops.vec(ehess(v)) - jtw(v))
+            h_mat[:, chunks[group][0].start : cols.stop] = self.basis.T @ np.concatenate(x).T
+        return h_mat
 
 
 def tangent_project_full(v, dims):

@@ -268,6 +268,66 @@ class TestRankTangentSpace:
         assert space.j.T.shape not in shapes
         assert (dims.p * dims.r, space.rank) not in shapes
 
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (6, 4, 3), (3, 5, 4), (12, 10, 6)])
+    def test_slice_hessian_matches_hess_coords(self, shape, rng, monkeypatch):
+        # once one dense J(V) outgrows STACK_BYTES (by default at (12, 10, 6),
+        # forced for the other shapes, also in chunks of 2 columns), newton_system
+        # takes J(V)^T w slice-wise, with no j_operator call, JScratch or
+        # Kronecker product, and its Hessian matrix is the hess_coords columns
+        dims = matops.Dims(*shape)
+        a = cg.random_core_factor(dims, seed=61)
+        space = cg.RankTangentSpace(a, dims)
+        p, r = a.shape
+        s, t = rand_sym(p, rng), rand_sym(r, rng)
+
+        def ehess(v):
+            return s @ v + v @ t
+
+        egrad = rng.standard_normal(a.shape)
+        w = space.normal_weights(egrad)
+        cols = [space.hess_coords(ehess(v), v, w) for v in
+                space.basis.T.reshape(-1, r, p).swapaxes(-1, -2)]
+        expected, coef = np.array(cols).T, space.coords(matops.vec(egrad))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("newton_system formed a dense J(V)")
+
+        for name in ("j_operator", "JScratch"):
+            monkeypatch.setattr(cg, name, refused)
+        monkeypatch.setattr(matops, "kron", refused)
+        if space.j.nbytes <= matops.STACK_BYTES:
+            budgets = (space.j.nbytes - 1, 2 * p * p * 8)
+        else:
+            budgets = (matops.STACK_BYTES,)
+        for budget in budgets:
+            monkeypatch.setattr(matops, "STACK_BYTES", budget)
+            _, g_coef, h_mat = space.newton_system(egrad, ehess)
+            assert g_coef.tobytes() == coef.tobytes()
+            assert np.abs(h_mat - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestJAdjoint:
+    @settings(deadline=None, max_examples=50)
+    @given(p1=st.integers(2, 6), p2=st.integers(2, 6), data=st.data())
+    def test_matches_reference_over_valid_shapes(self, p1, p2, data):
+        # J(V)^T w taken slice-wise is the transpose of the np.kron assembly
+        # applied to w, for one V and a (k, p, r) stack, with signed zeros in V
+        r = data.draw(st.integers(int(p1 / p2 + p2 / p1) + 1, p1 * p2), label="r")
+        dims = matops.Dims(p1, p2, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        k = data.draw(st.integers(1, 3), label="k")
+        stack = signed_zeros(rng.standard_normal((k, dims.p, r)), rng.uniform(0.0, 0.5), rng)
+        w = rng.standard_normal(p1 * p1 + p2 * p2 + 1)
+        jtw = cg.j_adjoint(w, dims)
+        got = jtw(stack)
+        assert got.shape == (k, dims.p * r)
+        for v, row in zip(stack, got):
+            want = kron_j_reference(v, dims).T @ w
+            assert jtw(v).shape == want.shape
+            assert np.abs(jtw(v) - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestTangentProjectFull:
     def test_identity_killed(self):
         assert np.abs(cg.tangent_project_full(np.eye(6), matops.Dims(3, 2))).max() == 0.0

@@ -596,7 +596,9 @@ class TestDcDg:
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_inverse_diffeomorphism(self, kind, rng):
-        # dg(k(S), c(S), dk[V], dc[V]) = V
+        # dg(k(S), c(S), dk[V], dc[V]) = V, and dc[V] is a core tangent: dg
+        # rebuilds V from dc's W = h^-1 V h^-T - corr - corr^T whatever dk
+        # returned, so only W's zero partial traces show that dk solved R_C
         sigma = rand_spd(4, rng)
         v = rand_sym(4, rng)
         dec = kcd.kcd(sigma, DIMS22, kind)
@@ -605,3 +607,6 @@ class TestDcDg:
         np.testing.assert_allclose(
             kcd.dg(dec.k, dec.c, u1, u2, w, kind), v, atol=1e-6
         )
+        eye = np.eye(2)
+        for trace in (matops.weighted_partial_trace_1, matops.weighted_partial_trace_2):
+            assert np.abs(trace(w, eye, DIMS22)).max() <= 1e-10 * np.abs(w).max()

@@ -225,7 +225,8 @@ def base_of(tau, theta):
 
 
 class TestABlockMatchesOperator:
-    @pytest.mark.parametrize("dims", [matops.Dims(3, 2, 3), matops.Dims(4, 3, 5)])
+    @pytest.mark.parametrize(
+        "dims", [matops.Dims(3, 2, 3), matops.Dims(4, 3, 5), matops.Dims(12, 10, 6)])
     def test_gradient_and_hessian_columns(self, dims):
         # the fitter's Riemannian gradient and Hessian matrix are the fixed-rank
         # operator of a tangent space built afresh at A, in the block's basis
@@ -411,23 +412,33 @@ class TestBlockDerivativeBits:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_a_hessian_matrix_in_chunks(self, kind, dims, monkeypatch):
-        # the whole basis in one stack, chunks of 1 to 4 columns (at least one
-        # size with a ragged last chunk), and panels of 5 and 7 one-column
-        # chunks (at least one ragged) with ragged row blocks of B^T, give the
-        # one-column loop's matrix and the whole gemv's gradient coordinates
+        # the dense assembly, with the whole basis in one stack, chunks of 1 to
+        # 4 columns (at least one size with a ragged last chunk), and panels of
+        # 5 and 7 one-column chunks (at least one ragged) with ragged row blocks
+        # of B^T, gives the one-column loop's matrix; newton_system takes it at
+        # every budget that holds one dense J(V), the slice-wise form under the
+        # panel budgets, and gives the whole gemv's gradient coordinates
         tau = make_tau(kind, 55, dims=dims)
         sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
         block = a_block(tau, sc)
-        m, x_bytes = block.space.basis.shape[1], tau.a.nbytes
+        space = block.space
+        m, x_bytes = space.basis.shape[1], tau.a.nbytes
         sizes, panels = (1, 2, 3, 4), (5, 7)
         assert any(m % size for size in sizes) and any(m % size for size in panels)
         expected = a_hess_matrix_reference(block).tobytes()
-        coef = (block.space.basis.T @ matops.vec(block.egrad)).tobytes()
-        budgets = [size * block.space.j.nbytes for size in sizes]
+        coef = (space.basis.T @ matops.vec(block.egrad)).tobytes()
+        w = space.normal_weights(block.egrad)
+        budgets = [size * space.j.nbytes for size in sizes]
         for budget in [matops.STACK_BYTES, *budgets, *(size * x_bytes for size in panels)]:
             monkeypatch.setattr(matops, "STACK_BYTES", budget)
+            assert space._dense_hessian(block.hess, w).tobytes() == expected
             _, g_coef, h_mat = newton_system(block)
-            assert h_mat.tobytes() == expected and g_coef.tobytes() == coef
+            assert g_coef.tobytes() == coef
+            if budget >= space.j.nbytes:
+                assert h_mat.tobytes() == expected
+            else:
+                want = np.frombuffer(expected).reshape(m, m)
+                assert np.abs(h_mat - want).max() <= 1e-12 * np.abs(want).max()
             if budget in budgets:
                 size = budget // block.space.j.nbytes
                 assert len(matops.chunks(m, block.space.j.nbytes)) == -(-m // size)
