@@ -230,7 +230,9 @@ def rc_solve(sigma, sep, m1, m2, dims):
     """Invert R_C: find the tangent pair (U1, U2) with R_C(U1, U2) = (M1, M2).
 
     Materializes R_C over an orthonormal basis of the product tangent space
-    (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely.
+    (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely, its
+    columns scaled to unit norm: ill-conditioned factors spread their norms
+    over many orders of magnitude, which lstsq's rank test would misread.
     """
     basis = [(e, np.zeros_like(sep.k2)) for e in spd_geometry.ai_unitdet_basis(sep.k1)]
     basis += [(np.zeros_like(sep.k1), e) for e in spd_geometry.sym_basis(dims.p2)]
@@ -241,9 +243,12 @@ def rc_solve(sigma, sep, m1, m2, dims):
     r_c = rc_operator(sigma, sep, dims)
     mat_op = np.column_stack([pack(*r_c(b1, b2)) for b1, b2 in basis])
     rhs = pack(np.asarray(m1, dtype=float), np.asarray(m2, dtype=float))
-    coef, _, rank, _ = np.linalg.lstsq(mat_op, rhs, rcond=None)
+    scale = np.linalg.norm(mat_op, axis=0)
+    scale[scale == 0.0] = 1.0
+    coef, _, rank, _ = np.linalg.lstsq(mat_op / scale, rhs, rcond=None)
     if rank < len(basis):
         raise np.linalg.LinAlgError("R_C system is numerically rank deficient")
+    coef /= scale
     u1 = sum(w * b1 for w, (b1, _) in zip(coef, basis))
     u2 = sum(w * b2 for w, (_, b2) in zip(coef, basis))
     return matops.sym(u1), matops.sym(u2)

@@ -283,6 +283,10 @@ class _KBlock:
     both sides once the whitened observations are transposed: side 1 works
     with Z_i = K1bar^-1 Y_i K2bar^-T and slices U_j of the top left singular
     vectors of A; side 2 with their transposes.
+
+    The Hessian action of a stack goes through the observations E_n, or, once
+    their (k, n, q, q') temporary outgrows the stack budget, through V-free
+    moments of them, at a cost per element that does not grow with n.
     """
 
     def __init__(self, base, data, side):
@@ -317,28 +321,29 @@ class _KBlock:
         self.g_acc = np.einsum("jn,nab->jab", self.t, self.e)
         self.c0 = 2.0 / (n * tau.lam * tau.nu**2)
         self.c1 = 2.0 * (1.0 - tau.lam) / (n * tau.lam * tau.nu**2)
+        # P = sum_j alpha_j K^-T U_j G_j^T
+        self.cross = np.einsum(
+            "j,jab->ab",
+            self.alpha,
+            np.einsum("ab,jbc,jdc->jad", ki.T, self.umats, self.g_acc),
+        )
         self.egrad = self.grad()
 
     def grad(self):
         """Euclidean gradient of the likelihood in the factor."""
         f = self.space.part
-        cross = np.einsum(
-            "j,jab->ab",
-            self.alpha,
-            np.einsum("ab,jbc,jdc->jad", self.space.inverse.T, self.umats, self.g_acc),
-        )
-        return -self.c0 * f(self.kq) + self.c1 * f(cross)
+        return -self.c0 * f(self.kq) + self.c1 * f(self.cross)
 
     def hess(self, v):
         """Euclidean Hessian of the likelihood in the factor, applied to V.
 
-        A (k, q, q) stack of V gives the stack of actions, each with the bits
-        of its own call; each matops.chunks chunk builds a (k, n, q, q') temporary.
+        One V, or a (k, q, q) stack that matops.chunks(k, e.nbytes) leaves
+        whole, goes through one (k, n, q, q') temporary, and each action
+        keeps the bits of its own call.  A larger stack goes through the
+        moments P and T instead, in matops.chunks of its (k, r, q, q')
+        temporaries, to rounding of the one-element form.
         """
         v = np.asarray(v, dtype=float)
-        pieces = matops.chunks(len(v), self.e.nbytes) if v.ndim == 3 else []
-        if len(pieces) > 1:
-            return np.concatenate([self.hess(v[rows]) for rows in pieces])
         ki, f = self.space.inverse, self.space.part
         ki_t = ki.T
         vt = v.swapaxes(-1, -2)
@@ -348,25 +353,38 @@ class _KBlock:
             + self.kq @ vt @ ki_t
             + self.kk @ v @ self.q_mat
         )
-        kv = ki @ v
+        whole = v.ndim == 2 or len(matops.chunks(len(v), self.e.nbytes)) == 1
+        sums = self._sample_sums if whole else self._moment_sums
+        term2, term3 = (-self.c1 * f(m) for m in sums(ki @ v, kvt))
+        return term1 + term2 + term3
+
+    def _sample_sums(self, kv, kvt):
+        """The V-dependent sums inside term2 and term3 of hess, from kv = K^-1 V
+        and kvt = K^-T V^T, formed over the observations E_n."""
         s = np.einsum(
             "jab,...nab->...jn", self.umats, np.einsum("...ab,nbc->...nac", kv, self.e)
         )
         h_acc = np.einsum("...jn,nab->...jab", s, self.e)
-        term2 = -self.c1 * f(
-            np.einsum(
-                "j,...jab->...ab",
-                self.alpha,
-                np.einsum("ab,jbc,...jdc->...jad", ki_t, self.umats, h_acc),
-            )
-        )
+        sum2 = np.einsum("j,...jab->...ab", self.alpha, np.einsum(
+            "ab,jbc,...jdc->...jad", self.space.inverse.T, self.umats, h_acc))
         part_a = np.einsum("...ab,jbc,jdc->...jad", kvt, self.ku, self.g_acc)
         kvg = np.einsum("...ab,jbc->...jac", kv, self.g_acc)
         part_b = np.einsum("jab,...jcb->...jac", self.ku, kvg)
-        term3 = -self.c1 * f(
-            np.einsum("j,...jab->...ab", self.alpha, part_a + part_b)
-        )
-        return term1 + term2 + term3
+        return sum2, np.einsum("j,...jab->...ab", self.alpha, part_a + part_b)
+
+    def _moment_sums(self, kv, kvt):
+        """_sample_sums from the moments T = sum_n vec(E_n) vec(E_n)^T (vec
+        stacking rows) and P = cross: sum_j alpha_j K^-T U_j h_j^T with
+        h_j = mat(T vec((K^-1 V)^T U_j)), and K^-T V^T P + P V^T K^-T; the
+        (k, r, q, q') temporaries go in matops.chunks."""
+        e = self.e.reshape(len(self.e), -1)
+        t_mat, out = e.T @ e, np.empty_like(kv)
+        ku_alpha = self.ku * self.alpha[:, None, None]
+        for rows in matops.chunks(len(kv), self.umats.nbytes):
+            x = kv[rows, None].swapaxes(-1, -2) @ self.umats
+            h = (x.reshape(-1, len(t_mat)) @ t_mat).reshape(x.shape)
+            out[rows] = np.einsum("jab,kjcb->kac", ku_alpha, h, optimize=True)
+        return out, kvt @ self.cross + self.cross @ kv.swapaxes(-1, -2)
 
     def retract(self, v):
         return self.base.replace(**{self.name: self.space.exp(v)})

@@ -20,6 +20,12 @@ def nonexistence_gram():
     return f @ f.T
 
 
+def rand_factor(q, cond, rng):
+    """Randomly rotated SPD matrix with eigenvalues log-spaced over [1, cond]."""
+    rot, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    return matops.sym((rot * np.logspace(0, np.log10(cond), q)) @ rot.T)
+
+
 class TestKroneckerMle:
     def test_separable_input(self, rng):
         a = rand_spd(2, rng)
@@ -377,6 +383,26 @@ class TestRcOperator:
             u1, u2 = kcd.rc_solve(sigma, sep, m1, m2, DIMS22)
             assert np.abs(u1 - w1).max() < 1e-8
             assert np.abs(u2 - w2).max() < 1e-8
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_solve_with_ill_conditioned_factors(self, seed):
+        # rotated factors with eigenvalues log-spaced over [1, 1e6] about a
+        # core, Cholesky roots: the columns of the dense R_C span eight orders of
+        # magnitude, and an unscaled lstsq called the system rank deficient
+        dims, rng = matops.Dims(4, 3), np.random.default_rng(seed)
+        g = rng.standard_normal((dims.p, 40))
+        c = kcd.kcd(g @ g.T / 40, dims, SquareRootKind.CHOLESKY).c
+        k1, k2 = (rand_factor(q, 1e6, rng) for q in (dims.p1, dims.p2))
+        det1 = matops.det_root(k1)
+        sep = kcd.SeparableCovariance(k1=k1 / det1, k2=k2 * det1)
+        h = sep.h_matrix(SquareRootKind.CHOLESKY)
+        sigma = matops.sym(h @ c @ h.T)
+        r_c = kcd.rc_operator(sigma, sep, dims)
+        u1 = spd_geometry.proj_unitdet_spd(sep.k1, rand_sym(dims.p1, rng))
+        m = r_c(u1, rand_sym(dims.p2, rng))
+        back = r_c(*kcd.rc_solve(sigma, sep, *m, dims))
+        err = max(np.abs(x - y).max() for x, y in zip(back, m, strict=True))
+        assert err <= 1e-8 * max(np.abs(y).max() for y in m)
 
     def test_preserves_tangency(self, rng):
         sigma, sep = self._base(rng)

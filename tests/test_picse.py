@@ -274,8 +274,17 @@ class TestKBlockMatchesOperator:
             g = proj(x, grad_hess(x, block.egrad, zero, zero)[0])
             assert np.array_equal(rgrad, g)
             assert np.array_equal(g_coef, [inner(x, g, b) for b in space.basis])
+            # the stacked actions are the scalar calls' bits where the basis
+            # fits one chunk of the hess temporary (the default budget), and
+            # the moment form's otherwise (the row budgets)
+            images = block.hess(space.basis)
+            if rows is None:
+                assert len(matops.chunks(len(space.basis), block.e.nbytes)) == 1
+                assert all(np.array_equal(h, block.hess(b)) for h, b in zip(images, space.basis))
+            else:
+                assert_hess_close(block, images, space.basis)
             for i, b in enumerate(space.basis):
-                h = proj(x, grad_hess(x, block.egrad, block.hess(b), b)[1])
+                h = proj(x, grad_hess(x, block.egrad, images[i], b)[1])
                 assert np.array_equal(h_mat[i], [inner(x, h, c) for c in space.basis])
 
 
@@ -357,6 +366,14 @@ def k_hess_reference(block, v):
     return term1 + term2 + term3
 
 
+def assert_hess_close(block, stacked, basis):
+    """Each action of a stack within 1e-12 (relative to its largest entry)
+    of k_hess_reference."""
+    for h, b in zip(stacked, basis, strict=True):
+        want = k_hess_reference(block, b)
+        assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def a_hess_matrix_reference(block):
     """The A block's Hessian matrix, one column per hess_coords call."""
     space = block.space
@@ -390,9 +407,10 @@ class TestBlockDerivativeBits:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_k_blocks(self, kind, dims, monkeypatch):
-        # hess cuts a whole basis into matops.chunks of its (n, q, q')
-        # temporary: the default budget and chunks of 1 to 3 elements (at
-        # least one size ragged) give the bits of the reference
+        # under the default budget the whole basis fits one matops.chunks chunk
+        # of hess's (n, q, q') temporary and keeps the bits of the reference;
+        # under chunks of 1 to 3 elements (at least one size ragged) it takes
+        # the moment form, to 1e-12 of the reference
         tau = make_tau(kind, 51, dims=dims)
         data = make_data(52, n=10, dims=dims)
         default, sizes = matops.STACK_BYTES, (1, 2, 3)
@@ -406,8 +424,31 @@ class TestBlockDerivativeBits:
                 monkeypatch.setattr(matops, "STACK_BYTES", budget)
                 stacked = block.hess(basis)
                 assert stacked.shape == basis.shape
-                assert [h.tobytes() for h in stacked] == expected
+                if budget == default:
+                    assert len(matops.chunks(len(basis), e_bytes)) == 1
+                    assert [h.tobytes() for h in stacked] == expected
+                else:
+                    assert_hess_close(block, stacked, basis)
             assert len(matops.chunks(len(basis), e_bytes)) == -(-len(basis) // 3)
+
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    @pytest.mark.parametrize("shape, n", [((12, 10, 6), 240), ((8, 8, 5), 128)])
+    def test_k_moment_form(self, kind, shape, n, monkeypatch):
+        # fit-large's shape and the CI fit's: under the default budget the
+        # whole basis takes the moment form, and the observations never enter
+        dims = matops.Dims(*shape)
+        tau = make_tau(kind, 53, dims=dims)
+        data = make_data(54, n=n, dims=dims)
+
+        def no_sample_sums(*args):
+            raise AssertionError("hess went through the observations")
+
+        monkeypatch.setattr(picse._KBlock, "_sample_sums", no_sample_sums)
+        for side in (1, 2):
+            block = k_block(tau, data, side)
+            basis = block.space.basis
+            assert len(matops.chunks(len(basis), block.e.nbytes)) > 1
+            assert_hess_close(block, block.hess(basis), basis)
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
