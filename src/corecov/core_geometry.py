@@ -101,7 +101,7 @@ def check_dense_size(p, r):
         raise CapacityError(f"dense J needs p*r <= {_MAX_PR}, got {p * r}")
 
 
-def j_operator(a, dims, out=None):
+def j_operator(a, dims):
     """Dense constraint differential J(A), shape (p1^2 + p2^2 + 1) x (p*r).
 
     Row blocks, with a the stacked vec(A_i) and the i-th column block acting
@@ -116,17 +116,16 @@ def j_operator(a, dims, out=None):
     own call.
 
     Only the three structural diagonals of J1 and J2 and the last row are
-    written, each entry once and with the bits of adding into zeros; every
-    other entry is left as it is.  So J is written into fresh zeros when out
-    is None, or else into out, a JScratch of an array of J's shape that holds
-    zeros, or any J of the same dims, off those entries; returns J.
+    written into fresh zeros, each entry once and with the bits of adding
+    into zeros, so every zero of J is +0.0.
     """
     a = np.asarray(a, dtype=float)
     p1, p2, p = dims.p1, dims.p2, dims.p
     lead, r = a.shape[:-2], a.shape[-1]
     check_dense_size(p, r)
-    if out is None:
-        out = JScratch(np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r)), dims)
+    j = np.zeros((*lead, p1 * p1 + p2 * p2 + 1, p * r))
+    j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
+    j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
     s_x = slices(a, dims).swapaxes(-3, -2)  # A_i[x, b] on axes (x, i, b)
     s_y = s_x.swapaxes(-1, -3)  # A_i[c, y] on axes (y, i, c)
     avec = matops.vec(a)
@@ -137,15 +136,17 @@ def j_operator(a, dims, out=None):
     # d_yb A_i[c, x])/p - c2 d_xy A_i[c, b].  An entry on one diagonal is
     # 0.0 + t or 0.0 - z; where all three meet, t + t - z has the bits of
     # ((0.0 + t) + t) - z, as t and z are zero together and of one sign.
-    for (one, other, diag, meet), s_t, c in zip(
-            out.diags, (s_x, s_y), (2.0 / (p1**2 * p2), 2.0 / (p1 * p2**2))):
+    for blk, (one, other, meet), s_t, c in zip(
+            (j1, j2), (("...xcibc->...xcib", "...cyibc->...cyib", "...xxibx->...xib"),
+                       ("...xyiyc->...xyic", "...xyixc->...xyic", "...xxixc->...xic")),
+            (s_x, s_y), (2.0 / (p1**2 * p2), 2.0 / (p1 * p2**2))):
         t = s_t / p
-        one[...] = 0.0 + t[..., :, None, :, :]
-        other[...] = 0.0 + t[..., None, :, :, :]
-        diag[...] = 0.0 - c * aic
-        meet[...] = t + t - c * s_t
-    out.last[...] = 0.0 + 2.0 * avec
-    return out.j
+        np.einsum(one, blk)[...] = 0.0 + t[..., :, None, :, :]
+        np.einsum(other, blk)[...] = 0.0 + t[..., None, :, :, :]
+        np.einsum("...xxibc->...xibc", blk)[...] = 0.0 - c * aic
+        np.einsum(meet, blk)[...] = t + t - c * s_t
+    j[..., -1, :] = 0.0 + 2.0 * avec
+    return j
 
 
 def j_adjoint(w, dims):
@@ -162,20 +163,6 @@ def j_adjoint(w, dims):
         return ((2.0 / p) * (vt @ s1 + s2 @ vt) - gamma * vt).reshape(*v.shape[:-2], -1)
 
     return apply
-
-
-class JScratch:
-    """A J buffer for j_operator's out, with the views j_operator writes formed once."""
-
-    def __init__(self, j, dims):
-        p1, p2, lead, r = dims.p1, dims.p2, j.shape[:-2], j.shape[-1] // dims.p
-        j1 = j[..., : p1 * p1, :].reshape(*lead, p1, p1, r, p2, p1)
-        j2 = j[..., p1 * p1 : -1, :].reshape(*lead, p2, p2, r, p2, p1)
-        self.j, self.last = j, j[..., -1, :]
-        self.diags = [[np.einsum(e, blk) for e in (one, other, "...xxibc->...xibc", meet)]
-                      for blk, one, other, meet in (
-            (j1, "...xcibc->...xcib", "...cyibc->...cyib", "...xxibx->...xib"),
-            (j2, "...xyiyc->...xyic", "...xyixc->...xyic", "...xxixc->...xic"))]
 
 
 class RankTangentSpace:
@@ -195,17 +182,8 @@ class RankTangentSpace:
         self.basis = vt[n_keep:].T
 
     def coords(self, x):
-        """B^T x for x of length p*r, or a (k, p*r) stack, each row with the
-        bits of its own B^T x: blocks of rows of B^T, as many as fit STACK_BYTES
-        rounded down to a multiple of 16 (at least 16; 32-256 timed alike), go
-        once each through the whole stack.  OpenBLAS 0.3.31 (x86 SkylakeX) keeps
-        a row's bits of the whole gemv only in a block starting at a multiple of
-        4 rows: at (588, 720), blocks of 4, 8, 16, 64, 100 and 196 rows did; of
-        1, 3, 5, 7, 13 and 131 rows, or a gemm, did not."""
-        bt = self.basis.T
-        rows = max(16, matops.STACK_BYTES // bt[0].nbytes // 16 * 16)
-        return np.concatenate([(bt[i : i + rows] @ x[..., None])[..., 0]
-                               for i in range(0, len(bt), rows)], axis=-1)
+        """B^T x for x of length p*r, or a (k, p*r) stack, one gemv per vector."""
+        return (self.basis.T @ x[..., None])[..., 0]
 
     def tangent(self, coef):
         """The p x r matrix with vec B coef."""
@@ -220,61 +198,38 @@ class RankTangentSpace:
         jp = (vt.T / s) @ u.T
         return jp.T @ (jp @ (self.j @ matops.vec(egrad)))
 
-    def _residual(self, ehess_v, v, w, out=None):
-        """vec(ehess_v) - J(V)^T w; (k, p, r) stacks give (k, p*r), each row with
-        the bits of its own call.  J(V) goes into the JScratch out, if given."""
-        jv = j_operator(v, self.dims, out=out)
-        return matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0]
-
     def hess_coords(self, ehess_v, v, w):
-        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V."""
-        return self.coords(self._residual(ehess_v, v, w))
+        """B^T (vec(ehess_v) - J(V)^T w): the Riemannian Hessian along V; a
+        (k, p, r) stack gives (k, m), each row with the bits of its own call."""
+        jv = j_operator(v, self.dims)
+        return self.coords(matops.vec(ehess_v) - (jv.swapaxes(-1, -2) @ w[:, None])[..., 0])
 
     def newton_system(self, egrad, ehess):
         """The Riemannian gradient, its coordinates B^T vec(egrad), and the
         Riemannian Hessian in B, column i its action on B[:, i]; ehess maps a
-        (k, p, r) stack of V to the stack of Euclidean Hessian actions.  Its
-        J(V)^T w is slice-wise once one dense J(V) outgrows matops.STACK_BYTES."""
-        coef, w = self.coords(matops.vec(egrad)), self.normal_weights(egrad)
-        dense = self.j.nbytes <= matops.STACK_BYTES
-        hessian = self._dense_hessian if dense else self._slice_hessian
-        return self.tangent(coef), coef, hessian(ehess, w)
-
-    def _dense_hessian(self, ehess, w):
-        """The Hessian matrix with the bits of a hess_coords call per column."""
+        (k, p, r) stack of V to the stack of Euclidean Hessian actions.  While
+        one dense J(V) fits matops.STACK_BYTES, the matrix is hess_coords per
+        chunk of J(V); past it, J(V)^T w comes slice-wise from j_adjoint."""
         (p, r), m = self.shape, self.basis.shape[1]
-        h_mat, chunks = np.empty((m, m)), matops.chunks(m, self.j.nbytes)
-        step = chunks[0].stop
-        # the dense J(V) of every column, written into one scratch (a ragged
-        # last chunk takes a leading slice) that goes when this call returns
-        jv = JScratch(np.zeros((step, *self.j.shape)), self.dims)
-        # a panel of whole chunks whose residuals fit STACK_BYTES goes
-        # through coords at once: each block of B^T serves all its columns
-        for group in matops.chunks(len(chunks), step * p * r * 8):
-            x = []
-            for cols in chunks[group]:
+        coef, w = self.coords(matops.vec(egrad)), self.normal_weights(egrad)
+        h_mat = np.empty((m, m))
+        if self.j.nbytes <= matops.STACK_BYTES:
+            for cols in matops.chunks(m, self.j.nbytes):
                 # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
                 v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
-                if len(v) < step:
-                    jv = JScratch(jv.j[: len(v)], self.dims)
-                x.append(self._residual(ehess(v), v, w, jv))
-            h_mat[:, chunks[group][0].start : cols.stop] = self.coords(
-                np.concatenate(x)).T
-        return h_mat
-
-    def _slice_hessian(self, ehess, w):
-        """The Hessian matrix with J(V)^T w from j_adjoint, no J(V) formed."""
-        (p, r), m, jtw = self.shape, self.basis.shape[1], j_adjoint(w, self.dims)
+                h_mat[:, cols] = self.hess_coords(ehess(v), v, w).T
+            return self.tangent(coef), coef, h_mat
+        jtw = j_adjoint(w, self.dims)
         # chunks bound the p x p core differential A V^T + V A^T of a Hessian
         # action, panels the residuals that go through one product with B^T
-        h_mat, chunks = np.empty((m, m)), matops.chunks(m, p * p * 8)
+        chunks = matops.chunks(m, p * p * 8)
         for group in matops.chunks(len(chunks), chunks[0].stop * p * r * 8):
             x = []
             for cols in chunks[group]:
                 v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
                 x.append(matops.vec(ehess(v)) - jtw(v))
             h_mat[:, chunks[group][0].start : cols.stop] = self.basis.T @ np.concatenate(x).T
-        return h_mat
+        return self.tangent(coef), coef, h_mat
 
 
 def tangent_project_full(v, dims):

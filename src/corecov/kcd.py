@@ -233,6 +233,9 @@ def rc_solve(sigma, sep, m1, m2, dims):
     (dimension binom(p1+1,2) - 1 + binom(p2+1,2)) and solves densely, its
     columns scaled to unit norm: ill-conditioned factors spread their norms
     over many orders of magnitude, which lstsq's rank test would misread.
+    Past a factor condition of about 1e6 the scaled matrix is still
+    ill-conditioned (about 1e10): the residual stays small, but (U1, U2) is
+    fixed only up to a near-null direction of R_C.
     """
     basis = [(e, np.zeros_like(sep.k2)) for e in spd_geometry.ai_unitdet_basis(sep.k1)]
     basis += [(np.zeros_like(sep.k1), e) for e in spd_geometry.sym_basis(dims.p2)]

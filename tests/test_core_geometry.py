@@ -189,53 +189,9 @@ class TestJOperator:
         assert js.shape == (k, *j.shape)
         for ji, ai in zip(js, stack):
             assert ji.tobytes() == cg.j_operator(ai, dims).tobytes()
-        # written into the J of other factors, both keep the bits of a fresh
-        # call, whose every zero is +0.0
-        for x, want in ((a, j), (stack, js)):
-            buf = cg.j_operator(rng.standard_normal(x.shape), dims)
-            assert cg.j_operator(x, dims, out=cg.JScratch(buf, dims)) is buf
-            assert buf.tobytes() == want.tobytes()
-            assert not np.signbit(buf[buf == 0]).any()
-
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 3, 3), (6, 4, 3), (3, 5, 4)])
-    def test_writes_every_entry_of_a_used_scratch(self, shape, rng):
-        # out wraps the J of another factor: every structural entry is written
-        # over, with the bits of a fresh call also where A has signed zeros at
-        # entries that were nonzero in out, and every zero +0.0; one factor
-        # and a k = 3 stack
-        dims = matops.Dims(*shape)
-        for lead in ((), (3,)):
-            buf = cg.j_operator(rng.standard_normal((*lead, dims.p, dims.r)), dims)
-            a = signed_zeros(rng.standard_normal((*lead, dims.p, dims.r)), 0.3, rng)
-            assert cg.j_operator(a, dims, out=cg.JScratch(buf, dims)) is buf
-            assert buf.tobytes() == cg.j_operator(a, dims).tobytes()
-            assert not np.signbit(buf[buf == 0]).any()
-
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 3, 3), (6, 4, 3), (3, 5, 4)])
-    def test_writes_through_a_prepared_scratch(self, shape, rng):
-        # a JScratch holding the J of other factors, its views formed once and
-        # used for two factors in turn, gives the bits of a fresh call, and so
-        # does a leading slice of it; one factor and a k = 3 stack
-        dims = matops.Dims(*shape)
-
-        def other(*lead):
-            return rng.standard_normal((*lead, dims.p, dims.r))
-
-        for lead in ((), (3,)):
-            scratch = cg.JScratch(cg.j_operator(other(*lead), dims), dims)
-            for _ in range(2):
-                a = signed_zeros(other(*lead), 0.3, rng)
-                assert cg.j_operator(a, dims, out=scratch) is scratch.j
-                assert scratch.j.tobytes() == cg.j_operator(a, dims).tobytes()
-                assert not np.signbit(scratch.j[scratch.j == 0]).any()
-        # a ragged last chunk: the first 2 of a scratch for 3
-        head = cg.JScratch(scratch.j[:2], dims)
-        a = signed_zeros(other(2), 0.3, rng)
-        tail = scratch.j[2].copy()
-        assert np.shares_memory(cg.j_operator(a, dims, out=head), scratch.j)
-        assert scratch.j[:2].tobytes() == cg.j_operator(a, dims).tobytes()
-        assert scratch.j[2].tobytes() == tail.tobytes()
-
+        # every zero of a fresh call is +0.0, also where A has signed zeros
+        for x in (j, js):
+            assert not np.signbit(x[x == 0]).any()
 
 
 class TestRankTangentSpace:
@@ -272,8 +228,8 @@ class TestRankTangentSpace:
     def test_slice_hessian_matches_hess_coords(self, shape, rng, monkeypatch):
         # once one dense J(V) outgrows STACK_BYTES (by default at (12, 10, 6),
         # forced for the other shapes, also in chunks of 2 columns), newton_system
-        # takes J(V)^T w slice-wise, with no j_operator call, JScratch or
-        # Kronecker product, and its Hessian matrix is the hess_coords columns
+        # takes J(V)^T w slice-wise, with no j_operator call or Kronecker
+        # product, and its Hessian matrix is the hess_coords columns
         dims = matops.Dims(*shape)
         a = cg.random_core_factor(dims, seed=61)
         space = cg.RankTangentSpace(a, dims)
@@ -292,8 +248,7 @@ class TestRankTangentSpace:
         def refused(*args, **kwargs):
             raise AssertionError("newton_system formed a dense J(V)")
 
-        for name in ("j_operator", "JScratch"):
-            monkeypatch.setattr(cg, name, refused)
+        monkeypatch.setattr(cg, "j_operator", refused)
         monkeypatch.setattr(matops, "kron", refused)
         if space.j.nbytes <= matops.STACK_BYTES:
             budgets = (space.j.nbytes - 1, 2 * p * p * 8)

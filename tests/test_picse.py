@@ -453,12 +453,11 @@ class TestBlockDerivativeBits:
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_a_hessian_matrix_in_chunks(self, kind, dims, monkeypatch):
-        # the dense assembly, with the whole basis in one stack, chunks of 1 to
-        # 4 columns (at least one size with a ragged last chunk), and panels of
-        # 5 and 7 one-column chunks (at least one ragged) with ragged row blocks
-        # of B^T, gives the one-column loop's matrix; newton_system takes it at
-        # every budget that holds one dense J(V), the slice-wise form under the
-        # panel budgets, and gives the whole gemv's gradient coordinates
+        # newton_system, with the whole basis in one chunk, chunks of 1 to 4
+        # dense J(V) (at least one size with a ragged last chunk), and the
+        # slice-wise form in panels of 5 and 7 one-column chunks (at least one
+        # ragged), gives the one-column loop's matrix, bit for bit while one
+        # J(V) fits the budget, and the whole gemv's gradient coordinates
         tau = make_tau(kind, 55, dims=dims)
         sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
         block = a_block(tau, sc)
@@ -468,11 +467,9 @@ class TestBlockDerivativeBits:
         assert any(m % size for size in sizes) and any(m % size for size in panels)
         expected = a_hess_matrix_reference(block).tobytes()
         coef = (space.basis.T @ matops.vec(block.egrad)).tobytes()
-        w = space.normal_weights(block.egrad)
         budgets = [size * space.j.nbytes for size in sizes]
         for budget in [matops.STACK_BYTES, *budgets, *(size * x_bytes for size in panels)]:
             monkeypatch.setattr(matops, "STACK_BYTES", budget)
-            assert space._dense_hessian(block.hess, w).tobytes() == expected
             _, g_coef, h_mat = newton_system(block)
             assert g_coef.tobytes() == coef
             if budget >= space.j.nbytes:
@@ -480,60 +477,42 @@ class TestBlockDerivativeBits:
             else:
                 want = np.frombuffer(expected).reshape(m, m)
                 assert np.abs(h_mat - want).max() <= 1e-12 * np.abs(want).max()
-            if budget in budgets:
-                size = budget // block.space.j.nbytes
-                assert len(matops.chunks(m, block.space.j.nbytes)) == -(-m // size)
-        # the panel budgets take one-column chunks and ragged row blocks of
-        # B^T, whose rows have x_bytes: 16 of them, the least coords takes
-        assert len(matops.chunks(m, block.space.j.nbytes)) == m
-        assert matops.STACK_BYTES < 16 * x_bytes and m % 16
+        # the panel budgets cut the slice-wise form into one-column chunks
+        assert len(matops.chunks(m, dims.p * dims.p * 8)) == m
 
-    @pytest.mark.parametrize("dims", [matops.Dims(4, 3, 3), matops.Dims(6, 4, 3)])
-    def test_a_coords_in_row_blocks(self, dims, monkeypatch):
-        # coords in row blocks of B^T by the STACK_BYTES rule (a multiple of
-        # 16 rows, at least 16), ragged or one block, keeps each coordinate's
-        # bits of one whole-B gemv per vector
-        space = cg.RankTangentSpace(cg.random_core_factor(dims, seed=59), dims)
-        m, row_bytes = space.basis.shape[1], space.basis[:, 0].nbytes
-        x = np.random.default_rng(60).standard_normal((5, len(space.basis)))
-        gemv = np.array([space.basis.T @ xi for xi in x])
-        blocks = []
-        for size in (1, 15, 17, 33, 64):
-            monkeypatch.setattr(matops, "STACK_BYTES", size * row_bytes)
-            blocks.append(max(16, size // 16 * 16))
-            assert space.coords(x).tobytes() == gemv.tobytes()
-            assert space.coords(x[0]).tobytes() == gemv[0].tobytes()
-        assert any(rows < m and m % rows for rows in blocks)
-        assert any(rows >= m for rows in blocks)
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
+    def test_a_newton_system_routing(self, dims, monkeypatch):
+        # under budgets of 1 to 4 dense J(V) per chunk, newton_system makes one
+        # hess_coords call per chunk and keeps the one-column loop's bits; past
+        # the budget it calls neither hess_coords nor j_operator
+        tau = make_tau(SquareRootKind.SYMMETRIC, 62, dims=dims)
+        block = a_block(tau, SampleCov.from_data(make_data(63, n=10, dims=dims), dims))
+        m, j_bytes = block.space.basis.shape[1], block.space.j.nbytes
+        expected = a_hess_matrix_reference(block).tobytes()
+        calls, hess_coords = [], cg.RankTangentSpace.hess_coords
 
-    def test_a_derivatives_write_j_into_one_scratch(self, monkeypatch):
-        # every J(V) of one newton_system call goes into one prepared scratch
-        # (the ragged last chunk into a leading slice of it), which neither
-        # the block nor its space keeps
-        dims = matops.Dims(4, 3, 3)
-        tau = make_tau(SquareRootKind.SYMMETRIC, 57, dims=dims)
-        block = a_block(tau, SampleCov.from_data(make_data(58, n=10, dims=dims), dims))
-        outs, j_operator = [], cg.j_operator
+        def counted(self, ehess_v, v, w):
+            calls.append(len(v))
+            return hess_coords(self, ehess_v, v, w)
 
-        def recorded(a, dims, out=None):
-            outs.append(out)
-            return j_operator(a, dims, out=out)
+        monkeypatch.setattr(cg.RankTangentSpace, "hess_coords", counted)
+        sizes = (1, 2, 3, 4)
+        assert any(m % size for size in sizes)
+        for size in sizes:
+            monkeypatch.setattr(matops, "STACK_BYTES", size * j_bytes)
+            calls.clear()
+            assert newton_system(block)[2].tobytes() == expected
+            assert len(calls) == -(-m // size) and sum(calls) == m
 
-        monkeypatch.setattr(matops, "STACK_BYTES", 4 * block.space.j.nbytes)
-        monkeypatch.setattr(cg, "j_operator", recorded)
-        newton_system(block)
-        m = block.space.basis.shape[1]
-        assert len(outs) == -(-m // 4) > 1 and m % 4
-        assert all(out is outs[0] for out in outs[:-1])
-        assert isinstance(outs[-1], cg.JScratch) and len(outs[-1].j) == m % 4
-        assert np.shares_memory(outs[-1].j, outs[0].j)
-        held = []
-        for value in [*vars(block).values(), *vars(block.space).values()]:
-            held += value if isinstance(value, tuple) else [value]
-        assert not any(isinstance(x, cg.JScratch) for x in held)
-        j_shaped = [x for x in held
-                    if isinstance(x, np.ndarray) and x.shape[-2:] == block.space.j.shape]
-        assert len(j_shaped) == 1 and j_shaped[0] is block.space.j
+        def refused(*args, **kwargs):
+            raise AssertionError("newton_system took the dense form past the budget")
+
+        monkeypatch.setattr(cg.RankTangentSpace, "hess_coords", refused)
+        monkeypatch.setattr(cg, "j_operator", refused)
+        monkeypatch.setattr(matops, "STACK_BYTES", j_bytes - 1)
+        h_mat = newton_system(block)[2]
+        want = np.frombuffer(expected).reshape(m, m)
+        assert np.abs(h_mat - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_a_hess_applies_ctilde_inverse_five_times(self):
         dims = matops.Dims(4, 3, 3)
