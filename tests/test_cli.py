@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -315,11 +316,14 @@ class RefuseScipy:
 sys.meta_path.insert(0, RefuseScipy())
 from corecov import cli
 
-sigma, data, out = sys.argv[1:]
+sigma, data, out, sim = sys.argv[1:]
 codes = [
     cli.main(["kcd", "--input", sigma, "--p1", "3", "--p2", "2", "--out", out]),
     cli.main(["fit", "--input", data, "--p1", "3", "--p2", "2", "--rank", "3",
               "--out", out]),
+    cli.main(["simulate", "--model", "m2", "--p1", "2", "--p2", "2", "--rank", "3",
+              "--lambda", "0.2", "--n", "8", "--reps", "1", "--sqrt", "both",
+              "--out", sim]),
 ]
 try:
     import scipy
@@ -333,8 +337,8 @@ print(json.dumps({"codes": codes, "refused": refused, "loaded": loaded}))
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: kcd and fit run in a process that
-    # refuses to import scipy, and leave no scipy module loaded
+    # numpy is the only runtime dependency: every subcommand runs in a process
+    # that refuses to import scipy, and leaves no scipy module loaded
     rng = np.random.default_rng(36)
     sigma, data = tmp_path / "sigma.csv", tmp_path / "data.csv"
     np.savetxt(sigma, rand_spd(6, rng), delimiter=",", fmt="%.17g")
@@ -344,12 +348,36 @@ def test_commands_run_without_scipy(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", WITHOUT_SCIPY, str(sigma), str(data),
-         str(tmp_path / "out.json")],
+         str(tmp_path / "out.json"), str(tmp_path / "sim")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0], "refused": True, "loaded": []}
+    assert report == {"codes": [0, 0, 0], "refused": True, "loaded": []}
+
+
+def test_no_module_imports_scipy():
+    # every path of the package runs on numpy alone, not only the calls the
+    # test above makes: no module names scipy in an import statement, or in
+    # the argument of an import_module or __import__ call
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        if isinstance(node, ast.Call) and node.args and (
+                getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("import_module", "__import__")):
+            return [c.value for c in ast.walk(node.args[0])
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+        return []
+
+    package = pathlib.Path(cli.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno} {name}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in imported(node) if name.partition(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n# only a comment\n"])

@@ -1157,6 +1157,25 @@ class TestFit:
         _, _, trace = picse.fit(make_data(93, n=12), DIMS, FitConfig(h_kind=kind))
         assert trace.step_norms and calls == []
 
+    @pytest.mark.parametrize("kind", list(SquareRootKind))
+    def test_past_the_stack_budget(self, kind, monkeypatch):
+        # at (8, 8, 5) one dense J(V) takes 330 KB, past matops.STACK_BYTES, so
+        # the A step takes J(V)^T w slice-wise; with n = 128 the K step takes
+        # the moment form, as the (k, n, q, q') temporary of the whole basis
+        # takes 2.3 MB
+        def refused(*args, **kwargs):
+            raise AssertionError("the fit took a form below the stack budget")
+
+        monkeypatch.setattr(picse._KBlock, "_sample_sums", refused)
+        monkeypatch.setattr(cg.RankTangentSpace, "hess_coords", refused)
+        data = np.random.default_rng(0).standard_normal((128, 8, 8))
+        tau, _, trace = picse.fit(data, matops.Dims(8, 8, 5),
+                                  FitConfig(max_iter=3, h_kind=kind))
+        assert trace.termination in ("converged", "max_iter")
+        obj = np.asarray(trace.objectives)
+        assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
+        tau.validate()
+
     def test_data_of_tiny_scale(self):
         # det of init's square-root factors and of the flip-flop's K1 would
         # underflow at data x 1e-45 (p = 12)

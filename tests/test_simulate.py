@@ -17,7 +17,8 @@ class TestGenTruth:
         dec = kcd.kcd(truth.sigma, DIMS, SquareRootKind.SYMMETRIC)
         expect = (1 - 0.35) * (truth.a @ truth.a.T) + 0.35 * np.eye(6)
         assert np.abs(dec.c - expect).max() < 1e-8
-        np.testing.assert_allclose(dec.k.matrix, truth.k, atol=1e-8)
+        np.testing.assert_allclose(dec.k.matrix, truth.sep.matrix, atol=1e-8)
+        assert abs(np.linalg.det(truth.sep.k1) - 1.0) < 1e-12
 
     def test_m2_core_structure(self):
         truth = simulate.gen_truth("m2", DIMS, 0.35, seed=2)
@@ -39,7 +40,7 @@ class TestGenTruth:
         truth = simulate.gen_truth("m2", DIMS, 0.2, seed=9)
         w = np.linalg.eigvalsh(truth.sigma)
         assert w.min() > 0
-        w1 = np.linalg.eigvalsh(truth.k)
+        w1 = np.linalg.eigvalsh(truth.sep.matrix)
         # the square of a kron of two cond<=50 factors
         assert w1.max() / w1.min() <= (50.0 * 50.0) ** 2
 
@@ -199,7 +200,7 @@ class TestRunExperiment:
 
     def test_scoring_decomposes_no_estimate(self, monkeypatch):
         # each runner returns the split it holds, and the truth's cores come
-        # from its one Kronecker MLE: the study decomposes only the sample,
+        # from the factor gen_truth drew: the study decomposes only the sample,
         # twice per root in picse.init (6 when the truth went through kcd once
         # per root, 11 when every estimate was decomposed again for its score)
         calls = {"kcd": 0}
@@ -218,8 +219,9 @@ class TestRunExperiment:
         assert not any(r.failed for r in records)
         assert calls == {"kcd": 4}
 
-    def test_one_flip_flop_per_truth(self, monkeypatch):
-        # both roots' truth cores split the one Kronecker MLE of the truth
+    def test_no_flip_flop_on_a_truth(self, monkeypatch):
+        # both roots' truth cores split the Kronecker factor gen_truth drew,
+        # so no kronecker_mle call reads a truth's sigma
         truths, on_truth = [], []
         gen, mle = simulate.gen_truth, kcd.kronecker_mle
 
@@ -239,7 +241,7 @@ class TestRunExperiment:
         )
         records, _ = simulate.run_experiment(config)
         assert not any(r.failed for r in records)
-        assert len(truths) == 2 and sum(on_truth) == 2
+        assert len(truths) == 2 and on_truth and not any(on_truth)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
