@@ -64,7 +64,7 @@ class SeparableCovariance:
         C = h(K)^-1 sym(Sigma) h(K)^-T, with the factor roots it was whitened by."""
         h1, h2 = roots = self.sqrt_factors(h_kind)
         c = matops.whiten(matops.kron(h2, h1), matops.sym(np.asarray(sigma, dtype=float)))
-        return KcdResult(k=self, c=c, h_kind=h_kind, roots=roots)
+        return KcdResult(k=self, c=c, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class KcdResult:
 
     k: SeparableCovariance
     c: np.ndarray
-    h_kind: SquareRootKind
     roots: tuple
 
     def reconstruct(self):
@@ -93,7 +92,7 @@ def kl_objective(k1, k2, sigma, dims):
     )
 
 
-def kronecker_mle(sigma, dims, psd_check=True):
+def kronecker_mle(sigma, dims):
     """Kronecker MLE of a symmetric PSD matrix by flip-flop descent.
 
     Raises NoKroneckerMle when the objective is still decreasing by more than
@@ -102,26 +101,27 @@ def kronecker_mle(sigma, dims, psd_check=True):
     input.
 
     ConfigError on a non-p x p, non-finite or asymmetric input (past
-    RESIDUAL_TOL of the largest entry).  psd_check=False skips these and the
-    eigenvalue gate for retraction intermediates (sym of finite factors, with
-    a spectrum dipping slightly below zero); factor positivity stays checked.
+    RESIDUAL_TOL of the largest entry), DefinitenessError on a non-PSD or zero one.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
         raise ConfigError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")
-    if psd_check:
-        if not np.isfinite(sigma).all():
-            raise ConfigError("matrix contains non-finite values")
-        if np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max():
-            raise ConfigError("matrix is not symmetric")
+    if not np.isfinite(sigma).all():
+        raise ConfigError("matrix contains non-finite values")
+    if np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max():
+        raise ConfigError("matrix is not symmetric")
     sigma = matops.sym(sigma)
-    if psd_check:
-        w = np.linalg.eigvalsh(sigma)
-        if w[0] < -matops.RESIDUAL_TOL * max(w[-1], 1.0):
-            raise DefinitenessError("input to kronecker_mle is not PSD")
-        if w[-1] <= 0.0:
-            raise DefinitenessError("input to kronecker_mle is zero")
+    w = np.linalg.eigvalsh(sigma)
+    if w[0] < -matops.RESIDUAL_TOL * max(w[-1], 1.0):
+        raise DefinitenessError("input to kronecker_mle is not PSD")
+    if w[-1] <= 0.0:
+        raise DefinitenessError("input to kronecker_mle is zero")
+    return _flip_flop(sigma, dims)
 
+
+def _flip_flop(sigma, dims):
+    """kronecker_mle's iteration on an exactly symmetric p x p matrix, without
+    its input gate; factor positivity stays checked."""
     k1 = np.eye(dims.p1)
     k2 = np.eye(dims.p2)
     prev_move = np.inf
@@ -149,8 +149,8 @@ def kronecker_mle(sigma, dims, psd_check=True):
     decrease = kl_objective(k1_prev, k2_prev, sigma, dims) - obj
     if decrease > _MLE_TOL * abs(obj):
         raise NoKroneckerMle(
-            f"objective still decreasing by {decrease:.3e} after {_MLE_MAX_ITER} sweeps"
-        )
+            f"flip-flop objective still decreasing by {decrease:.3e} after {_MLE_MAX_ITER}"
+            " sweeps: not settled, which slow convergence shows as well as a missing MLE")
     return SeparableCovariance(k1=k1, k2=k2)
 
 

@@ -492,13 +492,13 @@ def retract_core_factor(a, v, dims):
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
     d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
-    # d is exactly symmetric, so split's sym returns it bit for bit
-    core = kcd.kronecker_mle(d, dims, psd_check=False).split(d, SquareRootKind.SYMMETRIC).c
-    return _top_core_factor(core, dims)
+    return _core_factor(d, dims, SquareRootKind.SYMMETRIC)
 
 
-def _top_core_factor(core, dims):
-    """Balanced core factor from the top-r eigenpairs of a core matrix."""
+def _core_factor(m, dims, h_kind):
+    """Balanced core factor from the top-r eigenpairs of the core of m, which is
+    exactly symmetric: the flip-flop runs without kronecker_mle's input gate."""
+    core = kcd._flip_flop(m, dims).split(m, h_kind).c
     w, q = _top_eigenpairs(core, dims.r, "core")
     return core_geometry.balance_core_factor(q * np.sqrt(w), dims)
 
@@ -622,8 +622,7 @@ def init(sample_cov, h_kind):
     lam0 = (dims.p - float(w.sum())) / (dims.p - r)
     lam0 = min(max(lam0, _LAMBDA_BRACKET[0]), _LAMBDA_BRACKET[1])
 
-    trunc = matops.sym((q * w) @ q.T)
-    a0 = _top_core_factor(kcd.kcd(trunc, dims, h_kind).c, dims)
+    a0 = _core_factor(matops.sym((q * w) @ q.T), dims, h_kind)
     return PicseParams(
         k1bar=k1bar, k2bar=k2bar, nu=nu0, a=a0, lam=lam0, h_kind=h_kind, dims=dims
     )

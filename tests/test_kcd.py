@@ -26,6 +26,20 @@ def rand_factor(q, cond, rng):
     return matops.sym((rot * np.logspace(0, np.log10(cond), q)) @ rot.T)
 
 
+def ill_conditioned_split(dims, rng):
+    """(sep, Sigma = h C h^T): factors rotated randomly, with eigenvalues
+    log-spaced over [1, 1e6], about the Cholesky-root core of a sample
+    covariance, h = h(sep) the Cholesky root.  C has exact partial traces, so
+    sep is the Kronecker MLE of Sigma."""
+    g = rng.standard_normal((dims.p, 40))
+    c = kcd.kcd(g @ g.T / 40, dims, SquareRootKind.CHOLESKY).c
+    k1, k2 = (rand_factor(q, 1e6, rng) for q in (dims.p1, dims.p2))
+    det1 = matops.det_root(k1)
+    sep = kcd.SeparableCovariance(k1=k1 / det1, k2=k2 * det1)
+    h = sep.h_matrix(SquareRootKind.CHOLESKY)
+    return sep, matops.sym(h @ c @ h.T)
+
+
 class TestKroneckerMle:
     def test_separable_input(self, rng):
         a = rand_spd(2, rng)
@@ -105,20 +119,31 @@ class TestKroneckerMle:
             np.testing.assert_allclose(sep.k1, np.eye(4), rtol=0, atol=1e-12)
             np.testing.assert_allclose(sep.k2, m * np.eye(3), rtol=1e-12, atol=0)
 
-    def test_psd_check_off_takes_a_retraction_intermediate(self):
+    def test_flip_flop_takes_a_retraction_intermediate(self):
         # D = sym(AA^T + AV^T + VA^T) = (A + V)(A + V)^T - VV^T dips below zero:
-        # the retraction's call skips the input gates, the default rejects D
+        # the retraction's flip-flop has no input gate, kronecker_mle rejects D
         dims = matops.Dims(4, 3, 3)
         a = core_geometry.random_core_factor(dims, 3)
         v = 0.05 * np.random.default_rng(4).standard_normal(a.shape)
         d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
         w = np.linalg.eigvalsh(d)
         assert w[0] < -matops.RESIDUAL_TOL * w[-1]
-        sep = kcd.kronecker_mle(d, dims, psd_check=False)
+        sep = kcd._flip_flop(d, dims)
         assert np.linalg.det(sep.k1) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(sep.k2)[0] > 0.0
         with pytest.raises(DefinitenessError, match="not PSD"):
             kcd.kronecker_mle(d, dims)
+
+    @pytest.mark.xfail(strict=True, raises=NoKroneckerMle,
+                       reason="the flip-flop stalls at factor condition 1e6 (ROADMAP item 14)")
+    @pytest.mark.parametrize("seed", [0, 2, 4, 6, 7, 8, 10, 11, 17, 19])
+    def test_ill_conditioned_factors(self, seed):
+        # the other 10 of seeds 0-19 return K within 1.3e-6; these still
+        # decrease by 4e-7 to 1e-5 after 500 sweeps, though the MLE exists
+        dims = matops.Dims(4, 3)
+        sep, sigma = ill_conditioned_split(dims, np.random.default_rng(seed))
+        got = kcd.kronecker_mle(sigma, dims).matrix
+        assert np.abs(got - sep.matrix).max() <= 1e-4 * np.abs(sep.matrix).max()
 
     def test_converging_run_skips_objective(self, rng, monkeypatch):
         # the objective is read only to classify a run that hits the sweep cap
@@ -390,13 +415,7 @@ class TestRcOperator:
         # core, Cholesky roots: the columns of the dense R_C span eight orders of
         # magnitude, and an unscaled lstsq called the system rank deficient
         dims, rng = matops.Dims(4, 3), np.random.default_rng(seed)
-        g = rng.standard_normal((dims.p, 40))
-        c = kcd.kcd(g @ g.T / 40, dims, SquareRootKind.CHOLESKY).c
-        k1, k2 = (rand_factor(q, 1e6, rng) for q in (dims.p1, dims.p2))
-        det1 = matops.det_root(k1)
-        sep = kcd.SeparableCovariance(k1=k1 / det1, k2=k2 * det1)
-        h = sep.h_matrix(SquareRootKind.CHOLESKY)
-        sigma = matops.sym(h @ c @ h.T)
+        sep, sigma = ill_conditioned_split(dims, rng)
         r_c = kcd.rc_operator(sigma, sep, dims)
         u1 = spd_geometry.proj_unitdet_spd(sep.k1, rand_sym(dims.p1, rng))
         m = r_c(u1, rand_sym(dims.p2, rng))

@@ -750,7 +750,7 @@ class TestRetraction:
         v = 0.1 * space.tangent(np.random.default_rng(58).standard_normal(
             space.basis.shape[1]))
         d = matops.sym(a @ a.T + a @ v.T + v @ a.T)
-        sep = kcd.kronecker_mle(d, DIMS, psd_check=False)
+        sep = kcd._flip_flop(d, DIMS)
         want = matops.whiten(sep.h_matrix(SquareRootKind.SYMMETRIC), d)
         assert sep.split(d, SquareRootKind.SYMMETRIC).c.tobytes() == want.tobytes()
 
@@ -1432,6 +1432,31 @@ class TestFit:
         tau.validate()
         assert np.array_equal(sigma_hat, sigma_hat.T)
         assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
+
+
+class TestAHessianAtTheFit:
+    @pytest.mark.parametrize("n", [12, 48])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_positive_definite_on_the_horizontal_space(self, seed, n):
+        # A -> AQ leaves the likelihood alone, so the r(r-1)/2 vertical
+        # directions A Omega are near null at a fitted point; on their
+        # complement sym(H) is well conditioned (3.4-14.0 on these fits)
+        dims = matops.Dims(6, 4, 3)
+        data = simulate.gen_data(
+            simulate.gen_truth("m2", dims, 0.2, seed).sigma, n, seed + 100, dims)
+        tau, _, trace = picse.fit(data, dims)
+        assert trace.termination == "converged"
+        block = a_block(tau, SampleCov.from_data(data, dims))
+        h_mat = matops.sym(newton_system(block)[2])
+        eye = np.eye(dims.r)
+        skews = np.array([np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
+                          for i, j in itertools.combinations(range(dims.r), 2)])
+        vertical = block.space.coords(matops.vec(tau.a @ skews))
+        horizontal = np.linalg.svd(vertical.T)[0][:, len(skews):]
+        w = np.linalg.eigvalsh(horizontal.T @ h_mat @ horizontal)
+        assert w[0] > 0.0 and w[-1] <= 100.0 * w[0]
+        w = np.linalg.eigvalsh(h_mat)
+        assert w[0] >= -1e-4 * w[-1]
 
 
 class TestSweep:

@@ -201,8 +201,10 @@ class TestRunExperiment:
     def test_scoring_decomposes_no_estimate(self, monkeypatch):
         # each runner returns the split it holds, and the truth's cores come
         # from the factor gen_truth drew: the study decomposes only the sample,
-        # twice per root in picse.init (6 when the truth went through kcd once
-        # per root, 11 when every estimate was decomposed again for its score)
+        # once per root in picse.init, whose rank-r truncation takes the
+        # ungated flip-flop (4 when the truncation went through kcd too, 6 when
+        # the truth went through kcd once per root, 11 when every estimate was
+        # decomposed again for its score)
         calls = {"kcd": 0}
         decompose = kcd.kcd
 
@@ -217,7 +219,7 @@ class TestRunExperiment:
         )
         records, _ = simulate.run_experiment(config)
         assert not any(r.failed for r in records)
-        assert calls == {"kcd": 4}
+        assert calls == {"kcd": 2}
 
     def test_no_flip_flop_on_a_truth(self, monkeypatch):
         # both roots' truth cores split the Kronecker factor gen_truth drew,
