@@ -209,27 +209,24 @@ class RankTangentSpace:
         Riemannian Hessian in B, column i its action on B[:, i]; ehess maps a
         (k, p, r) stack of V to the stack of Euclidean Hessian actions.  While
         one dense J(V) fits matops.STACK_BYTES, the matrix is hess_coords per
-        chunk of J(V); past it, J(V)^T w comes slice-wise from j_adjoint."""
+        chunk of J(V); past it, J(V)^T w comes slice-wise from j_adjoint, and
+        the m residuals, an (m, p*r) array the size of B, go through one
+        product with B^T."""
         (p, r), m = self.shape, self.basis.shape[1]
         coef, w = self.coords(matops.vec(egrad)), self.normal_weights(egrad)
-        h_mat = np.empty((m, m))
         if self.j.nbytes <= matops.STACK_BYTES:
+            h_mat = np.empty((m, m))
             for cols in matops.chunks(m, self.j.nbytes):
                 # column i as the p x r matrix basis[:, i].reshape(p, r, order="F")
                 v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
                 h_mat[:, cols] = self.hess_coords(ehess(v), v, w).T
             return self.tangent(coef), coef, h_mat
-        jtw = j_adjoint(w, self.dims)
-        # chunks bound the p x p core differential A V^T + V A^T of a Hessian
-        # action, panels the residuals that go through one product with B^T
-        chunks = matops.chunks(m, p * p * 8)
-        for group in matops.chunks(len(chunks), chunks[0].stop * p * r * 8):
-            x = []
-            for cols in chunks[group]:
-                v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
-                x.append(matops.vec(ehess(v)) - jtw(v))
-            h_mat[:, chunks[group][0].start : cols.stop] = self.basis.T @ np.concatenate(x).T
-        return self.tangent(coef), coef, h_mat
+        jtw, x = j_adjoint(w, self.dims), np.empty((m, p * r))
+        # chunks bound the p x p core differential A V^T + V A^T of a Hessian action
+        for cols in matops.chunks(m, p * p * 8):
+            v = self.basis[:, cols].T.reshape(-1, r, p).swapaxes(-1, -2)
+            x[cols] = matops.vec(ehess(v)) - jtw(v)
+        return self.tangent(coef), coef, self.basis.T @ x.T
 
 
 def tangent_project_full(v, dims):

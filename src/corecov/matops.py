@@ -23,8 +23,8 @@ PD_RTOL = 1e-10
 # factor, and the relative depth of a negative eigenvalue still taken as PSD.
 RESIDUAL_TOL = 1e-8
 # Bytes of the largest temporary a stacked operation may build over a stack of
-# basis elements; the stack goes through in chunks that fit (at least one
-# element each), which bounds the peak memory the stacks add.
+# basis elements where the stack could set the peak memory; such a stack goes
+# through in chunks that fit (at least one element each).
 STACK_BYTES = 1 << 18
 
 

@@ -340,8 +340,8 @@ class _KBlock:
         One V, or a (k, q, q) stack that matops.chunks(k, e.nbytes) leaves
         whole, goes through one (k, n, q, q') temporary, and each action
         keeps the bits of its own call.  A larger stack goes through the
-        moments P and T instead, in matops.chunks of its (k, r, q, q')
-        temporaries, to rounding of the one-element form.
+        moments P and T instead, in one piece, to rounding of the
+        one-element form.
         """
         v = np.asarray(v, dtype=float)
         ki, f = self.space.inverse, self.space.part
@@ -375,16 +375,16 @@ class _KBlock:
     def _moment_sums(self, kv, kvt):
         """_sample_sums from the moments T = sum_n vec(E_n) vec(E_n)^T (vec
         stacking rows) and P = cross: sum_j alpha_j K^-T U_j h_j^T with
-        h_j = mat(T vec((K^-1 V)^T U_j)), and K^-T V^T P + P V^T K^-T; the
-        (k, r, q, q') temporaries go in matops.chunks."""
+        h_j = mat(T vec((K^-1 V)^T U_j)), and K^-T V^T P + P V^T K^-T.  The
+        whole stack goes at once: each (k, r, q, q') temporary holds k r q q'
+        doubles, under half the (p r)^2 of the A step's SVD of J(A) as r > q/q'."""
         e = self.e.reshape(len(self.e), -1)
-        t_mat, out = e.T @ e, np.empty_like(kv)
+        t_mat = e.T @ e
+        x = kv[:, None].swapaxes(-1, -2) @ self.umats
+        h = (x.reshape(-1, len(t_mat)) @ t_mat).reshape(x.shape)
         ku_alpha = self.ku * self.alpha[:, None, None]
-        for rows in matops.chunks(len(kv), self.umats.nbytes):
-            x = kv[rows, None].swapaxes(-1, -2) @ self.umats
-            h = (x.reshape(-1, len(t_mat)) @ t_mat).reshape(x.shape)
-            out[rows] = np.einsum("jab,kjcb->kac", ku_alpha, h, optimize=True)
-        return out, kvt @ self.cross + self.cross @ kv.swapaxes(-1, -2)
+        sum2 = np.einsum("jab,kjcb->kac", ku_alpha, h, optimize=True)
+        return sum2, kvt @ self.cross + self.cross @ kv.swapaxes(-1, -2)
 
     def retract(self, v):
         return self.base.replace(**{self.name: self.space.exp(v)})

@@ -450,14 +450,43 @@ class TestBlockDerivativeBits:
             assert len(matops.chunks(len(basis), block.e.nbytes)) > 1
             assert_hess_close(block, block.hess(basis), basis)
 
+    @pytest.mark.parametrize("shape, n", [((12, 10, 6), 240), ((8, 8, 5), 128)])
+    def test_peaks_past_the_stack_budget(self, shape, n):
+        # the forms that run past the budget in one piece cannot set a fit's
+        # peak: the A step's residuals take the bytes of its basis B, and the
+        # K-bar moment temporaries under half the (p r)^2 doubles of the
+        # SVD of J(A) that B is a view of
+        dims = matops.Dims(*shape)
+        data = make_data(57, n=n, dims=dims)
+        sc = SampleCov.from_data(data, dims)
+        base = picse._ParamPoint(picse.init(sc, SquareRootKind.SYMMETRIC), sc)
+
+        def traced_peak(f, *args):
+            tracemalloc.start()
+            try:
+                f(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = picse._ABlock(base)
+        assert block.space.j.nbytes > matops.STACK_BYTES
+        peak = traced_peak(block.space.newton_system, block.egrad, block.hess)
+        assert peak <= 2 * block.space.basis.nbytes
+        for side in (1, 2):
+            block = picse._KBlock(base, data, side)
+            basis = block.space.basis
+            assert len(matops.chunks(len(basis), block.e.nbytes)) > 1
+            assert traced_peak(block.hess, basis) <= 0.6 * (dims.p * dims.r) ** 2 * 8
+
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     def test_a_hessian_matrix_in_chunks(self, kind, dims, monkeypatch):
         # newton_system, with the whole basis in one chunk, chunks of 1 to 4
         # dense J(V) (at least one size with a ragged last chunk), and the
-        # slice-wise form in panels of 5 and 7 one-column chunks (at least one
-        # ragged), gives the one-column loop's matrix, bit for bit while one
-        # J(V) fits the budget, and the whole gemv's gradient coordinates
+        # slice-wise form under budgets of 5 and 7 p x r factors, gives the
+        # one-column loop's matrix, bit for bit while one J(V) fits the
+        # budget, and the whole gemv's gradient coordinates
         tau = make_tau(kind, 55, dims=dims)
         sc = SampleCov.from_data(make_data(56, n=10, dims=dims), dims)
         block = a_block(tau, sc)
@@ -477,7 +506,7 @@ class TestBlockDerivativeBits:
             else:
                 want = np.frombuffer(expected).reshape(m, m)
                 assert np.abs(h_mat - want).max() <= 1e-12 * np.abs(want).max()
-        # the panel budgets cut the slice-wise form into one-column chunks
+        # the slice-wise budgets cut it into one-column chunks of A V^T + V A^T
         assert len(matops.chunks(m, dims.p * dims.p * 8)) == m
 
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
@@ -1162,19 +1191,33 @@ class TestFit:
         # at (8, 8, 5) one dense J(V) takes 330 KB, past matops.STACK_BYTES, so
         # the A step takes J(V)^T w slice-wise; with n = 128 the K step takes
         # the moment form, as the (k, n, q, q') temporary of the whole basis
-        # takes 2.3 MB
+        # takes 2.3 MB.  Under a 4 MiB budget both blocks take the forms below
+        # it (hess_coords chunks and _sample_sums), and the same fit agrees to
+        # rounding; A is not compared, as it moves along its O(r) orbit
         def refused(*args, **kwargs):
-            raise AssertionError("the fit took a form below the stack budget")
+            raise AssertionError("the fit took a form on the other side of the budget")
 
-        monkeypatch.setattr(picse._KBlock, "_sample_sums", refused)
-        monkeypatch.setattr(cg.RankTangentSpace, "hess_coords", refused)
         data = np.random.default_rng(0).standard_normal((128, 8, 8))
-        tau, _, trace = picse.fit(data, matops.Dims(8, 8, 5),
-                                  FitConfig(max_iter=3, h_kind=kind))
-        assert trace.termination in ("converged", "max_iter")
-        obj = np.asarray(trace.objectives)
-        assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
-        tau.validate()
+        config = FitConfig(max_iter=3, h_kind=kind)
+        past = ((picse._KBlock, "_sample_sums"), (cg.RankTangentSpace, "hess_coords"))
+        below = ((picse._KBlock, "_moment_sums"), (cg, "j_adjoint"))
+        fits = []
+        for budget, refuse in ((matops.STACK_BYTES, past), (1 << 22, below)):
+            with monkeypatch.context() as patch:
+                patch.setattr(matops, "STACK_BYTES", budget)
+                for owner, name in refuse:
+                    patch.setattr(owner, name, refused)
+                fits.append(picse.fit(data, matops.Dims(8, 8, 5), config))
+        for tau, _, trace in fits:
+            assert trace.termination in ("converged", "max_iter")
+            obj = np.asarray(trace.objectives)
+            assert (np.diff(obj) <= 1e-9 * np.abs(obj[:-1]) + 1e-12).all()
+            tau.validate()
+        (tau, _, trace), (tau_below, _, trace_below) = fits
+        obj, obj_below = np.asarray(trace.objectives), np.asarray(trace_below.objectives)
+        assert obj.shape == obj_below.shape
+        assert (np.abs(obj - obj_below) <= 1e-10 * np.abs(obj_below)).all()
+        assert abs(tau.lam - tau_below.lam) <= 1e-9 * abs(tau_below.lam)
 
     def test_data_of_tiny_scale(self):
         # det of init's square-root factors and of the flip-flop's K1 would

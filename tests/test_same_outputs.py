@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import time
+import types
 
 import pytest
 
@@ -29,6 +30,38 @@ def test_compare_flags_changed_fields_and_one_sided_keys():
         "simulate-study/d (exit_code)",
     ]
     assert same_outputs.compare(old, old) == []
+
+
+def test_compare_sizes_a_change_of_the_final_objective():
+    old = {"fit-large/m2-n2p": {"exit_code": "0", "output": "1"},
+           "fit-small/a": {"objectives": "2"},
+           "simulate-study/seed0": {"summary": "3"}}
+    new = {"fit-large/m2-n2p": {"exit_code": "0", "output": "9"},
+           "fit-small/a": {"objectives": "2"},
+           "simulate-study/seed0": {"summary": "8"}}
+    # fit-small/a keeps its digests, so its objective is not reported
+    old_obj = {"fit-large/m2-n2p": -250.0, "fit-small/a": 1.0}
+    new_obj = {"fit-large/m2-n2p": -250.0 - 3.5e-9, "fit-small/a": 2.0}
+    assert same_outputs.compare(old, new, old_obj, new_obj) == [
+        "fit-large/m2-n2p (output; final objective -1.4e-11 relative)",
+        "simulate-study/seed0 (summary)",
+    ]
+    # an objective one tree did not record (a fit that raised) gets no size
+    assert same_outputs.compare(old, new, {}, new_obj) == [
+        "fit-large/m2-n2p (output)",
+        "simulate-study/seed0 (summary)",
+    ]
+
+
+def test_final_objective_is_the_last_of_each_fit_trace(tmp_path):
+    trace = types.SimpleNamespace(objectives=[3.0, 2.5, 2.25])
+    assert same_outputs._final_objective("fit-small", (None, None, trace)) == 2.25
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"trace": {"objectives": [-1.0, -1.5]}}))
+    assert same_outputs._final_objective("fit-large", (0, str(path))) == -1.5
+    # a failed `corecov fit` leaves no trace, and a study records none
+    assert same_outputs._final_objective("fit-large", (2, str(tmp_path / "none"))) is None
+    assert same_outputs._final_objective("simulate-study", (0, str(tmp_path))) is None
 
 
 def test_tree_without_corecov_exits_2_fast(tmp_path, capsys):

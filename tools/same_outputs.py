@@ -15,10 +15,13 @@ bytes:
   simulate-study  exit code, results.csv and summary.json of `corecov
                   simulate`, the summary with every wall_time_total_s removed
 
-An operation that raises is reduced to its exception.  Under the verdict it
-prints the peak resident memory of each tree's process (its own ru_maxrss).
-Exits 0 when every operation matches, 1 when some differ (each is named with
-the fields that differ), and 2 when a tree could not be run.
+An operation that raises is reduced to its exception.  Each fit operation
+also records its final objective, the last entry of its trace, so an
+operation that differs is named with the fields that differ and, for a fit,
+the relative change of its final objective, which sizes a rounding change.
+Under the verdict it prints the peak resident memory of each tree's process
+(its own ru_maxrss).  Exits 0 when every operation matches, 1 when some
+differ, and 2 when a tree could not be run.
 """
 
 import argparse
@@ -83,38 +86,57 @@ def _fields(workload, output):
     return fields
 
 
+def _final_objective(workload, output):
+    """The last objective of a fit's trace; None for a study or for a
+    `corecov fit` that exited with an error."""
+    if workload == "fit-small":
+        return float(output[2].objectives[-1])
+    code, path = output
+    if workload != "fit-large" or code != 0:
+        return None
+    with open(path) as fh:
+        return float(json.load(fh)["trace"]["objectives"][-1])
+
+
 def _digest(fields):
     return {k: hashlib.sha256(v).hexdigest() for k, v in fields.items()}
 
 
 def digest_tree(src, out, workloads=WORKLOADS):
     """Run every operation of `workloads` on the tree at `src`; write
-    {"digests": {workload/key: {field: sha256}}, "peak_rss_mib": peak resident
-    memory of this process} as JSON to `out`."""
+    {"digests": {workload/key: {field: sha256}}, "objectives": {workload/key:
+    final objective of a fit}, "peak_rss_mib": peak resident memory of this
+    process} as JSON to `out`."""
     sys.path[:0] = [src, BENCH]
     import corecov
     import bench_workloads as bw
 
     if not os.path.abspath(corecov.__file__).startswith(os.path.abspath(src) + os.sep):
         raise RuntimeError(f"corecov imported from {corecov.__file__}, not {src}")
-    digests = {}
+    digests, objectives = {}, {}
     workdir = tempfile.mkdtemp(prefix="same-outputs-")
     try:
         for workload in workloads:
             for op in bw.workload(workload).build(SEED, workdir):
+                key = f"{workload}/{op.key}"
                 try:
-                    fields = _fields(workload, op.run())
+                    output = op.run()
+                    fields = _fields(workload, output)
                 except Exception as exc:  # the exception is the output compared
                     fields = {"exception": repr(exc).encode()}
-                digests[f"{workload}/{op.key}"] = _digest(fields)
+                else:
+                    objective = _final_objective(workload, output)
+                    if objective is not None:
+                        objectives[key] = objective
+                digests[key] = _digest(fields)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     # ru_maxrss is in KiB on Linux, in bytes on macOS
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_mib = rss / 2**20 if sys.platform == "darwin" else rss / 2**10
     with open(out, "w") as fh:
-        json.dump({"digests": digests, "peak_rss_mib": rss_mib}, fh, indent=1,
-                  sort_keys=True)
+        json.dump({"digests": digests, "objectives": objectives,
+                   "peak_rss_mib": rss_mib}, fh, indent=1, sort_keys=True)
 
 
 def _load(path):
@@ -122,14 +144,21 @@ def _load(path):
         return json.load(fh)
 
 
-def compare(old, new):
-    """Names of the operations whose digests differ, with the differing fields."""
+def compare(old, new, old_objectives=None, new_objectives=None):
+    """Names of the operations whose digests differ, with the differing fields
+    and, where both trees recorded a final objective, its relative change."""
+    old_objectives, new_objectives = old_objectives or {}, new_objectives or {}
     diffs = []
     for key in sorted(set(old) | set(new)):
         a, b = old.get(key, {}), new.get(key, {})
         fields = sorted(f for f in set(a) | set(b) if a.get(f) != b.get(f))
-        if fields:
-            diffs.append(f"{key} ({', '.join(fields)})")
+        if not fields:
+            continue
+        note = ", ".join(fields)
+        if key in old_objectives and key in new_objectives:
+            f_old, f_new = old_objectives[key], new_objectives[key]
+            note += f"; final objective {(f_new - f_old) / abs(f_old):.1e} relative"
+        diffs.append(f"{key} ({note})")
     return diffs
 
 
@@ -170,7 +199,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    diffs = compare(old["digests"], new["digests"])
+    diffs = compare(old["digests"], new["digests"], old["objectives"], new["objectives"])
     for line in diffs:
         print(f"differs: {line}")
     total = len(set(old["digests"]) | set(new["digests"]))
