@@ -84,7 +84,7 @@ class ExperimentConfig:
             picse.FitConfig(tol=self.tol, max_iter=self.max_iter, h_kind=kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRecord:
     estimator: str
     rep: int
@@ -92,10 +92,10 @@ class ResultRecord:
     metric_sigma: float = np.nan
     metric_k: float = np.nan
     metric_c: float = np.nan
-    lambda_hat: float = None
-    wall_time_s: float = 0.0
-    termination: str = ""
-    failed: bool = False
+    lambda_hat: float | None
+    wall_time_s: float
+    termination: str
+    failed: bool
 
 
 # results.csv columns: the record without its wall time (see write_results_csv)

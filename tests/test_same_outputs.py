@@ -4,6 +4,7 @@ import re
 import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -75,19 +76,34 @@ def test_tree_without_corecov_exits_2_fast(tmp_path, capsys):
 
 
 def test_workload_option_runs_only_the_named_workload(capsys):
-    # fit-large is one operation; the repeated name runs once; each tree's
-    # peak RSS follows the verdict
+    # fit-large is one operation; the repeated name runs once; the checks of
+    # each tree and each tree's peak RSS follow the verdict in the fence
     src = os.path.join(ROOT, "src")
     argv = ["--workload", "fit-large", "--workload", "fit-large", src, src]
     assert same_outputs.main(argv) == 0
-    verdict, *rss = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    verdict, *checks, rss_old, rss_new, fence = out[out.index("```") + 1:][:6]
     assert verdict == "1 of 1 operations bit-identical"
-    assert len(rss) == 2
-    for side, line in zip(("old", "new"), rss):
+    assert checks == [f"benchmark checks {side}: 1 of 1 pass" for side in ("old", "new")]
+    assert fence == "```"
+    for side, line in zip(("old", "new"), (rss_old, rss_new)):
         match = re.fullmatch(rf"peak RSS {side}: (\d+\.\d) MiB \((.*)\)", line)
         assert match and match[2] == src
         # a process that imported numpy and ran a fit, well under a GiB
         assert 10.0 < float(match[1]) < 1024.0
+    lines = sum(f.read_text().count("\n") for f in Path(src, "corecov").glob("*.py"))
+    assert f"| total | {lines} | {lines} |" in out
+
+
+def test_check_lines_count_the_passes_and_name_each_miss():
+    misses = {"simulate-study/seed2": "Mismatch: metric_k 0.5 differs from reference 0.4",
+              "fit-large/m2-n2p": "ValueError: boom"}
+    assert same_outputs.check_lines("new", 54, misses) == [
+        "benchmark checks new: 52 of 54 pass",
+        "miss new: fit-large/m2-n2p: ValueError: boom",
+        "miss new: simulate-study/seed2: Mismatch: metric_k 0.5 differs from reference 0.4",
+    ]
+    assert same_outputs.check_lines("old", 1, {}) == ["benchmark checks old: 1 of 1 pass"]
 
 
 def test_workload_option_rejects_unknown_names(tmp_path, capsys):
@@ -116,3 +132,25 @@ def test_summary_digest_ignores_wall_times_only(tmp_path):
     changed = _study_digest(tmp_path, "changed", summary(0.5, 0.2500000001))
     assert changed["summary"] != base["summary"]
     assert changed["output"] == base["output"]
+
+
+def test_options_lists_the_parameters_with_a_default():
+    tree = same_outputs.options()
+    assert tree["picse"]["fit"] == ["config", "initial"]
+    assert tree["picse"]["FitConfig"] == ["tol", "max_iter", "h_kind"]
+    assert tree["spd_geometry"]["ai_exp"] == []
+    assert tree["spd_geometry"]["UnitDetTangentSpace.exp"] == []
+    # private names and names imported from other modules are skipped
+    assert "_block_step" not in tree["picse"] and "SquareRootKind" not in tree["picse"]
+
+
+def test_options_table_and_totals():
+    old = {"a": {"f": ["x"], "g": []}}
+    new = {"a": {"f": []}, "b": {"h": ["y", "z"]}}
+    assert same_outputs.options_table(old, new) == [
+        "#### `corecov.a`", "| callable | base | head |", "|---|---|---|",
+        "| `f` | 1: `x` | 0 |", "| total | 1 | 0 |", "",
+        "#### `corecov.b`", "| callable | base | head |", "|---|---|---|",
+        "| `h` | 0 | 2: `y`, `z` |", "| total | 0 | 2 |", "",
+        "**Parameters with a default in src/corecov: base 1, head 2**",
+    ]
