@@ -100,8 +100,8 @@ def kronecker_mle(sigma, dims):
     number exceeds 1e12 -- the signatures of nonexistence on rank-deficient
     input.
 
-    ConfigError on a non-p x p, non-finite or asymmetric input (past
-    RESIDUAL_TOL of the largest entry), DefinitenessError on a non-PSD or zero one.
+    ConfigError on a non-p x p, non-finite, asymmetric (past RESIDUAL_TOL of
+    the largest entry) or underflowing input, DefinitenessError on a non-PSD or zero one.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
@@ -110,6 +110,8 @@ def kronecker_mle(sigma, dims):
         raise ConfigError("matrix contains non-finite values")
     if np.abs(sigma - sigma.T).max() > matops.RESIDUAL_TOL * np.abs(sigma).max():
         raise ConfigError("matrix is not symmetric")
+    if 0 < np.abs(sigma).max() < matops.UNDERFLOW:
+        raise ConfigError("matrix entries underflow; rescale the matrix")
     sigma = matops.sym(sigma)
     w = np.linalg.eigvalsh(sigma)
     if w[0] < -matops.RESIDUAL_TOL * max(w[-1], 1.0):

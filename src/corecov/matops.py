@@ -22,6 +22,7 @@ PD_RTOL = 1e-10
 # a core or core factor, |det - 1| and the relative asymmetry of a K-bar
 # factor, and the relative depth of a negative eigenvalue still taken as PSD.
 RESIDUAL_TOL = 1e-8
+UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps  # smallest scale an input may have
 # Bytes of the largest temporary a stacked operation may build over a stack of
 # basis elements where the stack could set the peak memory; such a stack goes
 # through in chunks that fit (at least one element each).

@@ -92,7 +92,7 @@ class SampleCov:
     @classmethod
     def from_data(cls, data, dims):
         """ConfigError unless the data are (n, p1, p2), n >= 2, all finite,
-        with finite second moments."""
+        with second moments that neither overflow nor underflow."""
         data = np.asarray(data, dtype=float)
         p1, p2 = dims.p1, dims.p2
         if data.ndim != 3 or data.shape[1:] != (p1, p2):
@@ -107,6 +107,8 @@ class SampleCov:
             s = matops.sym(ymat.T @ ymat / n)
         if not np.isfinite(s).all():
             raise ConfigError("second moments of the data overflow; rescale the data")
+        if 0 < np.diag(s).max() < matops.UNDERFLOW:
+            raise ConfigError("second moments of the data underflow; rescale the data")
         return cls(s=s, dims=dims)
 
 

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +10,28 @@ from hypothesis import settings
 # replay of examples saved by earlier runs.
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+def _openblas(what):
+    """OpenBLAS's answer to openblas_get_<what>, looked up in the library that
+    numpy loaded as benchmarks/bench.py's _blas_threads does."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for lib in map(ctypes.CDLL, libs):
+        for name in (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}64_",
+                     f"openblas_get_{what}"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def pytest_report_header():
+    # the byte-pinning tests (test_a_hessian_matrix_in_chunks, test_k_blocks)
+    # hold for the kernels they were measured on; this names the ones that ran
+    return [f"numpy {np.__version__}",
+            f"OpenBLAS config: {_openblas('config')}, core: {_openblas('corename')}"]
 
 
 def rand_spd(q, rng, ridge=0.3):

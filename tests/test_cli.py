@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from corecov import cli, matops, picse, simulate
+from corecov import cli, kcd, matops, picse, simulate
 from corecov.kcd import SquareRootKind
 
 from conftest import rand_spd
@@ -78,124 +78,105 @@ def test_fit_round_trip(tmp_path):
     np.testing.assert_array_equal(np.array(payload["a"]), tau.a)
 
 
-def test_fit_rejects_bad_width(tmp_path):
-    src = tmp_path / "data.csv"
-    src.write_text("1.0,2.0\n3.0,4.0\n")
-    rc = cli.main([
-        "fit", "--input", str(src), "--p1", "3", "--p2", "2", "--rank", "3",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
+# The inputs of test_exit_codes: each makes the rows of a CSV file
+def drawn(*shape):
+    return lambda: np.random.default_rng(25).standard_normal(shape)
 
 
-def test_fit_rejects_nonfinite_data(tmp_path, capsys):
-    data = np.random.default_rng(23).standard_normal((12, 3, 2))
-    data[4, 1, 1] = np.nan
-    src = tmp_path / "data.csv"
-    write_data_csv(src, data)
-    rc = cli.main([
-        "fit", "--input", str(src), "--p1", "3", "--p2", "2", "--rank", "3",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
-    assert "non-finite" in capsys.readouterr().err
+def spd():
+    return rand_spd(6, np.random.default_rng(34))
 
 
-def test_fit_rank_deficient_sample_core_exit_code(tmp_path):
+def bumped(make, bump):
+    def make_bumped():
+        rows = make()
+        rows[0, 1] += bump
+        return rows
+    return make_bumped
+
+
+def scaled(make, factor):
+    return lambda: make() * factor
+
+
+def gram():
+    g = np.random.default_rng(0).standard_normal((12, 40))
+    return g @ g.T / 40
+
+
+def gram_without_mle():
+    # rank 3 at (2, 2): the flip-flop finds no Kronecker MLE
+    f = np.zeros((4, 3))
+    f[0, 0] = f[2, 1] = f[3, 2] = 1.0
+    return f @ f.T
+
+
+# argparse keeps the last of a repeated option (--n appends), so a row
+# overrides these bases by appending to them
+FIT = ["fit", "--p1", "2", "--p2", "2", "--rank", "3"]
+KCD = ["kcd", "--p1", "3", "--p2", "2"]
+SIM = ["simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
+       "--lambda", "0.3", "--n", "8", "--reps", "1"]
+AT_43 = ["--p1", "4", "--p2", "3"]
+PAST_DENSE = ["--p1", "10", "--p2", "7", "--rank", "59"]  # p*r = 4130
+DATA = drawn(8, 4)
+SETTINGS = "need tol > 0 and max_iter >= 1"
+
+# One row per clause of the README's exit-code list, in its order:
+# id: (argv, input or None, exit code, stderr substring)
+EXIT_CODES = {
+    # 0: success; an asymmetry within RESIDUAL_TOL is rounding, not bad input
+    "kcd-asymmetry-1e-12": (KCD, bumped(spd, 1e-12), 0, ""),
+    # 2: bad input, refused before any computation
+    "fit-width": (FIT + ["--p1", "3"], DATA, 2, "expected length-6 vectors"),
+    "fit-non-finite": (FIT, bumped(DATA, np.nan), 2, "non-finite"),
+    "kcd-non-finite": (KCD, bumped(spd, np.inf), 2, "non-finite"),
+    "fit-overflow": (FIT, scaled(DATA, 1e200), 2, "moments of the data overflow"),
+    "fit-underflow": (FIT, scaled(DATA, 2.0**-512), 2, "moments of the data underflow"),
+    # an empty or unreadable CSV: test_empty_input_exit_code, test_unreadable_input_exit_code
+    "kcd-not-square": (KCD, drawn(6, 5), 2, "expected 6x6 input, got (6, 5)"),
+    "kcd-asymmetric": (KCD, bumped(spd, 0.1), 2, "error: matrix is not symmetric"),
+    "kcd-underflow": (KCD + AT_43, scaled(gram, 2.0**-1023), 2, "matrix entries underflow"),
+    "simulate-rank-regime": (SIM + ["--rank", "2"], None, 2, "rank r=2 outside"),
+    "fit-full-rank": (FIT + ["--rank", "4"], DATA, 2, "r < p"),
+    "simulate-full-rank": (SIM + ["--rank", "4"], None, 2, "r < p"),
+    "fit-capacity": (FIT + PAST_DENSE, drawn(3, 70), 2, "p*r <= 4096"),
+    "simulate-capacity": (SIM + PAST_DENSE, None, 2, "p*r <= 4096"),
+    # NaN fails every comparison, and an inf tol stops a fit after one sweep
+    "simulate-tol-0": (SIM + ["--tol", "0"], None, 2, SETTINGS),
+    "simulate-tol-nan": (SIM + ["--tol", "nan"], None, 2, SETTINGS),
+    "simulate-tol-inf": (SIM + ["--tol", "inf"], None, 2, SETTINGS),
+    "fit-tol-nan": (FIT + ["--tol", "nan"], DATA, 2, SETTINGS),
+    "fit-tol-inf": (FIT + ["--tol", "inf"], DATA, 2, SETTINGS),
+    "simulate-max-iter-0": (SIM + ["--max-iter", "0"], None, 2, SETTINGS),
+    "simulate-negative-seed": (SIM + ["--seed", "-1"], None, 2, "seed must be a non-negative"),
+    "simulate-repeated-n": (SIM + ["--n", "8"], None, 2, "n_list must be non-empty"),
+    # an unusable --out: test_unusable_out_exit_code_before_computation
+    # 3: a numerical failure on valid input
+    "kcd-no-mle": (KCD + ["--p1", "2"], gram_without_mle, 3, "numerical failure:"),
     # two observations at (4, 3): the sample core has rank below r = 3
-    src = tmp_path / "data.csv"
-    write_data_csv(src, np.random.default_rng(24).standard_normal((2, 4, 3)))
-    rc = cli.main([
-        "fit", "--input", str(src), "--p1", "4", "--p2", "3", "--rank", "3",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 3
+    "fit-low-rank-core": (FIT + AT_43, drawn(2, 12), 3, "numerical failure:"),
+}
 
 
-def _forbid_estimators(monkeypatch):
-    # p*r = 70*59 = 4130 exceeds the dense-J limit at (10, 7, 59), so no
-    # estimator work may start
-    def ran(*args):
-        raise AssertionError("estimator work started past the dense-size check")
+@pytest.mark.parametrize("argv, make_input, code, message", EXIT_CODES.values(),
+                         ids=list(EXIT_CODES))
+def test_exit_codes(tmp_path, monkeypatch, capsys, argv, make_input, code, message):
+    if make_input is not None:
+        src = tmp_path / "in.csv"
+        np.savetxt(src, make_input(), delimiter=",", fmt="%.17g")
+        argv = argv + ["--input", str(src)]
+    if code == 2:
+        def computed(*args):
+            raise AssertionError("computation started before the input was refused")
 
-    monkeypatch.setattr(simulate, "gen_truth", ran)
-    monkeypatch.setattr(picse, "init", ran)
-
-
-def test_fit_capacity_exit_code_before_init(tmp_path, monkeypatch, capsys):
-    _forbid_estimators(monkeypatch)
-    src = tmp_path / "data.csv"
-    write_data_csv(src, np.random.default_rng(25).standard_normal((3, 10, 7)))
-    rc = cli.main([
-        "fit", "--input", str(src), "--p1", "10", "--p2", "7", "--rank", "59",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
-    assert "p*r <= 4096" in capsys.readouterr().err
-
-
-def test_simulate_capacity_exit_code_before_truth(tmp_path, monkeypatch):
-    _forbid_estimators(monkeypatch)
-    rc = cli.main([
-        "simulate", "--model", "m1", "--p1", "10", "--p2", "7", "--rank", "59",
-        "--lambda", "0.3", "--n", "140", "--reps", "1", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2
-    assert not (tmp_path / "x").exists()
-
-
-def test_simulate_fit_settings_exit_code_before_truth(tmp_path, monkeypatch, capsys):
-    _forbid_estimators(monkeypatch)
-    base = [
-        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
-        "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
-    ]
-    for bad in (["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"]):
-        assert cli.main(base + bad) == 2
-        assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
-def test_fit_nan_tol_exit_code_before_init(tmp_path, monkeypatch, capsys):
-    # NaN fails every comparison, so a `tol <= 0` test let it through; every
-    # relative change is below inf, so that tol stopped a fit after one sweep
-    _forbid_estimators(monkeypatch)
-    src = tmp_path / "data.csv"
-    write_data_csv(src, np.random.default_rng(26).standard_normal((8, 2, 2)))
-    for tol in ("nan", "inf"):
-        rc = cli.main([
-            "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "3",
-            "--tol", tol, "--out", str(tmp_path / "o.json"),
-        ])
-        assert rc == 2
-        assert "need tol > 0 and max_iter >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
-
-
-def test_negative_seed_exit_code_before_out(tmp_path, monkeypatch, capsys):
-    # numpy used to reject the seed only after --out had been created
-    _forbid_estimators(monkeypatch)
-    rc = cli.main([
-        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
-        "--lambda", "0.3", "--n", "8", "--reps", "1", "--seed", "-1",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
-def test_repeated_n_exit_code_before_truth(tmp_path, monkeypatch, capsys):
-    # a repeated --n used to write every row twice
-    _forbid_estimators(monkeypatch)
-    rc = cli.main([
-        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "3",
-        "--lambda", "0.3", "--n", "12", "--n", "12", "--reps", "1",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2
-    assert "n_list must be non-empty without repeats" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+        for module, name in [(simulate, "gen_truth"), (picse, "init"), (kcd, "_flip_flop")]:
+            monkeypatch.setattr(module, name, computed)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert (message in err) if code else err == ""
+    assert out.exists() == (code == 0)
 
 
 def test_unusable_out_exit_code_before_computation(tmp_path, monkeypatch, capsys):
@@ -249,60 +230,6 @@ def test_kcd_command(tmp_path):
 
     h = SeparableCovariance(k1=k1, k2=k2).h_matrix(SquareRootKind.CHOLESKY)
     assert np.abs(h @ c @ h.T - sigma).max() < 1e-8
-
-
-def test_kcd_numerical_failure_exit_code(tmp_path):
-    f = np.zeros((4, 3))
-    f[0, 0] = f[2, 1] = f[3, 2] = 1.0
-    src = tmp_path / "gram.csv"
-    np.savetxt(src, f @ f.T, delimiter=",")
-    rc = cli.main([
-        "kcd", "--input", str(src), "--p1", "2", "--p2", "2",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 3
-
-
-def test_kcd_rejects_nonfinite_matrix(tmp_path, capsys):
-    sigma = rand_spd(6, np.random.default_rng(32))
-    sigma[1, 2] = sigma[2, 1] = np.inf
-    src = tmp_path / "sigma.csv"
-    np.savetxt(src, sigma, delimiter=",")
-    rc = cli.main([
-        "kcd", "--input", str(src), "--p1", "3", "--p2", "2",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
-    assert "non-finite" in capsys.readouterr().err
-
-
-def test_kcd_rejects_non_square_matrix(tmp_path, capsys):
-    src = tmp_path / "sigma.csv"
-    np.savetxt(src, np.random.default_rng(33).standard_normal((6, 5)), delimiter=",")
-    rc = cli.main([
-        "kcd", "--input", str(src), "--p1", "3", "--p2", "2",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
-    assert "expected 6x6 input, got (6, 5)" in capsys.readouterr().err
-
-
-def test_kcd_rejects_asymmetric_matrix(tmp_path, capsys):
-    # kcd would decompose sym(M) without a word; asymmetry past the relative
-    # RESIDUAL_TOL is bad input, a rounding-level one is not
-    sigma = rand_spd(6, np.random.default_rng(34))
-    out = tmp_path / "o.json"
-    for bump, code in ((0.1, 2), (1e-12, 0)):
-        bumped = sigma.copy()
-        bumped[0, 1] += bump
-        src = tmp_path / "sigma.csv"
-        np.savetxt(src, bumped, delimiter=",", fmt="%.17g")
-        rc = cli.main([
-            "kcd", "--input", str(src), "--p1", "3", "--p2", "2", "--out", str(out),
-        ])
-        assert rc == code
-        assert out.exists() == (code == 0)
-    assert "error: matrix is not symmetric" in capsys.readouterr().err
 
 
 WITHOUT_SCIPY = """
@@ -393,39 +320,6 @@ def test_empty_input_exit_code(tmp_path, capsys, command, text):
     assert rc == 2
     assert f"error: {src} contains no data" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
-
-
-def test_invalid_config_exit_code(tmp_path):
-    rc = cli.main([
-        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "2",
-        "--lambda", "0.3", "--n", "8", "--reps", "1", "--seed", "3",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2  # rank 2 violates the rank regime at (2, 2)
-
-
-def test_full_rank_exit_code_before_any_computation(tmp_path, monkeypatch, capsys):
-    # r = p leaves no isotropic block, so lambda is not identified
-    def ran(*args):
-        raise AssertionError("estimator work started past the rank check")
-
-    monkeypatch.setattr(simulate, "gen_truth", ran)
-    monkeypatch.setattr(picse, "init", ran)
-    src = tmp_path / "data.csv"
-    write_data_csv(src, np.random.default_rng(26).standard_normal((8, 2, 2)))
-    rc = cli.main([
-        "fit", "--input", str(src), "--p1", "2", "--p2", "2", "--rank", "4",
-        "--out", str(tmp_path / "o.json"),
-    ])
-    assert rc == 2
-    assert "r < p" in capsys.readouterr().err
-    rc = cli.main([
-        "simulate", "--model", "m1", "--p1", "2", "--p2", "2", "--rank", "4",
-        "--lambda", "0.3", "--n", "8", "--reps", "1", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2
-    assert "r < p" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
 
 
 def test_argparse_error_exit_code():

@@ -90,6 +90,13 @@ class TestKroneckerMle:
         with pytest.raises(DefinitenessError, match="zero"):
             kcd.kronecker_mle(np.zeros((6, 6)), DIMS32)
 
+    def test_rejects_underflowing_entries(self):
+        # at 2^-1023 the largest entry, 1.7e-308, is subnormal: kcd returned a
+        # core 5.8e-3 from the unit-scale one without a word
+        g = np.random.default_rng(0).standard_normal((12, 40))
+        with pytest.raises(ConfigError, match="matrix entries underflow"):
+            kcd.kronecker_mle(np.ldexp(g @ g.T / 40, -1023), matops.Dims(4, 3))
+
     def test_condition_limit(self):
         # K2 = diag(1, 1e-14) has condition number 1e14, past _COND_LIMIT
         # (1e12): the flip-flop reports it as a collapsing iterate.  At 1e10
@@ -192,6 +199,7 @@ class TestKcd:
         ("nan", "^matrix contains non-finite values$"),
         ("inf", "^matrix contains non-finite values$"),
         ("bump", "^matrix is not symmetric$"),
+        ("underflow", "^matrix entries underflow; rescale the matrix$"),
     ])
     @pytest.mark.parametrize("op", ["kronecker_mle", "dk", "dc"])
     def test_every_entry_point_has_the_input_gate(self, op, defect, message):
@@ -199,6 +207,8 @@ class TestKcd:
         sigma = rand_spd(6, np.random.default_rng(34))
         if defect == "bump":
             sigma[0, 1] += 0.1
+        elif defect == "underflow":
+            sigma = np.ldexp(sigma, -1023)
         else:
             sigma[1, 2] = sigma[2, 1] = float(defect)
         call = {

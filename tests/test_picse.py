@@ -1173,6 +1173,14 @@ class TestFit:
         _, _, trace = picse.fit(1e150 * y, DIMS)
         assert trace.termination in ("converged", "max_iter")
 
+    def test_data_whose_second_moments_underflow(self):
+        # from data x 2^-512 on (p = 12, n = 24) the moments were subnormal and the
+        # flip-flop's eigvalsh failed: a numerical failure on data to rescale
+        dims = matops.Dims(4, 3, 3)
+        data = simulate.gen_data(simulate.gen_truth("m2", dims, 0.2, seed=1).sigma, 24, 2, dims)
+        with pytest.raises(ConfigError, match="second moments of the data underflow"):
+            picse.fit(np.ldexp(data, -520), dims)
+
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_space_binds_the_metric(self, kind, monkeypatch):
         # the K blocks' tangent spaces evaluate their bound metric: a fit calls
