@@ -100,9 +100,11 @@ def kronecker_mle(sigma, dims):
     number exceeds 1e12 -- the signatures of nonexistence on rank-deficient
     input.
 
-    ConfigError on a non-p x p, non-finite, asymmetric (past RESIDUAL_TOL of
+    ConfigError on a complex, non-p x p, non-finite, asymmetric (past RESIDUAL_TOL of
     the largest entry) or underflowing input, DefinitenessError on a non-PSD or zero one.
     """
+    if np.iscomplexobj(sigma):
+        raise ConfigError("matrix contains complex values")
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dims.p, dims.p):
         raise ConfigError(f"expected {dims.p}x{dims.p} input, got {sigma.shape}")

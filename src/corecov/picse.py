@@ -42,12 +42,16 @@ class PicseParams:
     dims: matops.Dims
 
     def validate(self):
-        """ValueError unless every entry is finite, K-bar factors have the
-        square-root kind's structure and unit determinant, lambda lies in
-        (0, 1), nu > 0 and A is a core factor.  The entry and scalar checks
-        run before any decomposition."""
-        for name in ("k1bar", "k2bar", "a"):
-            if not np.isfinite(getattr(self, name)).all():
+        """ValueError unless K1bar, K2bar and A are real with the dims' shapes,
+        every entry is finite, K-bar factors have the square-root kind's
+        structure and unit determinant, lambda lies in (0, 1), nu > 0 and A is
+        a core factor.  The shape, entry and scalar checks run before any decomposition."""
+        p1, p2, r = self.dims.p1, self.dims.p2, self.dims.r
+        for name, shape in (("k1bar", (p1, p1)), ("k2bar", (p2, p2)), ("a", (p1 * p2, r))):
+            value = getattr(self, name)
+            if np.iscomplexobj(value) or np.shape(value) != shape:
+                raise ConfigError(f"{name} is not a real {shape[0]}x{shape[1]} matrix")
+            if not np.isfinite(value).all():
                 raise StructureError(f"{name} has non-finite entries")
         if not (0.0 < self.lam < 1.0):
             raise StructureError(f"lambda {self.lam} outside (0, 1)")
@@ -91,8 +95,10 @@ class SampleCov:
 
     @classmethod
     def from_data(cls, data, dims):
-        """ConfigError unless the data are (n, p1, p2), n >= 2, all finite,
-        with second moments that neither overflow nor underflow."""
+        """ConfigError unless the data are real, (n, p1, p2), n >= 2, all
+        finite, with second moments that neither overflow nor underflow."""
+        if np.iscomplexobj(data):
+            raise ConfigError("data contain complex values")
         data = np.asarray(data, dtype=float)
         p1, p2 = dims.p1, dims.p2
         if data.ndim != 3 or data.shape[1:] != (p1, p2):
@@ -115,9 +121,9 @@ class SampleCov:
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of the alternating-minimization fit.  tol is finite and
-    positive, max_iter an integer (operator.index) of at least 1.  The tol
-    and max_iter defaults here are the only ones: simulate.ExperimentConfig
-    and the CLI read them from this class."""
+    positive, max_iter an integer (operator.index) of at least 1; both are
+    stored as Python scalars.  The tol and max_iter defaults here are the
+    only ones: simulate.ExperimentConfig and the CLI read them from this class."""
 
     tol: float = 1e-6
     max_iter: int = 200
@@ -128,6 +134,8 @@ class FitConfig:
         if not 0 < self.tol < np.inf or operator.index(self.max_iter) < 1:
             raise ConfigError("need tol > 0 and max_iter >= 1, with tol finite")
         kcd.check_h_kind(self.h_kind)
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "max_iter", operator.index(self.max_iter))
 
 
 @dataclass

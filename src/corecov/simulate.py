@@ -64,15 +64,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_model(self.model, self.lam)
-        # integers (operator.index), stored as Python ints for summary.json
+        # integers (operator.index) and floats, stored as Python scalars for summary.json
         reps, seed = operator.index(self.reps), operator.index(self.seed)
         n_list = tuple(map(operator.index, self.n_list))
         if reps < 1 or any(n < 2 for n in n_list):
             raise ConfigError("need reps >= 1 and every n >= 2")
         if seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_list", n_list)
         for name in ("n_list", "h_kinds"):
             values = getattr(self, name)
@@ -81,7 +79,10 @@ class ExperimentConfig:
         picse.check_rank(self.dims)
         core_geometry.check_dense_size(self.dims.p, self.dims.r)
         for kind in self.h_kinds:
-            picse.FitConfig(tol=self.tol, max_iter=self.max_iter, h_kind=kind)
+            fit_config = picse.FitConfig(tol=self.tol, max_iter=self.max_iter, h_kind=kind)
+        for name, value in (("reps", reps), ("seed", seed), ("lam", float(self.lam)),
+                            ("tol", fit_config.tol), ("max_iter", fit_config.max_iter)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -34,6 +34,21 @@ def pytest_report_header():
             f"OpenBLAS config: {_openblas('config')}, core: {_openblas('corename')}"]
 
 
+# What a refused input must not reach: the flip-flop and the PICSE objective,
+# and, unless the check that refuses it decomposes the input itself, any
+# decomposition.  Targets are dotted paths for monkeypatch.setattr.
+LATE = ("corecov.kcd._flip_flop", "corecov.picse._ParamPoint.nll")
+EARLY = LATE + ("numpy.linalg.eigh", "numpy.linalg.eigvalsh", "numpy.linalg.svd")
+
+
+def refuse(monkeypatch, targets):
+    """Make every target raise AssertionError when called."""
+    for target in targets:
+        def ran(*args, _target=target, **kwargs):
+            raise AssertionError(f"{_target} ran before the input was refused")
+        monkeypatch.setattr(target, ran)
+
+
 def rand_spd(q, rng, ridge=0.3):
     """Well-conditioned random SPD matrix."""
     g = rng.standard_normal((q, 2 * q))

@@ -5,7 +5,7 @@ from corecov import core_geometry, kcd, matops, simulate, spd_geometry
 from corecov.errors import ConfigError, DefinitenessError, NoKroneckerMle
 from corecov.kcd import SquareRootKind
 
-from conftest import rand_spd, rand_sym
+from conftest import EARLY, LATE, rand_spd, rand_sym, refuse
 
 DIMS22 = matops.Dims(2, 2)
 DIMS32 = matops.Dims(3, 2)
@@ -82,21 +82,6 @@ class TestKroneckerMle:
         rhs = g @ kcd.kronecker_mle(sigma, DIMS22).matrix @ g.T
         assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(rhs).max()
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
-            kcd.kronecker_mle(np.diag([1.0, 1.0, 1.0, -1.0]), DIMS22)
-
-    def test_rejects_zero(self):
-        with pytest.raises(DefinitenessError, match="zero"):
-            kcd.kronecker_mle(np.zeros((6, 6)), DIMS32)
-
-    def test_rejects_underflowing_entries(self):
-        # at 2^-1023 the largest entry, 1.7e-308, is subnormal: kcd returned a
-        # core 5.8e-3 from the unit-scale one without a word
-        g = np.random.default_rng(0).standard_normal((12, 40))
-        with pytest.raises(ConfigError, match="matrix entries underflow"):
-            kcd.kronecker_mle(np.ldexp(g @ g.T / 40, -1023), matops.Dims(4, 3))
-
     def test_condition_limit(self):
         # K2 = diag(1, 1e-14) has condition number 1e14, past _COND_LIMIT
         # (1e12): the flip-flop reports it as a collapsing iterate.  At 1e10
@@ -170,54 +155,52 @@ class TestKroneckerMle:
 
 
 class TestKcd:
-    @pytest.mark.parametrize("op", ["kcd", "dk", "dc"])
-    def test_shape_checked_before_symmetrizing(self, op, rng):
-        sigma = rng.standard_normal((6, 5))
-        call = {
-            "kcd": lambda: kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC),
-            "dk": lambda: kcd.dk(sigma, np.eye(6), DIMS32),
-            "dc": lambda: kcd.dc(sigma, np.eye(6), DIMS32, SquareRootKind.SYMMETRIC),
-        }[op]
-        with pytest.raises(ValueError, match=r"expected 6x6 input, got \(6, 5\)"):
-            call()
-
-    def test_rejects_asymmetric_and_non_finite_input(self):
-        # sym(M) of an asymmetric M is not decomposed without a word; an
-        # asymmetry at rounding level, within the relative RESIDUAL_TOL, is
-        sigma = rand_spd(6, np.random.default_rng(34))
-        bumped = sigma.copy()
-        bumped[0, 1] += 0.1
-        with pytest.raises(ConfigError, match="^matrix is not symmetric$"):
-            kcd.kcd(bumped, DIMS32, SquareRootKind.SYMMETRIC)
-        bumped[0, 1] = sigma[0, 1] + 1e-12
-        kcd.kcd(bumped, DIMS32, SquareRootKind.SYMMETRIC)
-        bumped[1, 2] = bumped[2, 1] = np.nan
-        with pytest.raises(ConfigError, match="non-finite"):
-            kcd.kcd(bumped, DIMS32, SquareRootKind.CHOLESKY)
-
     @pytest.mark.parametrize("defect, message", [
         ("nan", "^matrix contains non-finite values$"),
         ("inf", "^matrix contains non-finite values$"),
         ("bump", "^matrix is not symmetric$"),
         ("underflow", "^matrix entries underflow; rescale the matrix$"),
+        ("shape", r"^expected 6x6 input, got \(6, 5\)$"),
+        ("complex", "^matrix contains complex values$"),
+        ("indefinite", "^input to kronecker_mle is not PSD$"),
+        ("zero", "^input to kronecker_mle is zero$"),
     ])
-    @pytest.mark.parametrize("op", ["kronecker_mle", "dk", "dc"])
-    def test_every_entry_point_has_the_input_gate(self, op, defect, message):
-        # the gate sits in kronecker_mle, so the differentials inherit kcd's
+    @pytest.mark.parametrize("op", ["kronecker_mle", "kcd", "dk", "dc"])
+    def test_every_entry_point_has_the_input_gate(self, op, defect, message, monkeypatch):
+        # the gate sits in kronecker_mle, so kcd and the differentials inherit
+        # it; it decomposes nothing before its own eigvalsh of the PSD checks
         sigma = rand_spd(6, np.random.default_rng(34))
-        if defect == "bump":
-            sigma[0, 1] += 0.1
-        elif defect == "underflow":
-            sigma = np.ldexp(sigma, -1023)
-        else:
+        error, refused = ConfigError, EARLY
+        if defect in ("nan", "inf"):
             sigma[1, 2] = sigma[2, 1] = float(defect)
+        elif defect == "bump":
+            sigma[0, 1] += 0.1
+        elif defect == "underflow":  # every entry below matops.UNDERFLOW
+            sigma = np.ldexp(sigma, -1023)
+        elif defect == "shape":
+            sigma = sigma[:, :5]
+        elif defect == "complex":
+            sigma = sigma + 1j * sigma
+        elif defect == "indefinite":
+            sigma, error, refused = -sigma, DefinitenessError, LATE
+        else:
+            sigma, error, refused = 0 * sigma, DefinitenessError, LATE
         call = {
             "kronecker_mle": lambda: kcd.kronecker_mle(sigma, DIMS32),
+            "kcd": lambda: kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC),
             "dk": lambda: kcd.dk(sigma, np.eye(6), DIMS32),
             "dc": lambda: kcd.dc(sigma, np.eye(6), DIMS32, SquareRootKind.CHOLESKY),
         }[op]
-        with pytest.raises(ConfigError, match=message):
+        refuse(monkeypatch, refused)
+        with pytest.raises(error, match=message) as info:
             call()
+        assert info.type is error
+
+    def test_tolerates_asymmetry_at_rounding_level(self):
+        # within the relative RESIDUAL_TOL, sym() of the input is decomposed
+        sigma = rand_spd(6, np.random.default_rng(34))
+        sigma[0, 1] += 1e-12
+        kcd.kcd(sigma, DIMS32, SquareRootKind.SYMMETRIC)
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_round_trip_and_core(self, kind, rng):

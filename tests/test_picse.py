@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from corecov.errors import NoKroneckerMle, StructureError
 from corecov.kcd import SquareRootKind
 from corecov.picse import FitConfig, PicseParams, SampleCov
 
-from conftest import rand_lower, rand_spd, rand_sym
+from conftest import EARLY, LATE, rand_lower, rand_spd, rand_sym, refuse
 
 DIMS = matops.Dims(3, 2, 3)
 
@@ -85,34 +86,124 @@ class TestSampleCov:
         np.testing.assert_array_equal(SampleCov.from_data(data, dims).s, expected)
 
 
+D4 = matops.Dims(4, 3, 3)
+# a check that needs no decomposition comes before init's kcd too
+EARLY_FIT = EARLY + ("corecov.kcd.kcd",)
+
+
+def _refusals():
+    """One pytest.param (call, error, message, refused) per refusal of fit,
+    kmle_estimator, base_estimator, init, FitConfig and PicseParams.validate;
+    each data defect runs under all three estimators."""
+    rows = []
+
+    def row(name, call, error, message, refused=EARLY_FIT):
+        rows.append(pytest.param(call, error, message, refused, id=name))
+
+    y = make_data(1, n=12)
+    nan = y.copy()
+    nan[2, 1, 0] = np.nan
+    for defect, data, message in [
+        ("nan", nan, "data contain non-finite values"),
+        ("one-observation", y[:1], "need at least two observations"),
+        ("width", np.zeros((5, 2, 2)), "expected (n, 3, 2) data, got (5, 2, 2)"),
+        ("flat", np.zeros((5, 6)), "expected (n, 3, 2) data, got (5, 6)"),
+        ("overflow", 1e160 * y, "second moments of the data overflow; rescale the data"),
+        ("underflow", np.ldexp(y, -520),
+         "second moments of the data underflow; rescale the data"),
+        ("complex", y + 1j * y, "data contain complex values"),
+    ]:
+        row(f"fit-{defect}", functools.partial(picse.fit, data, DIMS), ConfigError, message)
+        row(f"kmle-{defect}", functools.partial(picse.kmle_estimator, data, DIMS), ConfigError,
+            message)
+        row(f"base-{defect}", functools.partial(
+            picse.base_estimator, data, DIMS, SquareRootKind.SYMMETRIC), ConfigError, message)
+
+    sym = make_tau(SquareRootKind.SYMMETRIC, 64, dims=D4)
+    fit_from = functools.partial(picse.fit, make_data(63, n=24, dims=D4), D4)
+    invalid = "invalid initial parameters: "
+    for field, bad in itertools.product(["nu", "k1bar", "k2bar", "a"], [np.nan, np.inf]):
+        value, message = bad, f"nu {bad} is not positive and finite"
+        if field != "nu":
+            value, message = getattr(sym, field).copy(), f"{field} has non-finite entries"
+            value[1, 0] = bad
+        tau = dataclasses.replace(sym, **{field: value})
+        row(f"validate-{field}-{bad}", tau.validate, StructureError, message)
+        row(f"start-{field}-{bad}", functools.partial(fit_from, initial=tau), ConfigError,
+            invalid + message)
+    for lam in [0.0, 1.0, -0.5, np.nan]:
+        row(f"validate-lambda-{lam}", dataclasses.replace(sym, lam=lam).validate, StructureError,
+            f"lambda {lam} outside (0, 1)")
+    as_chol = dataclasses.replace(sym, h_kind=SquareRootKind.CHOLESKY)
+    as_sym = dataclasses.replace(make_tau(SquareRootKind.CHOLESKY, 64, dims=D4),
+                                 h_kind=SquareRootKind.SYMMETRIC)
+    not_pd = dataclasses.replace(sym, k1bar=np.diag([-1.0, -1.0, 1.0, 1.0]))  # determinant 1
+    row("validate-sym-as-chol", as_chol.validate, ConfigError,
+        "k1bar: strict upper triangle is not zero")
+    row("validate-chol-as-sym", as_sym.validate, ConfigError, "k1bar: SPD point is not symmetric")
+    row("validate-not-pd", not_pd.validate, DefinitenessError,
+        "k1bar: SPD point is not positive definite: min eig -1.000e+00, max 1.000e+00", LATE)
+
+    chol = FitConfig(h_kind=SquareRootKind.CHOLESKY)
+    differ = "initial parameters differ from the fit in dims or h_kind"
+    row("start-sym-under-chol", functools.partial(fit_from, chol, initial=sym), ConfigError,
+        differ)
+    row("start-dims", functools.partial(fit_from, initial=make_tau(SquareRootKind.SYMMETRIC, 64)),
+        ConfigError, differ)
+    row("start-sym-as-chol", functools.partial(fit_from, chol, initial=as_chol), ConfigError,
+        invalid + "k1bar: strict upper triangle is not zero")
+    for name, changes, message, refused in [
+        ("det-16", {"k1bar": 2.0 * sym.k1bar}, "k1bar determinant differs from 1", LATE),
+        ("shape", {"k1bar": np.eye(3), "k2bar": np.eye(4)}, "k1bar is not a real 4x4 matrix",
+         EARLY_FIT),
+        ("complex", {"k1bar": sym.k1bar + 1j * np.eye(4)}, "k1bar is not a real 4x4 matrix",
+         EARLY_FIT),
+    ]:
+        row(f"start-{name}", functools.partial(fit_from, initial=dataclasses.replace(
+            sym, **changes)), ConfigError, invalid + message, refused)
+
+    settings = "need tol > 0 and max_iter >= 1, with tol finite"
+    for tol in [0.0, -1e-6, np.nan, np.inf]:
+        row(f"config-tol-{tol}", functools.partial(FitConfig, tol=tol), ConfigError, settings)
+    row("config-max-iter-0", functools.partial(FitConfig, max_iter=0), ConfigError, settings)
+    for max_iter in [2.5, 3.0]:
+        row(f"config-max-iter-{max_iter}", functools.partial(FitConfig, max_iter=max_iter),
+            TypeError, "'float' object cannot be interpreted as an integer")
+    for h_kind in ["chol", "bogus", None]:
+        row(f"config-h-kind-{h_kind}", functools.partial(FitConfig, h_kind=h_kind), ConfigError,
+            f"square-root kind must be a SquareRootKind, got {h_kind!r}")
+
+    # at r = p the isotropic block is empty and lambda is not identified
+    full = matops.Dims(2, 2, 4)
+    data = make_data(61, n=8, dims=full)
+    rank = "PICSE needs a rank r < p = 4, got r = 4"
+    row("fit-full-rank", functools.partial(picse.fit, data, full), ConfigError, rank)
+    for kind in SquareRootKind:
+        row(f"init-full-rank-{kind.value}", functools.partial(
+            picse.init, SampleCov.from_data(data, full), kind), ConfigError, rank)
+        row(f"base-full-rank-{kind.value}", functools.partial(
+            picse.base_estimator, data, full, kind), ConfigError, rank)
+    # p*r = 70*59 = 4130 exceeds the dense-J limit: refused from the shape alone
+    capacity = matops.Dims(10, 7, 59)
+    row("fit-capacity", functools.partial(picse.fit, make_data(1, n=3, dims=capacity), capacity),
+        CapacityError, "dense J needs p*r <= 4096, got 4130")
+    return rows
+
+
+class TestRefusals:
+    """Every refusal of bad input names its type and message, and comes
+    before the computation it guards: a refused call must not reach what
+    `refused` lists (EARLY_FIT, or LATE where the check decomposes the input)."""
+
+    @pytest.mark.parametrize("call, error, message, refused", _refusals())
+    def test_refused_before_the_computation(self, call, error, message, refused, monkeypatch):
+        refuse(monkeypatch, refused)
+        with pytest.raises(error) as info:
+            call()
+        assert info.type is error and str(info.value) == message
+
+
 class TestValidate:
-    def test_kbar_structure_follows_h_kind(self):
-        dims = matops.Dims(4, 3, 3)
-        sym = make_tau(SquareRootKind.SYMMETRIC, 64, dims=dims).validate()
-        chol = make_tau(SquareRootKind.CHOLESKY, 64, dims=dims).validate()
-        not_pd = np.diag([-1.0, -1.0, 1.0, 1.0])  # symmetric, determinant 1
-        bad = [
-            dataclasses.replace(sym, h_kind=SquareRootKind.CHOLESKY),
-            dataclasses.replace(chol, h_kind=SquareRootKind.SYMMETRIC),
-            dataclasses.replace(sym, k1bar=not_pd),
-        ]
-        for tau in bad:
-            with pytest.raises(ValueError):
-                tau.validate()
-
-    def test_non_finite_entries_rejected(self):
-        # nu = nan passed (nan <= 0 is false) and nu = inf made a fit start at
-        # +inf; non-finite K-bar or A entries reached eigh and the SVD
-        tau = make_tau(SquareRootKind.SYMMETRIC, 64, dims=matops.Dims(4, 3, 3))
-        for field in ("nu", "k1bar", "k2bar", "a"):
-            for bad in (np.nan, np.inf):
-                value = bad
-                if field != "nu":
-                    value = getattr(tau, field).copy()
-                    value[1, 0] = bad
-                with pytest.raises(StructureError, match=f"^{field} "):
-                    dataclasses.replace(tau, **{field: value}).validate()
-
     def test_symmetric_root_runs_the_spd_point_check(self, monkeypatch):
         # the check the affine-invariant tangent space runs, once per factor
         tau = make_tau(SquareRootKind.SYMMETRIC, 64, dims=matops.Dims(4, 3, 3))
@@ -126,12 +217,6 @@ class TestValidate:
         # the check's errors name the factor
         with pytest.raises(ConfigError, match="^k1bar: .* not symmetric"):
             dataclasses.replace(tau, k1bar=k1).validate()
-
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, np.nan])
-    def test_lambda_outside_unit_interval_rejected(self, lam):
-        tau = make_tau(SquareRootKind.SYMMETRIC, 64, dims=matops.Dims(4, 3, 3))
-        with pytest.raises(StructureError, match="^lambda "):
-            dataclasses.replace(tau, lam=lam).validate()
 
 
 class TestNll:
@@ -1029,22 +1114,6 @@ class TestInit:
         # the other two root the factors of the truncated core's decomposition
         assert sum(rooted) == 2 and len(rooted) == 4
 
-    def test_full_rank_rejected_before_any_computation(self, monkeypatch):
-        # at r = p the isotropic block is empty and lambda is not identified
-        dims = matops.Dims(2, 2, 4)
-        data = make_data(61, n=8, dims=dims)
-        sc = SampleCov.from_data(data, dims)
-
-        def ran(*args):
-            raise AssertionError("decomposition ran past the rank check")
-
-        monkeypatch.setattr(kcd, "kcd", ran)
-        for kind in SquareRootKind:
-            with pytest.raises(ValueError, match="r < p"):
-                picse.init(sc, kind)
-            with pytest.raises(ValueError, match="r < p"):
-                picse.base_estimator(data, dims, kind)
-
     def test_sample_core_rank_uses_the_eigenvalue_floor(self):
         # the 4th eigenvalue is 1.7e-11 of the largest: under PD_RTOL, so the
         # rank check rejects it; its old 1e-12 floor let it through to fail
@@ -1164,22 +1233,12 @@ class TestFit:
         )
         assert abs(trace.objectives[-1] - direct) < 1e-8
 
-    def test_data_whose_second_moments_overflow(self):
-        # at data x 1e160 (p = 6, n = 12) Y^T Y overflowed with a RuntimeWarning,
-        # then kronecker_mle rejected a non-finite matrix the user never gave
+    def test_data_near_the_overflow_bound(self):
+        # at data x 1e160 the second moments overflow and are refused (the
+        # fit-overflow row of TestRefusals); x 1e150 still fits
         y = np.random.default_rng(0).standard_normal((12, 3, 2))
-        with pytest.raises(ConfigError, match="second moments of the data overflow"):
-            picse.fit(1e160 * y, DIMS)
         _, _, trace = picse.fit(1e150 * y, DIMS)
         assert trace.termination in ("converged", "max_iter")
-
-    def test_data_whose_second_moments_underflow(self):
-        # from data x 2^-512 on (p = 12, n = 24) the moments were subnormal and the
-        # flip-flop's eigvalsh failed: a numerical failure on data to rescale
-        dims = matops.Dims(4, 3, 3)
-        data = simulate.gen_data(simulate.gen_truth("m2", dims, 0.2, seed=1).sigma, 24, 2, dims)
-        with pytest.raises(ConfigError, match="second moments of the data underflow"):
-            picse.fit(np.ldexp(data, -520), dims)
 
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_space_binds_the_metric(self, kind, monkeypatch):
@@ -1277,18 +1336,6 @@ class TestFit:
         )
         assert picse.nll(tau, sc) <= picse.nll(tau_true, sc) + 1e-9
 
-    def test_rotation_invariance(self):
-        truth = simulate.gen_truth("m1", DIMS, 0.3, seed=95)
-        data = simulate.gen_data(truth.sigma, 40, seed=96, dims=DIMS)
-        sc = SampleCov.from_data(data, DIMS)
-        tau0 = picse.init(sc, SquareRootKind.SYMMETRIC)
-        rng = np.random.default_rng(97)
-        o, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        tau0_rot = dataclasses.replace(tau0, a=tau0.a @ o)
-        _, s_a, _ = picse.fit(data, DIMS, FitConfig(), initial=tau0)
-        _, s_b, _ = picse.fit(data, DIMS, FitConfig(), initial=tau0_rot)
-        assert simulate.rel_spec_norm(s_b, s_a) < 1e-6
-
     @pytest.mark.parametrize("kind", list(SquareRootKind))
     def test_k_step_norms_at_base_point(self, kind):
         # the norm of a K step at its base point is the geodesic distance the
@@ -1332,110 +1379,6 @@ class TestFit:
         tau.validate()
         value = picse.nll(tau, SampleCov.from_data(data, dims))
         assert value <= trace.objectives[-1]
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            picse.fit(np.zeros((1, 3, 2)), DIMS)
-        with pytest.raises(ValueError):
-            picse.fit(np.zeros((5, 2, 2)), DIMS)
-        data = make_data(1)
-        data[2, 1, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            picse.fit(data, DIMS)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
-    def test_config_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError, match="need tol > 0"):
-            FitConfig(tol=tol)
-
-    def test_config_rejects_infinite_tol(self):
-        # every relative change is below inf, so the fit used to stop after
-        # one sweep and report it as converged
-        with pytest.raises(ValueError, match="tol finite"):
-            FitConfig(tol=np.inf)
-
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0])
-    def test_config_rejects_non_integer_max_iter(self, max_iter):
-        # a float used to pass, then fail in range() after init had run
-        with pytest.raises(TypeError):
-            FitConfig(max_iter=max_iter)
-        assert FitConfig(max_iter=np.int64(3)).max_iter == 3
-
-    @pytest.mark.parametrize("h_kind", ["chol", "bogus", None])
-    def test_config_rejects_unknown_root_kind(self, h_kind):
-        # a value that is not a SquareRootKind member used to fit the
-        # symmetric root, even for "chol"
-        with pytest.raises(ValueError, match="must be a SquareRootKind"):
-            FitConfig(h_kind=h_kind)
-
-    def test_capacity_checked_before_init(self, monkeypatch):
-        # p*r = 70*59 = 4130 exceeds the dense-J limit: rejected from the
-        # shape alone, before the initialization runs
-        dims = matops.Dims(10, 7, 59)
-
-        def ran(*args):
-            raise AssertionError("init ran past the dense-size check")
-
-        monkeypatch.setattr(picse, "init", ran)
-        with pytest.raises(CapacityError):
-            picse.fit(make_data(1, n=3, dims=dims), dims)
-
-    def test_full_rank_rejected_before_init(self, monkeypatch):
-        dims = matops.Dims(2, 2, 4)
-
-        def ran(*args):
-            raise AssertionError("init ran past the rank check")
-
-        monkeypatch.setattr(picse, "init", ran)
-        with pytest.raises(ValueError, match="r < p"):
-            picse.fit(make_data(62, n=8, dims=dims), dims)
-
-    def test_initial_must_match_the_fit(self, monkeypatch):
-        # a symmetric start under a Cholesky config, the same start relabelled
-        # Cholesky, a start of other dims and a K1bar of determinant 16 are
-        # rejected before any computation
-        dims = matops.Dims(4, 3, 3)
-        data = make_data(63, n=24, dims=dims)
-        start = make_tau(SquareRootKind.SYMMETRIC, 64, dims=dims)
-        chol = FitConfig(h_kind=SquareRootKind.CHOLESKY)
-        bad_starts = [
-            (start, chol),
-            (dataclasses.replace(start, h_kind=SquareRootKind.CHOLESKY), chol),
-            (make_tau(SquareRootKind.SYMMETRIC, 64), FitConfig()),
-            (dataclasses.replace(start, k1bar=2.0 * start.k1bar), FitConfig()),
-        ]
-
-        def ran(*args):
-            raise AssertionError("the fit ran past the check of its start")
-
-        monkeypatch.setattr(picse._ParamPoint, "nll", ran)
-        for initial, config in bad_starts:
-            with pytest.raises(ValueError, match="initial"):
-                picse.fit(data, dims, config, initial=initial)
-
-    @pytest.mark.parametrize("field", ["nu", "k1bar", "a"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_start_rejected_before_any_decomposition(
-        self, field, bad, monkeypatch
-    ):
-        # nu = nan used to reach LAPACK ("DLASCL parameter number 4") and end
-        # the fit "numerical" after 0 sweeps; nu = inf, a "converged" fit
-        dims = matops.Dims(4, 3, 3)
-        data = make_data(63, n=24, dims=dims)
-        start = make_tau(SquareRootKind.SYMMETRIC, 64, dims=dims)
-        value = bad
-        if field != "nu":
-            value = getattr(start, field).copy()
-            value[0, 0] = bad
-
-        def ran(*args, **kwargs):
-            raise AssertionError("a decomposition or the objective ran")
-
-        monkeypatch.setattr(np.linalg, "eigh", ran)
-        monkeypatch.setattr(np.linalg, "svd", ran)
-        monkeypatch.setattr(picse._ParamPoint, "nll", ran)
-        with pytest.raises(ValueError, match="invalid initial parameters"):
-            picse.fit(data, dims, initial=dataclasses.replace(start, **{field: value}))
 
     def test_lambda_ordering_across_truths(self):
         # lam = 0.2 versus 0.8 at n = 2p: the fitted level tracks the truth
@@ -1767,27 +1710,6 @@ class TestEquivariance:
 
 
 class TestBaselines:
-    @pytest.mark.parametrize(
-        "estimate",
-        [
-            lambda data: picse.kmle_estimator(data, DIMS),
-            lambda data: picse.base_estimator(data, DIMS, SquareRootKind.SYMMETRIC),
-        ],
-        ids=["kmle", "base"],
-    )
-    def test_reject_bad_data(self, estimate):
-        # the baselines make the data checks of fit, in SampleCov.from_data
-        nan_data = make_data(1)
-        nan_data[2, 1, 0] = np.nan
-        for data, match in (
-            (nan_data, "non-finite"),
-            (np.zeros((5, 2, 2)), "expected"),
-            (np.zeros((5, 6)), "expected"),
-            (make_data(1, n=1), "two observations"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                estimate(data)
-
     def test_kmle_recovers_separable(self):
         dims = matops.Dims(2, 2, 3)
         rng = np.random.default_rng(101)

@@ -123,19 +123,6 @@ class TestRunExperiment:
         records, _ = simulate.run_experiment(config)
         assert len(records) == 2 * 2 * 5
 
-    def test_rerun_identical(self, tmp_path):
-        config = ExperimentConfig(
-            model="m1", dims=matops.Dims(2, 2, 3), lam=0.3, n_list=(8,),
-            reps=2, seed=77, h_kinds=(SquareRootKind.SYMMETRIC,),
-        )
-        paths = []
-        for run in range(2):
-            records, _ = simulate.run_experiment(config)
-            path = tmp_path / f"run{run}.csv"
-            simulate.write_results_csv(records, path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     def test_failure_rows_flagged_and_run_continues(self):
         # n = 2 at (2, 2, 3): the sample core has rank 2 < r, so the
         # structured estimators fail while the study still emits all rows
@@ -291,13 +278,20 @@ class TestRunExperiment:
         assert type(ExperimentConfig(**config, seed=np.uint8(3)).seed) is int
 
     def test_config_stores_python_ints(self):
-        # numpy counts used to reach summary.json, which cannot encode them
+        # numpy scalars used to reach summary.json, which cannot encode them
         config = ExperimentConfig(
-            model="m1", dims=DIMS, lam=0.5, n_list=[np.int64(8)], reps=np.int32(2), seed=0
+            model="m1", dims=DIMS, lam=np.float32(0.3), n_list=[np.int64(8)],
+            reps=np.int32(2), seed=np.int64(0), tol=np.float32(1e-6), max_iter=np.int64(5),
         )
         assert config.n_list == (8,) and type(config.n_list[0]) is int
-        assert type(config.reps) is int
+        for name, kind in [("reps", int), ("seed", int), ("lam", float), ("tol", float),
+                           ("max_iter", int)]:
+            assert type(getattr(config, name)) is kind, name
         json.dumps(simulate._summarize(config, []))
+        for max_iter, stored in [(np.int64(3), 3), (True, 1)]:
+            fit_config = picse.FitConfig(tol=np.float32(1e-6), max_iter=max_iter)
+            assert type(fit_config.max_iter) is int and fit_config.max_iter == stored
+            assert type(fit_config.tol) is float
 
 
 def _max_rel(got, want):
