@@ -82,6 +82,13 @@ class TestKroneckerMle:
         rhs = g @ kcd.kronecker_mle(sigma, DIMS22).matrix @ g.T
         assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(rhs).max()
 
+    def test_rejects_underflowing_entries(self):
+        # at 2^-1023 the largest entry, 1.7e-308, is subnormal: kcd returned a
+        # core 5.8e-3 from the unit-scale one without a word
+        g = np.random.default_rng(0).standard_normal((12, 40))
+        with pytest.raises(ConfigError, match="matrix entries underflow"):
+            kcd.kronecker_mle(np.ldexp(g @ g.T / 40, -1023), matops.Dims(4, 3))
+
     def test_condition_limit(self):
         # K2 = diag(1, 1e-14) has condition number 1e14, past _COND_LIMIT
         # (1e12): the flip-flop reports it as a collapsing iterate.  At 1e10
